@@ -18,7 +18,8 @@ root — see ``docs/performance.md``):
   digest.
 
 * **Sweep parallelism** — the same ablation-style overlap grid run with
-  ``sweep(..., workers=1)`` and ``workers=N`` (default 4), asserting the
+  ``sweep(..., execution=ExecutionConfig.serial())`` and
+  ``execution=ExecutionConfig.pool(N)`` (default 4), asserting the
   rows come back byte-identical and recording both wall-clock times. The
   speedup is only meaningful when the machine actually has ≥ N CPUs;
   ``cpu_count`` is recorded alongside so the number can be read honestly.
@@ -263,7 +264,7 @@ def _sweep_point(size: int, compute_us: float, iterations: int) -> dict[str, flo
 
 
 def measure_sweep(quick: bool, workers: int) -> dict[str, Any]:
-    """Wall-clock of the same grid at ``workers=1`` vs ``workers=N``."""
+    """Wall-clock of the same grid run serially vs on a pool of ``workers``."""
     if quick:
         grid = {"size": [4096, 16384], "compute_us": [20.0], "iterations": [8]}
     else:

@@ -11,14 +11,11 @@
   by extra examples and ablation benches;
 * :mod:`repro.apps.traffic` — composable network traffic generators
   (arrival process × size sampler × loop discipline) driving the
-  multi-job interference harness and topology benchmarks;
-* :mod:`repro.apps.pdes` — PHOLD-style and token-ring partition programs
-  for the conservative parallel kernel (:mod:`repro.sim.partition`).
+  multi-job interference harness and topology benchmarks.
 """
 
 from .convolution import ConvolutionConfig, ConvolutionResult, run_convolution
 from .overlap import OverlapConfig, OverlapResult, run_overlap
-from .pdes import PholdProgram, RingProgram
 from .traffic import (
     ClosedLoop,
     FixedSize,
@@ -43,8 +40,6 @@ __all__ = [
     "uniform_phases",
     "irregular_phases",
     "master_worker_plan",
-    "PholdProgram",
-    "RingProgram",
     "TrafficMessage",
     "PeriodicArrivals",
     "PoissonArrivals",

@@ -24,10 +24,7 @@ __all__ = ["main"]
 
 
 def _execution_from_args(args: argparse.Namespace):
-    """``--workers N`` → a pool config; absent → honour $REPRO_BENCH_WORKERS.
-
-    The CLI speaks the unified ``execution=`` surface, so no deprecation
-    warnings are emitted on the experiment entry points."""
+    """``--workers N`` → a pool config; absent → honour $REPRO_BENCH_WORKERS."""
     from .harness.executors import ExecutionConfig
 
     workers = getattr(args, "workers", None)
@@ -36,48 +33,64 @@ def _execution_from_args(args: argparse.Namespace):
     return ExecutionConfig.from_env()
 
 
-def _cmd_fig5(args: argparse.Namespace) -> int:
-    from .harness.experiments import experiment_fig5
-
-    result = experiment_fig5(iterations=args.iterations, execution=_execution_from_args(args))
+def _print_fig5(result, args: argparse.Namespace) -> None:
     print(result.format(plot=not args.no_plot))
     cross = result.crossover_size()
     if cross:
         print(f"\ncrossover (comm == compute): {fmt_size(cross)}")
+
+
+def _print_fig6(result, args: argparse.Namespace) -> None:
+    print(result.format(plot=not args.no_plot))
+
+
+def _print_table1(result) -> None:
+    print(result.format())
+    print("\npaper: 441→382µs (14%) and 1183→1031µs (13%)")
+
+
+def _cmd_fig5(args: argparse.Namespace) -> int:
+    from .harness.experiments import experiment_fig5
+
+    _print_fig5(
+        experiment_fig5(iterations=args.iterations, execution=_execution_from_args(args)), args
+    )
     return 0
 
 
 def _cmd_fig6(args: argparse.Namespace) -> int:
     from .harness.experiments import experiment_fig6
 
-    result = experiment_fig6(iterations=args.iterations, execution=_execution_from_args(args))
-    print(result.format(plot=not args.no_plot))
+    _print_fig6(
+        experiment_fig6(iterations=args.iterations, execution=_execution_from_args(args)), args
+    )
     return 0
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     from .harness.experiments import experiment_table1
 
-    print(experiment_table1(execution=_execution_from_args(args)).format())
-    print("\npaper: 441→382µs (14%) and 1183→1031µs (13%)")
+    _print_table1(experiment_table1(execution=_execution_from_args(args)))
     return 0
 
 
 def _cmd_all(args: argparse.Namespace) -> int:
-    if getattr(args, "json", None):
-        from .harness.experiments import run_all_experiments, save_results_json
+    """Run every experiment once, through one shared executor, then print
+    (and optionally save) those same results."""
+    from .harness.experiments import run_all_experiments, save_results_json
 
-        results = run_all_experiments(
-            iterations=args.iterations, execution=_execution_from_args(args)
-        )
+    results = run_all_experiments(
+        iterations=args.iterations, execution=_execution_from_args(args)
+    )
+    if args.json:
         save_results_json(results, args.json)
         print(f"wrote machine-readable results to {args.json}")
-    rc = _cmd_fig5(args)
+    _print_fig5(results["fig5"], args)
     print()
-    rc |= _cmd_fig6(args)
+    _print_fig6(results["fig6"], args)
     print()
-    rc |= _cmd_table1(args)
-    return rc
+    _print_table1(results["table1"])
+    return 0
 
 
 def _demo_workload(engine: str, tracer=None, timing=None, faults=None):
@@ -240,47 +253,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pdes(args: argparse.Namespace) -> int:
-    """Run a PHOLD workload on the partitioned conservative kernel and
-    check the trace digest against the serial reference."""
-    import time
-
-    from .apps.pdes import PholdProgram
-    from .sim.partition import PartitionPlan, PartitionedSimulation
-
-    program = PholdProgram(jobs_per_node=args.jobs, hops=args.hops)
-    plan = PartitionPlan.from_timing(args.nodes, args.partitions)
-    serial_plan = PartitionPlan.from_timing(args.nodes, 1)
-
-    t0 = time.perf_counter()
-    with PartitionedSimulation(program, serial_plan, seed=args.seed) as ref:
-        ref.run()
-        ref_digest, ref_events = ref.trace_digest(), ref.events_fired
-    t_serial = time.perf_counter() - t0
-
-    mode = "inproc" if args.inproc else "auto"
-    t0 = time.perf_counter()
-    with PartitionedSimulation(program, plan, seed=args.seed, mode=mode) as sim:
-        end = sim.run()
-        digest, events = sim.trace_digest(), sim.events_fired
-        stats = sim.stats()
-    t_par = time.perf_counter() - t0
-
-    match = "MATCH" if digest == ref_digest else "MISMATCH"
-    print(f"phold: {args.nodes} nodes, {args.partitions} partitions "
-          f"({sim.mode} mode), seed {args.seed}")
-    print(f"  events   : {events} (serial: {ref_events}), end t={end:.1f}µs")
-    print(f"  digest   : {digest} vs serial {ref_digest} -> {match}")
-    print(f"  nulls    : sent={stats['null_msgs_sent']} "
-          f"recv={stats['null_msgs_received']} | cross-partition msgs="
-          f"{stats['msgs_sent']}")
-    print(f"  sync     : lookahead_stalls={stats['lookahead_stalls']} "
-          f"horizon_advances={stats['horizon_advances']}")
-    print(f"  wall     : serial {t_serial * 1e3:.1f}ms, "
-          f"partitioned {t_par * 1e3:.1f}ms")
-    return 0 if digest == ref_digest else 1
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     timing = TimingModel()
     cluster = paper_testbed()
@@ -322,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("trace", _cmd_trace, "export a Chrome/Perfetto trace of a demo round"),
         ("demo", _cmd_demo, "ping-pong smoke run (combine with --faults for a lossy wire)"),
         ("metrics", _cmd_metrics, "run a demo round and dump the unified metrics registry"),
-        ("pdes", _cmd_pdes, "partitioned parallel-DES demo (digest-checked against serial)"),
     ):
         p = sub.add_parser(name, help=doc)
         p.set_defaults(fn=fn)
@@ -361,17 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--out", default=None, metavar="PATH",
                 help="also write the merged run report (JSON) to PATH",
-            )
-        if name == "pdes":
-            p.add_argument("--nodes", type=int, default=8, help="simulated nodes")
-            p.add_argument("--partitions", type=int, default=2, help="partition count")
-            p.add_argument("--jobs", type=int, default=2, help="PHOLD jobs per node")
-            p.add_argument("--hops", type=int, default=12, help="hops per job")
-            p.add_argument("--seed", type=int, default=0, help="root RNG seed")
-            p.add_argument(
-                "--inproc", action="store_true",
-                help="cooperative single-process engine (full null-message "
-                "machinery, no worker processes)",
             )
         if name == "demo":
             p.add_argument("--messages", type=int, default=16, help="round-trips per engine")

@@ -15,20 +15,19 @@
 * :mod:`repro.harness.executors` — the unified execution surface:
   :class:`~repro.harness.executors.ExecutionConfig` and the
   :class:`~repro.harness.executors.Executor` protocol behind every entry
-  point's ``execution=`` keyword (serial / pool / partitioned).
+  point's ``execution=`` keyword (serial / pool).
 """
 
 from .executors import (
     EXECUTION_MODES,
     ExecutionConfig,
     Executor,
-    PartitionedExecutor,
     PoolExecutor,
     SerialExecutor,
     make_executor,
 )
 from .multijob import JobResult, JobSpec, MultiJobReport, run_multi_job
-from .parallel import derive_task_seeds, resolve_workers, run_grid, run_many, task_pool
+from .parallel import derive_task_seeds, resolve_workers, run_grid, run_many
 from .report import ascii_plot, format_series_table, format_table
 from .runner import ClusterRuntime, NodeRuntime
 from .stats import LatencyCollector, LatencySummary
@@ -75,12 +74,10 @@ __all__ = [
     "SweepResult",
     "run_grid",
     "run_many",
-    "task_pool",
     "ExecutionConfig",
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "PartitionedExecutor",
     "make_executor",
     "EXECUTION_MODES",
     "resolve_workers",

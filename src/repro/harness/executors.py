@@ -1,22 +1,17 @@
-"""The unified execution surface: one config, one protocol, three engines.
+"""The execution surface: one config, one protocol, two engines.
 
-Before this module the harness had three overlapping ways to say "run
-this in parallel" — ``sweep(workers=…)``, ``run_grid(workers=…,
-executor=…)``, ``run_many(…)`` — plus the partitioned kernel's own
-knobs. They now share one vocabulary:
+The harness runs independent simulation tasks (grid points, seeds) and
+has exactly one way to say how:
 
 * :class:`ExecutionConfig` — a frozen, typed description of *how* to
-  execute: ``serial``, ``pool`` (process-pool fan-out across tasks), or
-  ``partitioned`` (parallelism *inside* one simulation, see
-  :mod:`repro.sim.partition`). Accepted by :func:`repro.harness.parallel.run_grid`,
-  :func:`repro.harness.parallel.run_many`, :func:`repro.harness.sweep.sweep`,
-  :meth:`repro.harness.runner.ClusterRuntime.build`, and
-  :class:`repro.sim.kernel.Simulator` as the ``execution=`` keyword.
+  execute: ``serial`` (in-process loop) or ``pool`` (process-pool
+  fan-out across tasks). Accepted by :func:`repro.harness.parallel.run_grid`,
+  :func:`repro.harness.parallel.run_many`, :func:`repro.harness.sweep.sweep`
+  and the ``experiment_*`` functions as the ``execution=`` keyword.
 * :class:`Executor` — the tiny order-preserving protocol those entry
   points run on (:meth:`Executor.map_tasks`). Pass a long-lived instance
   (e.g. a :class:`PoolExecutor`) as ``execution=`` to amortize pool
-  start-up across many calls, the way :func:`repro.harness.parallel.task_pool`
-  did for the raw ``concurrent.futures`` pool.
+  start-up across many calls.
 * :func:`make_executor` — config → executor, where the resolution rules
   live.
 
@@ -33,11 +28,6 @@ beats 1, and ``0`` means one worker per CPU — and then:
 * a pool is created **lazily**, only when a call actually has more than
   one task to fan out — a one-task grid stays in-process at any worker
   count.
-
-Old call sites (``workers=``/``executor=`` keyword arguments) keep
-working for one release behind ``DeprecationWarning`` shims in
-:mod:`repro.harness.parallel`; see ``docs/api.md`` for the migration
-table.
 """
 
 from __future__ import annotations
@@ -53,12 +43,11 @@ __all__ = [
     "Executor",
     "SerialExecutor",
     "PoolExecutor",
-    "PartitionedExecutor",
     "make_executor",
 ]
 
 #: execution modes understood by :class:`ExecutionConfig`
-EXECUTION_MODES = ("serial", "pool", "partitioned")
+EXECUTION_MODES = ("serial", "pool")
 
 
 @dataclass(frozen=True)
@@ -67,28 +56,15 @@ class ExecutionConfig:
 
     ``mode``
         ``"serial"`` — in-process loop; ``"pool"`` — spawn-context process
-        pool across independent tasks; ``"partitioned"`` — conservative
-        parallel-DES inside one simulation.
+        pool across independent tasks.
     ``workers``
         Pool-size request for ``pool`` mode; resolves through
         :func:`repro.harness.parallel.resolve_workers` (``None`` → env →
         1, ``0`` → all CPUs) at use time.
-    ``partitions`` / ``inproc``
-        Partition count and engine choice for ``partitioned`` mode
-        (``inproc=True`` selects the cooperative single-process engine —
-        full null-message machinery, no OS processes).
-    ``queue``
-        Optional event-queue override (``"heap"``/``"calendar"``) applied
-        to kernels built under this config — the knob
-        :meth:`~repro.harness.runner.ClusterRuntime.build` and
-        :class:`~repro.sim.kernel.Simulator` honour.
     """
 
     mode: str = "serial"
     workers: Optional[int] = None
-    partitions: int = 2
-    inproc: bool = False
-    queue: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.mode not in EXECUTION_MODES:
@@ -100,46 +76,25 @@ class ExecutionConfig:
             raise HarnessError(
                 f"workers must be >= 0 (0 = all CPUs), got {self.workers}"
             )
-        if self.partitions < 1:
-            raise HarnessError(f"partitions must be >= 1, got {self.partitions}")
-        if self.queue is not None:
-            from ..sim.queues import QUEUE_KINDS
-
-            if self.queue not in QUEUE_KINDS:
-                raise HarnessError(
-                    f"unknown queue {self.queue!r}; expected one of {QUEUE_KINDS}"
-                )
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def serial(cls, *, queue: Optional[str] = None) -> "ExecutionConfig":
+    def serial(cls) -> "ExecutionConfig":
         """Plain in-process execution."""
-        return cls(mode="serial", queue=queue)
+        return cls(mode="serial")
 
     @classmethod
-    def pool(cls, workers: int = 0, *, queue: Optional[str] = None) -> "ExecutionConfig":
+    def pool(cls, workers: int = 0) -> "ExecutionConfig":
         """Process-pool fan-out (``workers=0`` = one per CPU)."""
-        return cls(mode="pool", workers=workers, queue=queue)
+        return cls(mode="pool", workers=workers)
 
     @classmethod
-    def partitioned(
-        cls,
-        partitions: int = 2,
-        *,
-        inproc: bool = False,
-        queue: Optional[str] = None,
-    ) -> "ExecutionConfig":
-        """Conservative parallel-DES inside one simulation."""
-        return cls(mode="partitioned", partitions=partitions, inproc=inproc, queue=queue)
-
-    @classmethod
-    def from_env(cls, *, queue: Optional[str] = None) -> "ExecutionConfig":
-        """Honour ``REPRO_BENCH_WORKERS`` exactly like the legacy
-        ``workers=None`` default: pool mode resolving through the
+    def from_env(cls) -> "ExecutionConfig":
+        """Honour ``REPRO_BENCH_WORKERS``: pool mode resolving through the
         environment (which still collapses to serial when it resolves
         to 1 — the ``workers=1`` rule)."""
-        return cls(mode="pool", workers=None, queue=queue)
+        return cls(mode="pool", workers=None)
 
     # -- resolution ----------------------------------------------------------
 
@@ -151,7 +106,7 @@ class ExecutionConfig:
 
 
 # ---------------------------------------------------------------------------
-# the protocol and its three engines
+# the protocol and its two engines
 
 
 class Executor:
@@ -203,7 +158,7 @@ class PoolExecutor(Executor):
     :meth:`map_tasks` call that actually needs it (resolved workers > 1
     *and* more than one task) and is then reused until :meth:`close` —
     so a long-lived instance amortizes interpreter start-up across many
-    grids, replacing :func:`repro.harness.parallel.task_pool`.
+    grids.
     """
 
     def __init__(self, workers: Optional[int] = None) -> None:
@@ -248,71 +203,6 @@ class PoolExecutor(Executor):
         return f"PoolExecutor(workers={self.workers!r}, {state})"
 
 
-class PartitionedExecutor(Executor):
-    """Executor whose parallelism lives *inside* each task.
-
-    Independent tasks map serially (a partitioned run already uses the
-    cores — nesting a pool around it would oversubscribe); the real
-    engine is :meth:`simulate`, which runs one
-    :class:`~repro.sim.partition.PartitionProgram` across ``partitions``
-    kernels with null-message synchronization.
-    """
-
-    def __init__(
-        self,
-        partitions: int = 2,
-        *,
-        inproc: bool = False,
-        queue: Optional[str] = None,
-    ) -> None:
-        if partitions < 1:
-            raise HarnessError(f"partitions must be >= 1, got {partitions}")
-        self.partitions = partitions
-        self.inproc = inproc
-        self.queue = queue
-
-    def map_tasks(
-        self,
-        invoke: Callable[[Callable[..., Any], Any], Any],
-        fn: Callable[..., Any],
-        tasks: Sequence[Any],
-    ) -> list[Any]:
-        return [invoke(fn, task) for task in tasks]
-
-    def simulate(
-        self,
-        program: Any,
-        plan: Any = None,
-        *,
-        nodes: Optional[int] = None,
-        seed: int = 0,
-        queue: Optional[str] = None,
-    ) -> Any:
-        """Build a :class:`~repro.sim.partition.PartitionedSimulation`.
-
-        Pass an explicit :class:`~repro.sim.partition.PartitionPlan`, or
-        just ``nodes=`` to get a block-assigned plan whose lookahead is
-        the default timing model's wire latency."""
-        from ..sim.partition import PartitionedSimulation, PartitionPlan
-
-        if plan is None:
-            if nodes is None:
-                raise HarnessError("simulate needs a plan= or a nodes= count")
-            plan = PartitionPlan.from_timing(nodes, self.partitions)
-        mode = "serial" if plan.partitions == 1 else ("inproc" if self.inproc else "process")
-        return PartitionedSimulation(
-            program,
-            plan,
-            seed=seed,
-            queue=queue or self.queue or "calendar",
-            mode=mode,
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        engine = "inproc" if self.inproc else "process"
-        return f"PartitionedExecutor(partitions={self.partitions}, {engine})"
-
-
 def make_executor(execution: Optional[ExecutionConfig] = None) -> Executor:
     """Resolve an :class:`ExecutionConfig` into a live :class:`Executor`.
 
@@ -321,12 +211,6 @@ def make_executor(execution: Optional[ExecutionConfig] = None) -> Executor:
     is 1 — the ``workers=1`` rule, applied in exactly one place.
     """
     cfg = execution if execution is not None else ExecutionConfig.from_env()
-    if cfg.mode == "serial":
+    if cfg.mode == "serial" or cfg.resolved_workers() == 1:
         return SerialExecutor()
-    if cfg.mode == "pool":
-        if cfg.resolved_workers() == 1:
-            return SerialExecutor()
-        return PoolExecutor(cfg.workers)
-    return PartitionedExecutor(
-        cfg.partitions, inproc=cfg.inproc, queue=cfg.queue
-    )
+    return PoolExecutor(cfg.workers)

@@ -12,7 +12,6 @@ are calibrated workloads — the reproduced quantities are the execution-time
 
 from __future__ import annotations
 
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -20,6 +19,7 @@ from ..apps.convolution import ConvolutionConfig, run_convolution
 from ..apps.overlap import OverlapConfig, run_overlap
 from ..config import EngineKind, TimingModel
 from ..units import KiB
+from .executors import ExecutionConfig, make_executor
 from .parallel import ExecutionLike, run_grid
 from .report import ascii_plot, format_series_table, format_table
 
@@ -136,9 +136,7 @@ def _overlap_series(
     compute_us: float,
     iterations: int,
     timing: Optional[TimingModel],
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
-    execution: ExecutionLike = None,
+    execution: ExecutionLike,
 ) -> tuple[list[float], list[float], list[float]]:
     tasks = [
         dict(engine=engine, size=size, compute_us=c, iterations=iterations, timing=timing)
@@ -149,9 +147,7 @@ def _overlap_series(
         )
         for size in sizes
     ]
-    times = run_grid(
-        _overlap_point, tasks, execution=execution, workers=workers, executor=executor
-    )
+    times = run_grid(_overlap_point, tasks, execution=execution)
     n = len(sizes)
     return times[:n], times[n : 2 * n], times[2 * n :]
 
@@ -161,8 +157,6 @@ def experiment_fig5(
     compute_us: float = 20.0,
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> FigureResult:
     """§4.1 / Fig. 5 — small-message submission offloading.
@@ -170,12 +164,10 @@ def experiment_fig5(
     Series: *No computation (reference)*, *No copy offloading* (sequential
     baseline), *copy offloading* (PIOMan). Expected shapes: baseline =
     reference + compute; PIOMan = max(reference, compute) (+≈2 µs at the
-    crossover). ``workers`` runs the grid points on a process pool
+    crossover). ``execution`` may run the grid points on a process pool
     (results identical to serial — see :mod:`repro.harness.parallel`).
     """
-    ref, base, piom = _overlap_series(
-        sizes, compute_us, iterations, timing, workers, executor, execution
-    )
+    ref, base, piom = _overlap_series(sizes, compute_us, iterations, timing, execution)
     return FigureResult(
         name="fig5",
         title="Figure 5. Small messages offloading results.",
@@ -194,8 +186,6 @@ def experiment_fig6(
     compute_us: float = 100.0,
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> FigureResult:
     """§4.2 / Fig. 6 — rendezvous handshake progression.
@@ -204,9 +194,7 @@ def experiment_fig6(
     (PIOMan), *No computation (reference)*. Expected: baseline =
     sum(compute, comm), PIOMan = max(compute, comm).
     """
-    ref, base, piom = _overlap_series(
-        sizes, compute_us, iterations, timing, workers, executor, execution
-    )
+    ref, base, piom = _overlap_series(sizes, compute_us, iterations, timing, execution)
     return FigureResult(
         name="fig6",
         title="Figure 6. Offloading of rendezvous progression results.",
@@ -249,8 +237,6 @@ def experiment_table1(
     configs=TABLE1_CONFIGS,
     iterations: int = 1,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
     execution: ExecutionLike = None,
 ) -> Table1Result:
     """§4.3 / Table 1 — convolution meta-application, offloading on/off."""
@@ -264,9 +250,7 @@ def experiment_table1(
         for _label, (rows, cols), msg, frontier, interior in configs
         for engine in engines
     ]
-    times = run_grid(
-        _convolution_point, tasks, execution=execution, workers=workers, executor=executor
-    )
+    times = run_grid(_convolution_point, tasks, execution=execution)
     result = Table1Result()
     for i, (label, *_rest) in enumerate(configs):
         base = times[i * len(engines)]
@@ -285,25 +269,24 @@ def experiment_table1(
 def run_all_experiments(
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    workers: Optional[int] = None,
     execution: ExecutionLike = None,
 ) -> dict[str, "FigureResult | Table1Result"]:
     """Run the paper's full evaluation; returns results keyed by name.
 
-    ``execution`` selects the engine for every sub-experiment (a shared
-    :class:`~repro.harness.executors.Executor` amortizes one pool across
-    all three); the deprecated ``workers=`` shim keeps its old meaning."""
-    return {
-        "fig5": experiment_fig5(
-            iterations=iterations, timing=timing, workers=workers, execution=execution
-        ),
-        "fig6": experiment_fig6(
-            iterations=iterations, timing=timing, workers=workers, execution=execution
-        ),
-        "table1": experiment_table1(
-            timing=timing, workers=workers, execution=execution
-        ),
-    }
+    ``execution`` selects the engine for every sub-experiment. A config
+    is turned into one executor shared by all three, so a pool is
+    spawned at most once."""
+    owned = execution is None or isinstance(execution, ExecutionConfig)
+    exe = make_executor(execution) if owned else execution
+    try:
+        return {
+            "fig5": experiment_fig5(iterations=iterations, timing=timing, execution=exe),
+            "fig6": experiment_fig6(iterations=iterations, timing=timing, execution=exe),
+            "table1": experiment_table1(timing=timing, execution=exe),
+        }
+    finally:
+        if owned:
+            exe.close()
 
 
 def save_results_json(results: dict, path: str) -> None:

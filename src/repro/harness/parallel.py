@@ -10,7 +10,8 @@ serial loop.
 
 Determinism contract
 --------------------
-``workers=N`` produces **byte-identical** results to ``workers=1``:
+A pool of ``N`` workers produces **byte-identical** results to the serial
+loop:
 
 * every task is a pure function of its parameters (each builds a private
   simulator seeded from the run config, never from global state);
@@ -29,7 +30,7 @@ raises :class:`~repro.errors.HarnessError` with a pointed message when
 handed a non-spawnable callable, instead of the cryptic pickling error the
 executor would produce.
 
-Worker count resolution: an explicit ``workers=`` argument wins; ``None``
+Worker count resolution: an explicit worker count wins; ``None``
 falls back to the ``REPRO_BENCH_WORKERS`` environment variable (how the
 benchmark suite and CI opt whole runs in), and finally to ``1`` (serial,
 in-process — no executor is created at all). ``workers=0`` means one
@@ -38,41 +39,32 @@ pool — the full rule lives in :mod:`repro.harness.executors`.
 
 Execution surface
 -----------------
-``execution=`` is the current way to choose an engine: pass an
+``execution=`` chooses the engine: pass an
 :class:`~repro.harness.executors.ExecutionConfig` (one-shot) or a
 long-lived :class:`~repro.harness.executors.Executor` instance (reused
-across calls, replacing :func:`task_pool`). The ``workers=`` and
-``executor=`` keyword arguments keep their exact historical behaviour
-for one release behind ``DeprecationWarning`` shims.
+across calls, e.g. a :class:`~repro.harness.executors.PoolExecutor`).
 """
 
 from __future__ import annotations
 
 import inspect
 import os
-import warnings
-from concurrent.futures import Executor as _FuturesExecutor
-from concurrent.futures import ProcessPoolExecutor
-from multiprocessing import get_context
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from ..errors import HarnessError
 from ..sim.rng import RngStreams
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .executors import ExecutionConfig, Executor
+from .executors import ExecutionConfig, Executor, make_executor
 
 __all__ = [
     "WORKERS_ENV",
     "resolve_workers",
-    "task_pool",
     "run_grid",
     "run_many",
     "derive_task_seeds",
 ]
 
 #: type accepted by the ``execution=`` keyword everywhere
-ExecutionLike = Union["ExecutionConfig", "Executor", None]
+ExecutionLike = Union[ExecutionConfig, Executor, None]
 
 #: environment variable consulted when ``workers=None`` — lets CI and the
 #: benchmark suite switch every sweep to multicore without touching code
@@ -99,26 +91,6 @@ def resolve_workers(workers: Optional[int] = None) -> int:
     if workers < 1:
         raise HarnessError(f"workers must be >= 1 (or 0 = all CPUs), got {workers}")
     return workers
-
-
-def task_pool(workers: Optional[int] = None) -> ProcessPoolExecutor:
-    """A spawn-context pool for reuse across several grid/replication calls.
-
-    .. deprecated::
-        Create a :class:`repro.harness.executors.PoolExecutor` and pass it
-        as ``execution=`` instead — it is reusable the same way, spawns
-        lazily, and honours the ``workers=1`` rule. ``task_pool`` (and the
-        ``executor=`` keyword it feeds) remain for one release.
-    """
-    warnings.warn(
-        "task_pool() is deprecated; create a reusable "
-        "repro.harness.executors.PoolExecutor and pass it as execution=",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ProcessPoolExecutor(
-        max_workers=resolve_workers(workers), mp_context=get_context("spawn")
-    )
 
 
 def derive_task_seeds(root_seed: int, n: int, name: str = "task") -> list[int]:
@@ -154,7 +126,7 @@ def _check_spawnable(fn: Callable[..., Any]) -> None:
             f"task function {name} is not spawn-safe: parallel workers import "
             "it by module path, so it must be a top-level function of an "
             "importable module (not a lambda, closure, or locally defined "
-            "function). Define it at module level, or run with workers=1."
+            "function). Define it at module level, or run serially."
         )
 
 
@@ -177,58 +149,23 @@ def _fan_out(
     invoke: Callable[[Callable[..., Any], Any], Any],
     fn: Callable[..., Any],
     tasks: Sequence[Any],
-    workers: Optional[int],
-    executor: Optional[_FuturesExecutor],
     execution: ExecutionLike,
     api: str,
 ) -> list[Any]:
     """Run ``invoke(fn, task)`` for every task, preserving task order.
 
-    ``execution`` is the current surface (config or reusable executor);
-    ``workers``/``executor`` are the deprecated shims, kept byte-identical
-    to their historical behaviour for one release.
+    ``execution`` is a config (a one-shot executor is built and closed
+    here), a reusable executor, or ``None`` — the
+    :meth:`~repro.harness.executors.ExecutionConfig.from_env` default.
     """
-    from .executors import Executor as _ExecutorProtocol
-    from .executors import ExecutionConfig, make_executor
-
-    if execution is not None:
-        if workers is not None or executor is not None:
-            raise HarnessError(
-                f"{api}: pass either execution= or the deprecated "
-                "workers=/executor= arguments, not both"
-            )
-        if isinstance(execution, _ExecutorProtocol):
-            return execution.map_tasks(invoke, fn, tasks)
-        if not isinstance(execution, ExecutionConfig):
-            raise HarnessError(
-                f"{api}: execution= must be an ExecutionConfig or an "
-                f"Executor, got {type(execution).__name__}"
-            )
-        exe = make_executor(execution)
-        try:
-            return exe.map_tasks(invoke, fn, tasks)
-        finally:
-            exe.close()
-    if executor is not None:
-        warnings.warn(
-            f"{api}(executor=...) is deprecated; pass a reusable "
-            "repro.harness.executors.PoolExecutor as execution= instead",
-            DeprecationWarning,
-            stacklevel=3,
+    if isinstance(execution, Executor):
+        return execution.map_tasks(invoke, fn, tasks)
+    if execution is not None and not isinstance(execution, ExecutionConfig):
+        raise HarnessError(
+            f"{api}: execution= must be an ExecutionConfig or an "
+            f"Executor, got {type(execution).__name__}"
         )
-        _check_spawnable(fn)
-        futures = [executor.submit(invoke, fn, task) for task in tasks]
-        return [f.result() for f in futures]
-    if workers is not None:
-        warnings.warn(
-            f"{api}(workers=N) is deprecated; pass "
-            "execution=ExecutionConfig.pool(N) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    # the historical default path: explicit workers > env > serial — same
-    # resolution the new surface applies via make_executor
-    exe = make_executor(ExecutionConfig(mode="pool", workers=workers))
+    exe = make_executor(execution)
     try:
         return exe.map_tasks(invoke, fn, tasks)
     finally:
@@ -243,25 +180,18 @@ def run_grid(
     tasks: Sequence[Mapping[str, Any]],
     *,
     execution: ExecutionLike = None,
-    workers: Optional[int] = None,
-    executor: Optional[_FuturesExecutor] = None,
 ) -> list[Any]:
     """Run ``fn(**task)`` for every kwargs-mapping in ``tasks``.
 
     Returns one result per task, **in task order**, regardless of worker
     count or completion order. ``execution=`` selects the engine: an
     :class:`~repro.harness.executors.ExecutionConfig` (one-shot) or a
-    reusable :class:`~repro.harness.executors.Executor`; ``None`` keeps
-    the historical default (``REPRO_BENCH_WORKERS``, else serial — a
-    plain in-process loop with no pool and no pickling).
-
-    ``workers=``/``executor=`` are deprecated shims with the pre-redesign
-    behaviour; they warn and will go away next release.
+    reusable :class:`~repro.harness.executors.Executor`; ``None`` means
+    ``REPRO_BENCH_WORKERS``, else serial — a plain in-process loop with
+    no pool and no pickling.
     """
     task_list = [dict(t) for t in tasks]
-    return _fan_out(
-        _invoke_kwargs, fn, task_list, workers, executor, execution, "run_grid"
-    )
+    return _fan_out(_invoke_kwargs, fn, task_list, execution, "run_grid")
 
 
 def run_many(
@@ -271,8 +201,6 @@ def run_many(
     seeds: Optional[Sequence[int]] = None,
     seed: int = 0,
     execution: ExecutionLike = None,
-    workers: Optional[int] = None,
-    executor: Optional[_FuturesExecutor] = None,
 ) -> list[Any]:
     """Run ``fn(config)`` (or ``fn(config, seed=...)``) per config.
 
@@ -284,8 +212,8 @@ def run_many(
     via :func:`derive_task_seeds` — identical whether the task runs
     in-process or on any worker.
 
-    Results come back in config order; ``execution`` (and the deprecated
-    ``workers``/``executor`` shims) behave as in :func:`run_grid`.
+    Results come back in config order; ``execution`` behaves as in
+    :func:`run_grid`.
     """
     config_list = list(configs)
     if seeds is None:
@@ -301,9 +229,7 @@ def run_many(
         (config, task_seed, pass_seed)
         for config, task_seed in zip(config_list, seed_list)
     ]
-    return _fan_out(
-        _invoke_config_seed, fn, tasks, workers, executor, execution, "run_many"
-    )
+    return _fan_out(_invoke_config_seed, fn, tasks, execution, "run_many")
 
 
 def _accepts_seed(fn: Callable[..., Any]) -> bool:

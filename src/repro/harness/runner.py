@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..config import EngineKind, RdvConfig, TimingModel
 from ..errors import HarnessError
@@ -48,8 +48,6 @@ from ..topology.machine import Cluster
 from ..topology.numa import NumaModel
 from .parallel import run_many  # noqa: F401  (re-export: runner.run_many)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .executors import ExecutionConfig
 
 __all__ = ["NodeRuntime", "ClusterRuntime", "run_many"]
 
@@ -105,8 +103,6 @@ class ClusterRuntime:
         self.tracer = tracer
         self.rng = rng
         self.engine_kind = engine_kind
-        #: the ExecutionConfig ``build`` was given (None = defaults)
-        self.execution: Optional["ExecutionConfig"] = None
         #: every fabric (one per rail); each owns an interconnect model
         self.fabrics: list[Fabric] = []
         #: shared fault injector when the platform was built with a plan
@@ -144,7 +140,6 @@ class ClusterRuntime:
         recover: bool = True,
         metrics: Optional[bool] = None,
         rdv: Optional[RdvConfig] = None,
-        execution: Optional["ExecutionConfig"] = None,
     ) -> "ClusterRuntime":
         """Assemble a cluster.
 
@@ -171,12 +166,6 @@ class ClusterRuntime:
         chunked/striped rendezvous data phase (see
         :class:`repro.config.RdvConfig` and ``docs/rdv.md``).
 
-        ``execution`` is the unified
-        :class:`~repro.harness.executors.ExecutionConfig`: its ``queue``
-        override (when set) beats ``timing.kernel.queue`` for the kernel
-        built here, and the config is stashed on the runtime as
-        ``rt.execution`` so downstream harness calls can reuse it.
-
         ``topology`` selects the interconnect model per fabric (see
         :mod:`repro.network.interconnect` and ``docs/topology.md``): a
         spec string (``"direct"``, ``"fattree:4"``, ``"dragonfly:4,2,2"``)
@@ -200,7 +189,7 @@ class ClusterRuntime:
             timing = dataclasses.replace(
                 timing, faults=dataclasses.replace(timing.faults, enabled=True)
             )
-        sim = Simulator(trace=tracer, queue=timing.kernel.queue, execution=execution)
+        sim = Simulator(trace=tracer, queue=timing.kernel.queue)
         rng = RngStreams(seed)
         cluster = build_cluster(
             nodes=nodes,
@@ -305,7 +294,6 @@ class ClusterRuntime:
                 )
             )
         rt = cls(sim, cluster, node_rts, timing, tracer, rng, engine)
-        rt.execution = execution
         rt.fabrics = fabrics
         rt.fault_injector = injector
         obs = timing.obs

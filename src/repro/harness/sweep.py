@@ -2,7 +2,7 @@
 
 A sweep runs a callable over a parameter grid and collects scalar metrics;
 the ablation benchmarks use it for threshold/strategy/core-count studies.
-With ``workers > 1`` the grid points run on a process pool (see
+With a pool engine the grid points run on worker processes (see
 :mod:`repro.harness.parallel`) — rows come back byte-identical to the
 serial run, in the same Cartesian-product order.
 """
@@ -10,9 +10,8 @@ serial run, in the same Cartesian-product order.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from ..errors import HarnessError
 from .parallel import ExecutionLike, run_grid
@@ -58,8 +57,6 @@ def sweep(
     grid: Mapping[str, Sequence[Any]],
     *,
     execution: ExecutionLike = None,
-    workers: Optional[int] = None,
-    executor: Optional[Executor] = None,
 ) -> SweepResult:
     """Run ``fn(**params)`` for every combination in ``grid``.
 
@@ -74,9 +71,7 @@ def sweep(
     :class:`~repro.harness.executors.Executor`); with a pool the grid
     points fan out over spawn-context workers and ``fn`` must be a
     module-level function — see :mod:`repro.harness.parallel`. Row order
-    and content are identical at any worker count. The deprecated
-    ``workers=``/``executor=`` shims keep their historical meaning for
-    one release.
+    and content are identical at any worker count.
     """
     if not grid:
         raise HarnessError("sweep needs at least one parameter")
@@ -85,9 +80,7 @@ def sweep(
         dict(zip(names, values))
         for values in itertools.product(*(grid[n] for n in names))
     ]
-    metric_rows = run_grid(
-        fn, combos, execution=execution, workers=workers, executor=executor
-    )
+    metric_rows = run_grid(fn, combos, execution=execution)
     result: SweepResult | None = None
     for params, metrics in zip(combos, metric_rows):
         metrics = dict(metrics)

@@ -218,8 +218,7 @@ class Communicator:
         """MPI_Iprobe: non-blocking check for a matching pending message.
 
         Returns a typed :class:`~repro.nmad.unexpected.ProbeInfo` (or
-        None); ``status["source"]``-style access still works for one
-        release.
+        None).
         """
         status = yield from self._nm.iprobe(tctx, source, tag)
         return status

@@ -18,12 +18,6 @@ from .interconnect import (
     make_topology,
     topology_from_config,
 )
-from .lookahead import (
-    fabric_lookahead_us,
-    nic_lookahead_us,
-    require_lookahead,
-    timing_lookahead_us,
-)
 from .message import CompletionRecord, Packet, PacketKind
 from .nic import Nic
 from .registration import MemoryRegistry
@@ -44,8 +38,4 @@ __all__ = [
     "topology_from_config",
     "ShmChannel",
     "MemoryRegistry",
-    "require_lookahead",
-    "nic_lookahead_us",
-    "timing_lookahead_us",
-    "fabric_lookahead_us",
 ]

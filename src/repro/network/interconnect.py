@@ -30,18 +30,11 @@ Naming note: this module is ``repro.network.interconnect`` — *not*
 "topology" — because :mod:`repro.topology` already names the intra-node
 NUMA machine model (sockets, cores, memory domains). "Interconnect" is
 the inter-node wire structure; the two are orthogonal layers.
-
-The PDES lookahead of :mod:`repro.network.lookahead` is derived from
-:meth:`Topology.min_path_latency_us` — the cheapest end-to-end latency any
-cross-node frame can possibly pay — instead of the NIC wire latency alone
-(for :class:`Direct` the two coincide, keeping partitioned-run digests
-byte-identical).
 """
 
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING, Iterable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from ..errors import ConfigError, RouteError
 
@@ -231,31 +224,6 @@ class Topology:
             t = done
         return t - sim.now
 
-    # -- lookahead ---------------------------------------------------------------
-
-    def min_path_latency_us(self, nic_latency_us: float, nodes: Iterable[int]) -> float:
-        """Cheapest end-to-end latency (drain excluded) over ``nodes`` pairs.
-
-        ``nic_latency_us`` substitutes for inherit-from-NIC links (callers
-        pass the *minimum* attached NIC latency: the fastest wire governs
-        conservative-PDES safety). Falls back to ``nic_latency_us`` when
-        fewer than two nodes are attached — a single-node fabric still has
-        a well-defined injection floor.
-        """
-        node_list = list(nodes)
-        best = math.inf
-        for src in node_list:
-            for dst in node_list:
-                if src == dst:
-                    continue
-                total = 0.0
-                for link in self.path(src, dst):
-                    total += (
-                        nic_latency_us if link.latency_us is None else link.latency_us
-                    )
-                best = min(best, total)
-        return nic_latency_us if best is math.inf else best
-
     # -- observability -----------------------------------------------------------
 
     def queued_us(self) -> float:
@@ -337,11 +305,6 @@ class Direct(Topology):
         link.bytes += size
         link.busy_us += drain
         return delay
-
-    def min_path_latency_us(self, nic_latency_us: float, nodes: Iterable[int]) -> float:
-        # single hop on the injecting NIC's wire: the floor is the NIC
-        # latency itself, exactly the pre-refactor lookahead
-        return nic_latency_us
 
 
 class FatTree(Topology):

@@ -224,8 +224,7 @@ class NmInterface:
         """Non-blocking probe for a pending (unmatched) message.
 
         Returns a :class:`~repro.nmad.unexpected.ProbeInfo` (typed
-        ``source``/``tag``/``size``/``rdv``; still answers ``info["..."]``
-        for one release) or None.
+        ``source``/``tag``/``size``/``rdv``) or None.
         """
         result = yield from self.engine.iprobe(tctx, source, tag)
         return result

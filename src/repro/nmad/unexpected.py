@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..errors import MatchingError
 
@@ -39,18 +39,12 @@ class ProbeInfo:
 
     ``rdv`` is True when the matched arrival is a rendezvous handshake
     (no payload buffered yet), False for a buffered eager payload.
-
-    For one release this also answers ``info["source"]``-style mapping
-    access, so callers written against the old dict result keep working;
-    new code should use the attributes.
     """
 
     source: int
     tag: int
     size: int
     rdv: bool
-
-    _FIELDS = ("source", "tag", "size", "rdv")
 
     @classmethod
     def of(cls, item: "UnexpectedItem") -> "ProbeInfo":
@@ -61,14 +55,6 @@ class ProbeInfo:
             size=item.size,
             rdv=isinstance(item, UnexpectedRts),
         )
-
-    def __getitem__(self, key: str) -> Any:
-        if key in self._FIELDS:
-            return getattr(self, key)
-        raise KeyError(key)
-
-    def keys(self) -> Iterator[str]:  # mapping-compat: dict(info) round-trips
-        return iter(self._FIELDS)
 
 
 @dataclass(slots=True)

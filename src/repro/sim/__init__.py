@@ -16,20 +16,10 @@ Public surface:
 * :mod:`repro.sim.rng` — seeded, named random substreams (determinism).
 * :mod:`repro.sim.tracing` — structured trace records and per-core
   timelines.
-* :mod:`repro.sim.partition` — conservative parallel-DES: the event queue
-  sharded by simulated node, synchronized with null messages, trace
-  digests byte-identical to the serial kernel.
 """
 
 from .events import EventHandle, Priority
 from .kernel import Simulator
-from .partition import (
-    PARTITION_MODES,
-    NodeContext,
-    PartitionedSimulation,
-    PartitionPlan,
-    PartitionProgram,
-)
 from .primitives import Mutex, Semaphore, SimEvent, Store
 from .process import Delay, SimProcess, WaitEvent, spawn
 from .queues import QUEUE_KINDS, CalendarQueue, EventQueue, HeapQueue, make_queue
@@ -38,11 +28,6 @@ from .tracing import CoreTimeline, TraceRecord, Tracer
 
 __all__ = [
     "Simulator",
-    "PartitionPlan",
-    "PartitionProgram",
-    "NodeContext",
-    "PartitionedSimulation",
-    "PARTITION_MODES",
     "EventHandle",
     "Priority",
     "EventQueue",

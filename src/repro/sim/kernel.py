@@ -77,27 +77,15 @@ class Simulator:
         fast one (O(1) amortized, batch firing, cancelled-entry
         compaction) and is what :class:`repro.config.TimingModel` selects
         for engine runs, with the heap as the conservative fallback.
-    execution:
-        Optional :class:`repro.harness.executors.ExecutionConfig`. The
-        kernel itself is single-threaded — partitioned execution lives in
-        :mod:`repro.sim.partition` — but the config's ``queue`` override
-        is honoured here so one object can steer a whole run's execution
-        (``Simulator(execution=cfg)`` and ``ClusterRuntime.build(execution=cfg)``
-        pick the same queue).
     """
 
     def __init__(
         self,
         trace: Any = None,
         queue: Union[str, EventQueue] = "heap",
-        execution: Any = None,
     ) -> None:
-        if execution is not None and getattr(execution, "queue", None) is not None:
-            queue = execution.queue
         self._now: float = 0.0
         self._queue: EventQueue = make_queue(queue)
-        #: the ExecutionConfig this kernel was built under (informational)
-        self.execution = execution
         self._seq: int = 0
         self._running = False
         self._stopped = False

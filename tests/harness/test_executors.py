@@ -1,12 +1,14 @@
-"""The unified execution surface: config, engines, and deprecation shims.
+"""The execution surface: config, engines, and the ``execution=`` keyword.
 
 Pins the ``workers=1`` rule (a resolved count of 1 never creates a
-pool), the engine-selection rules in :func:`make_executor`, the
-``execution=`` keyword on every harness entry point, and the one-release
-``DeprecationWarning`` shims for ``workers=``/``executor=``/``task_pool``.
+pool), the engine-selection rules in :func:`make_executor`, and the
+``execution=`` keyword as the only way to choose an engine on every
+harness entry point.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -14,12 +16,12 @@ from repro.errors import HarnessError
 from repro.harness.executors import (
     EXECUTION_MODES,
     ExecutionConfig,
-    PartitionedExecutor,
     PoolExecutor,
     SerialExecutor,
     make_executor,
 )
-from repro.harness.parallel import WORKERS_ENV, run_grid, run_many, task_pool
+from repro.harness.experiments import experiment_fig5
+from repro.harness.parallel import WORKERS_ENV, run_grid, run_many
 from repro.harness.sweep import sweep
 
 pytestmark = pytest.mark.perf
@@ -40,20 +42,16 @@ SQUARES = [0, 1, 4, 9, 16]
 
 class TestExecutionConfig:
     def test_modes(self):
-        assert EXECUTION_MODES == ("serial", "pool", "partitioned")
+        assert EXECUTION_MODES == ("serial", "pool")
         assert ExecutionConfig().mode == "serial"
         assert ExecutionConfig.pool(3).workers == 3
-        assert ExecutionConfig.partitioned(4, inproc=True).partitions == 4
+        assert [f.name for f in dataclasses.fields(ExecutionConfig)] == ["mode", "workers"]
 
     def test_validation(self):
         with pytest.raises(HarnessError, match="mode"):
             ExecutionConfig(mode="bogus")
         with pytest.raises(HarnessError, match="workers"):
             ExecutionConfig(workers=-1)
-        with pytest.raises(HarnessError, match="partitions"):
-            ExecutionConfig(partitions=0)
-        with pytest.raises(HarnessError, match="queue"):
-            ExecutionConfig(queue="bogus")
 
     def test_frozen(self):
         cfg = ExecutionConfig.pool(2)
@@ -65,25 +63,6 @@ class TestExecutionConfig:
         assert ExecutionConfig.from_env().resolved_workers() == 3
         monkeypatch.delenv(WORKERS_ENV)
         assert ExecutionConfig.from_env().resolved_workers() == 1
-
-    def test_queue_override_reaches_kernel(self):
-        from repro.sim.kernel import Simulator
-        from repro.sim.queues import CalendarQueue
-
-        sim = Simulator(execution=ExecutionConfig.serial(queue="calendar"))
-        assert isinstance(sim._queue, CalendarQueue)
-
-    def test_build_stashes_config(self):
-        from repro.harness.runner import ClusterRuntime
-        from repro.sim.queues import HeapQueue
-
-        cfg = ExecutionConfig.serial(queue="heap")
-        rt = ClusterRuntime.build(nodes=2, execution=cfg)
-        try:
-            assert rt.execution is cfg
-            assert isinstance(rt.sim._queue, HeapQueue)
-        finally:
-            rt.close()
 
 
 class TestMakeExecutor:
@@ -103,11 +82,6 @@ class TestMakeExecutor:
         exe = make_executor(ExecutionConfig.pool(2))
         assert isinstance(exe, PoolExecutor)
         exe.close()
-
-    def test_partitioned(self):
-        exe = make_executor(ExecutionConfig.partitioned(3, inproc=True))
-        assert isinstance(exe, PartitionedExecutor)
-        assert exe.partitions == 3
 
 
 class TestPoolExecutor:
@@ -155,53 +129,17 @@ class TestEntryPoints:
         assert serial.rows == pooled.rows
 
     def test_execution_plus_legacy_kwargs_rejected(self):
-        with pytest.raises(HarnessError, match="not both"):
-            run_grid(_square, TASKS, execution=ExecutionConfig.serial(), workers=2)
-        with pytest.raises(HarnessError, match="not both"):
+        """``execution=`` is the only engine keyword; the old spellings are
+        plain unknown arguments."""
+        with pytest.raises(TypeError):
+            run_grid(_square, TASKS, workers=2)
+        with pytest.raises(TypeError):
             run_many(_square, [1], execution=ExecutionConfig.serial(), workers=1)
+        with pytest.raises(TypeError):
+            sweep(_metrics, {"a": [1]}, executor=SerialExecutor())
+        with pytest.raises(TypeError):
+            experiment_fig5(iterations=1, workers=1)
 
     def test_execution_wrong_type_rejected(self):
         with pytest.raises(HarnessError, match="ExecutionConfig"):
             run_grid(_square, TASKS, execution="pool")  # type: ignore[arg-type]
-
-    def test_partitioned_executor_simulate(self):
-        from repro.apps.pdes import RingProgram
-
-        exe = PartitionedExecutor(partitions=2, inproc=True)
-        ref = PartitionedExecutor(partitions=1)
-        with ref.simulate(RingProgram(), nodes=4, seed=5) as serial:
-            serial.run()
-            want = serial.trace_digest()
-        with exe.simulate(RingProgram(), nodes=4, seed=5) as sim:
-            sim.run()
-            assert sim.trace_digest() == want
-
-
-class TestDeprecationShims:
-    def test_workers_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            assert run_grid(_square, TASKS, workers=2) == SQUARES
-
-    def test_executor_kwarg_warns_but_works(self):
-        with pytest.warns(DeprecationWarning):
-            pool = task_pool(workers=2)
-        try:
-            with pytest.warns(DeprecationWarning, match="executor"):
-                assert run_grid(_square, TASKS, executor=pool) == SQUARES
-        finally:
-            pool.shutdown()
-
-    def test_task_pool_warns(self):
-        with pytest.warns(DeprecationWarning, match="task_pool"):
-            pool = task_pool(workers=1)
-        pool.shutdown()
-
-    def test_default_path_stays_silent(self, recwarn):
-        """No kwargs at all — the modern default must not warn."""
-        assert run_grid(_square, TASKS[:2]) == [0, 1]
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_sweep_workers_shim(self):
-        with pytest.warns(DeprecationWarning):
-            res = sweep(_metrics, {"a": [1, 2]}, workers=1)
-        assert res.column("double") == [2, 4]

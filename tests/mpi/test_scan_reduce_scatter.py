@@ -125,7 +125,7 @@ class TestMpiProbe:
                 yield from comm.send(ctx, {"payload": 1}, dest=1, tag=9)
             else:
                 status = yield from comm.probe(ctx, source=0, tag=9)
-                out["size"] = status["size"]
+                out["size"] = status.size
                 obj = yield from comm.recv(ctx, source=0, tag=9)
                 out["obj"] = obj
 
@@ -151,4 +151,4 @@ class TestMpiProbe:
 
         out = _run_spmd(2, body)
         assert out["early"] is None
-        assert out["late"]["tag"] == 2
+        assert out["late"].tag == 2

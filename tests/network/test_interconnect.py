@@ -16,7 +16,6 @@ from repro.network.interconnect import (
     make_topology,
     topology_from_config,
 )
-from repro.network.lookahead import fabric_lookahead_us
 from repro.network.message import Packet, PacketKind
 from repro.network.nic import Nic
 from repro.units import KiB
@@ -179,22 +178,6 @@ def test_no_contention_no_queueing(sim):
     nics[1].submit_dma(Packet(PacketKind.EAGER, 1, 10, KiB(32)))
     sim.run()
     assert fabric.ingress_queued_us == 0
-
-
-# ------------------------------------------------------------------- lookahead
-
-
-def test_lookahead_direct_parity(sim):
-    """Direct lookahead equals the NIC wire latency (digest parity)."""
-    fabric, _nics = _net(sim, Direct(), 2)
-    assert fabric_lookahead_us(fabric) == NicModel().wire_latency_us
-
-
-def test_lookahead_fattree_adds_min_path(sim):
-    fabric, _nics = _net(sim, FatTree(4), 4)
-    # nearest pair shares an edge switch: nic latency + 2 hops... the
-    # injection link carries the NIC latency, the switch hop adds its own
-    assert fabric_lookahead_us(fabric) > NicModel().wire_latency_us
 
 
 # ------------------------------------------------------------------- harness

@@ -3,7 +3,7 @@
 Payload-first sends (size derived from bytes/numpy payloads), keyword-only
 optional arguments, the pure-inspection ``test_all``/``test_any``
 companions, and the :class:`ProbeInfo` result of ``probe``/``iprobe``
-(typed attributes with mapping-style compatibility).
+(typed attributes).
 """
 
 from __future__ import annotations
@@ -142,16 +142,6 @@ class TestProbeInfo:
         info = ProbeInfo(source=3, tag=7, size=1024, rdv=True)
         assert (info.source, info.tag, info.size, info.rdv) == (3, 7, 1024, True)
 
-    def test_mapping_compat(self):
-        info = ProbeInfo(source=3, tag=7, size=1024, rdv=False)
-        assert info["source"] == 3
-        assert info["size"] == 1024
-        assert dict(info) == {"source": 3, "tag": 7, "size": 1024, "rdv": False}
-
-    def test_unknown_key_raises(self):
-        with pytest.raises(KeyError):
-            ProbeInfo(source=0, tag=0, size=0, rdv=False)["sizee"]
-
     def test_probe_returns_probe_info(self, rt):
         got = {}
 
@@ -171,4 +161,3 @@ class TestProbeInfo:
         info = got["info"]
         assert isinstance(info, ProbeInfo)
         assert info.source == 0 and info.tag == 9 and info.size == 512
-        assert info["tag"] == 9  # one-release mapping shim

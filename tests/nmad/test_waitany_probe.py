@@ -133,10 +133,10 @@ class TestProbe:
         runtime.spawn(0, sender)
         runtime.spawn(1, prober)
         runtime.run()
-        assert out["status"]["source"] == 0
-        assert out["status"]["tag"] == 7
-        assert out["status"]["size"] == KiB(4)
-        assert not out["status"]["rdv"]
+        assert out["status"].source == 0
+        assert out["status"].tag == 7
+        assert out["status"].size == KiB(4)
+        assert not out["status"].rdv
         assert out["t"] >= 50.0
         assert out["data"] == "probed"
 
@@ -158,8 +158,8 @@ class TestProbe:
         runtime.spawn(0, sender)
         runtime.spawn(1, prober)
         runtime.run()
-        assert out["status"]["rdv"] is True
-        assert out["status"]["size"] == KiB(64)
+        assert out["status"].rdv is True
+        assert out["status"].size == KiB(64)
         assert out["data"] == "big"
 
     def test_probe_is_non_destructive(self, runtime):

@@ -5,9 +5,6 @@ contract every model must honour:
 
 * a route is a connected chain of directed links from ``h{src}`` to
   ``h{dst}`` — no gaps, no teleporting;
-* end-to-end path latency is never below the model's own
-  ``min_path_latency_us`` bound (the PDES lookahead would be unsafe
-  otherwise);
 * transported bytes are conserved per link: replaying the frames of a
   random traffic matrix over the recomputed paths accounts for every byte
   the links recorded.
@@ -60,19 +57,6 @@ def test_path_is_connected_chain(data, topo: Topology):
     # no link repeats within one route (minimal routing is loop-free)
     names = [link.name for link in path]
     assert len(names) == len(set(names))
-
-
-@given(data=st.data(), topo=topologies, nic_lat=st.floats(min_value=0.1, max_value=10.0))
-@settings(max_examples=120, deadline=None)
-def test_path_latency_at_least_lookahead_bound(data, topo: Topology, nic_lat: float):
-    """The lookahead bound must be safe: no route is cheaper than it."""
-    src, dst = data.draw(_pairs(topo))
-    path = topo.path(src, dst)
-    total = sum(nic_lat if l.latency_us is None else l.latency_us for l in path)
-    cap = topo.capacity()
-    assert cap is not None
-    bound = topo.min_path_latency_us(nic_lat, range(cap))
-    assert total >= bound - 1e-12
 
 
 @given(

@@ -120,3 +120,28 @@ def test_all_with_json_artifact(tmp_path, capsys):
 
     doc = json.loads(out.read_text())
     assert set(doc) == {"fig5", "fig6", "table1"}
+
+
+def test_all_with_json_runs_each_experiment_once(tmp_path, capsys, monkeypatch):
+    """``all --json`` computes fig5/fig6/table1 once and prints and saves
+    those same results: one ``run_grid`` call per experiment, not two.
+    The grid is stubbed with synthetic per-point times, so only the call
+    count and the print/save plumbing are under test."""
+    import json
+
+    from repro.harness import experiments
+
+    calls = []
+
+    def counting_run_grid(fn, tasks, **kwargs):
+        calls.append(fn.__name__)
+        return [100.0 + 10.0 * i for i in range(len(tasks))]
+
+    monkeypatch.setattr(experiments, "run_grid", counting_run_grid)
+    out = tmp_path / "results.json"
+    assert main(["all", "--json", str(out), "--iterations", "1"]) == 0
+    assert len(calls) == 3
+    printed = capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    for row in doc["table1"]["rows"]:
+        assert f"{row['no_offloading_us']:.0f}µs" in printed
