@@ -8,12 +8,11 @@ root — see ``docs/performance.md``):
   with mixed-magnitude delays and ack-cancelled retransmit timers at a
   realistic RTO) run through each event-queue implementation of the
   current :class:`~repro.sim.kernel.Simulator` (``heap``, ``calendar``)
-  and through ``_SeedSimulator``, a faithful in-file copy of the fast
-  path this PR replaced (binary heap, no cancelled-entry compaction, no
-  handle pooling, no batch firing — the ``fast_events_per_sec`` baseline
-  of schema-1 records). Trials are interleaved across implementations
-  and the best of each is compared, which keeps ratios stable on noisy
-  shared runners. All implementations must fire the identical event
+  and through ``_SeedSimulator``, a faithful in-file copy of the original
+  kernel fast path (binary heap, no cancelled-entry compaction, no batch
+  firing — the ``fast_events_per_sec`` baseline of schema-1 records).
+  Trials are interleaved across implementations and the best of each is
+  compared, which keeps ratios stable on noisy shared runners. All implementations must fire the identical event
   sequence; ``test_queue_kernels_fire_identically`` pins it with a
   digest.
 
@@ -23,6 +22,9 @@ root — see ``docs/performance.md``):
   rows come back byte-identical and recording both wall-clock times. The
   speedup is only meaningful when the machine actually has ≥ N CPUs;
   ``cpu_count`` is recorded alongside so the number can be read honestly.
+
+The record starts with the shared ``BENCH_*.json`` header (host and
+commit).
 
 Run as a script (CI uses ``--quick``)::
 
@@ -37,7 +39,6 @@ import argparse
 import hashlib
 import heapq
 import json
-import os
 import sys
 import time
 from typing import Any, Callable
@@ -46,15 +47,16 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.harness.executors import ExecutionConfig
+from repro.harness.report import bench_header
 from repro.harness.sweep import sweep
 from repro.sim.events import EventHandle, Priority
 from repro.sim.kernel import Simulator
 
-# -- the pre-PR fast path, preserved as the trajectory baseline ----------------
+# -- the original fast path, preserved as the trajectory baseline --------------
 
 
 class _SeedSimulator:
-    """Faithful in-file copy of the kernel fast path this PR replaced.
+    """Faithful in-file copy of the original kernel fast path.
 
     Binary heap only, cancelled events dropped lazily when they surface
     (never compacted — an ack-cancelled retransmit timer occupies the
@@ -300,10 +302,7 @@ def run_bench(
     kernel = measure_kernel(n_events, trials=3 if quick else 5, queues=queues)
     sweep_res = measure_sweep(quick, workers)
     return {
-        "bench": "kernel_throughput",
-        "schema": 2,
-        "quick": quick,
-        "cpu_count": os.cpu_count(),
+        **bench_header("kernel_throughput", 3, quick),
         "kernel": kernel,
         "sweep": sweep_res,
     }
@@ -324,8 +323,8 @@ def test_calendar_kernel_not_slower_than_seed():
 
 @pytest.mark.perf
 def test_heap_kernel_not_slower_than_seed():
-    """The heap fallback (with compaction + pooling) must not regress
-    below the seed fast path it replaced."""
+    """The heap test oracle (with compaction, run by the generic loop)
+    must not regress below the seed fast path it replaced."""
     result = measure_kernel(40_000, trials=3, queues=("heap",))
     assert result["speedup_heap_vs_seed"] >= 0.9, f"heap path regressed: {result}"
 

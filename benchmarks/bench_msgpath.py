@@ -1,32 +1,24 @@
-"""Message-path fast path: end-to-end messages/sec, seed path vs fast path.
+"""Message path: end-to-end messages/sec, one packet per send vs aggregation.
 
 Feeds ``BENCH_msgpath.json`` (checked in at the repo root, uploaded by the
 CI perf-smoke job — see ``docs/performance.md``). Two workloads run through
-three message-path configurations:
+two optimizer strategies:
 
 * **eager storm** — bursts of 1 KiB isends (the fig5 small-message regime),
   where per-packet software overhead dominates;
 * **mixed eager/rdv** — alternating 1 KiB and 64 KiB messages, so the
   rendezvous handshake and TX-chunk paths are on the clock too.
 
-The configurations:
+The strategies:
 
-* ``seed`` — ``FastPathConfig(fuse_submit=False, pool_wire=False)`` with
-  the default one-packet-per-request strategy: the message path exactly as
-  it was before this PR (the classic doorbell + per-chunk completion event
-  chain, a fresh frame/packet allocation per send);
-* ``fastpath`` — fusion + wire pooling on (the defaults), same strategy.
-  By the trace-compat guard this is *simulated-behaviour identical* to
-  ``seed`` — the bench asserts the final virtual times match — so its
-  speedup is pure wall-clock;
-* ``fastpath+aggreg`` — the full stack: fusion + pooling + the
-  aggregation strategy with a deferred flush window riding the PIOMan
-  progression machinery. Fewer, fatter packets; virtual time legitimately
-  differs.
+* ``default`` — one wire packet per request;
+* ``aggreg`` — the aggregation strategy with a 5 µs deferred flush window
+  riding the PIOMan progression machinery. Fewer, fatter packets; virtual
+  time legitimately differs.
 
-Trials are interleaved across configurations and the best of each is
-compared (stable ratios on noisy shared runners). ``cpu_count`` is
-recorded so the numbers can be read honestly.
+Trials are interleaved across strategies and the best of each is
+compared (stable ratios on noisy shared runners). The record starts with
+the shared ``BENCH_*.json`` header (host and commit).
 
 Run as a script (CI uses ``--quick``)::
 
@@ -39,48 +31,35 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any
 
 import pytest
 
-from repro.config import EngineKind, FastPathConfig, TimingModel
+from repro.config import EngineKind
+from repro.harness.report import bench_header
 from repro.harness.runner import ClusterRuntime
 from repro.units import KiB
 
 EAGER_MSG = KiB(1)
 RDV_MSG = KiB(64)
 
-#: the pre-PR message path: no event fusion, no wire pooling, no aggregation
-_SEED_TIMING = TimingModel().replace(
-    fastpath=FastPathConfig(fuse_submit=False, pool_wire=False)
-)
-
-CONFIGS: dict[str, dict[str, Any]] = {
-    "seed": {"timing": _SEED_TIMING, "strategy": "default", "strategy_kwargs": None},
-    "fastpath": {"timing": None, "strategy": "default", "strategy_kwargs": None},
-    "fastpath+aggreg": {
-        "timing": None,
-        "strategy": "aggreg",
-        "strategy_kwargs": {"flush_window_us": 5.0},
-    },
+#: strategy name -> strategy kwargs
+CONFIGS: dict[str, dict[str, Any] | None] = {
+    "default": None,
+    "aggreg": {"flush_window_us": 5.0},
 }
 
 
-def _run_workload(config: str, sizes: tuple[int, ...], rounds: int, burst: int):
+def _run_workload(strategy: str, sizes: tuple[int, ...], rounds: int, burst: int):
     """Burst-synchronised message stream; returns (wall_seconds, virtual_end_us).
 
     The sender bursts ``burst`` isends per round then waits for all; the
     receiver pre-posts each round. Message sizes cycle through ``sizes``.
     """
-    cfg = CONFIGS[config]
     rt = ClusterRuntime.build(
-        engine=EngineKind.PIOMAN,
-        timing=cfg["timing"],
-        strategy=cfg["strategy"],
-        strategy_kwargs=cfg["strategy_kwargs"],
+        engine=EngineKind.PIOMAN, strategy=strategy, strategy_kwargs=CONFIGS[strategy]
     )
 
     def sender(ctx):
@@ -112,10 +91,10 @@ def _run_workload(config: str, sizes: tuple[int, ...], rounds: int, burst: int):
 def measure_workload(
     sizes: tuple[int, ...], rounds: int, burst: int, trials: int
 ) -> dict[str, Any]:
-    """Best-of-``trials`` messages/sec per configuration, trials interleaved.
+    """Best-of-``trials`` messages/sec per strategy, trials interleaved.
 
-    Asserts the fast-path invariant inline: ``seed`` and ``fastpath`` runs
-    finish at the identical virtual time (the toggles are wall-clock-only).
+    Asserts inline that each strategy's virtual end time is identical
+    across trials (the simulation is deterministic).
     """
     best = {name: float("inf") for name in CONFIGS}
     ends: dict[str, float] = {}
@@ -125,10 +104,6 @@ def measure_workload(
             best[name] = min(best[name], wall)
             prev = ends.setdefault(name, end)
             assert prev == end, f"{name}: virtual end moved between trials"
-    assert ends["seed"] == ends["fastpath"], (
-        "fusion/pooling changed simulated behaviour: "
-        f"{ends['seed']} vs {ends['fastpath']}"
-    )
     msgs = rounds * burst
     mps = {name: msgs / best[name] for name in CONFIGS}
     return {
@@ -139,18 +114,14 @@ def measure_workload(
         "trials": trials,
         "msgs_per_sec": {name: round(rate) for name, rate in mps.items()},
         "virtual_end_us": {name: round(end, 3) for name, end in ends.items()},
-        "speedup_fastpath_vs_seed": round(mps["fastpath"] / mps["seed"], 3),
-        "speedup_full_vs_seed": round(mps["fastpath+aggreg"] / mps["seed"], 3),
+        "speedup_aggreg_vs_default": round(mps["aggreg"] / mps["default"], 3),
     }
 
 
 def run_bench(quick: bool = False) -> dict[str, Any]:
     rounds, burst, trials = (4, 16, 3) if quick else (16, 32, 5)
     return {
-        "bench": "msgpath",
-        "schema": 1,
-        "quick": quick,
-        "cpu_count": os.cpu_count(),
+        **bench_header("msgpath", 2, quick),
         "eager_storm": measure_workload((EAGER_MSG,), rounds, burst, trials),
         "mixed_eager_rdv": measure_workload(
             (EAGER_MSG, RDV_MSG), rounds, max(burst // 2, 4), trials
@@ -161,31 +132,17 @@ def run_bench(quick: bool = False) -> dict[str, Any]:
 # -- pytest smoke (perf lane) --------------------------------------------------
 
 
-def test_fastpath_preserves_virtual_time():
-    """Correctness guard, independent of timing: fusion + pooling finish at
-    the seed path's exact virtual time (measure_workload asserts it)."""
-    result = measure_workload((EAGER_MSG,), rounds=2, burst=8, trials=1)
-    assert result["virtual_end_us"]["seed"] == result["virtual_end_us"]["fastpath"]
-
-
 @pytest.mark.perf
-def test_full_fastpath_not_slower_than_seed():
-    """The full stack must at least match the seed message path (very
-    generous margin for noisy shared runners; the recorded trajectory in
-    BENCH_msgpath.json carries the real ≥1.5× claim on the eager storm)."""
+def test_aggreg_not_slower_than_default():
+    """Aggregation must at least match one packet per send on the eager
+    storm (very generous margin for noisy shared runners; the recorded
+    trajectory in BENCH_msgpath.json carries the real figure)."""
     result = measure_workload((EAGER_MSG,), rounds=4, burst=16, trials=3)
-    assert result["speedup_full_vs_seed"] >= 1.0, f"fast path regressed: {result}"
-
-
-@pytest.mark.perf
-def test_fusion_and_pooling_not_slower_than_seed():
-    """Fusion + pooling alone (no strategy change) must not regress."""
-    result = measure_workload((EAGER_MSG, RDV_MSG), rounds=4, burst=8, trials=3)
-    assert result["speedup_fastpath_vs_seed"] >= 0.9, f"regressed: {result}"
+    assert result["speedup_aggreg_vs_default"] >= 1.0, f"aggregation regressed: {result}"
 
 
 def test_bench_msgpath(benchmark):
-    benchmark(_run_workload, "fastpath+aggreg", (EAGER_MSG,), 2, 8)
+    benchmark(_run_workload, "aggreg", (EAGER_MSG,), 2, 8)
 
 
 # -- script entry point --------------------------------------------------------
@@ -202,11 +159,7 @@ def main(argv=None) -> int:
         w = result[workload]
         rates = " | ".join(f"{n} {r:,} msg/s" for n, r in w["msgs_per_sec"].items())
         print(f"\n{workload} ({w['messages']} msgs): {rates}", file=sys.stderr)
-        print(
-            f"  fusion+pooling vs seed: {w['speedup_fastpath_vs_seed']}x | "
-            f"full stack vs seed: {w['speedup_full_vs_seed']}x",
-            file=sys.stderr,
-        )
+        print(f"  aggreg vs default: {w['speedup_aggreg_vs_default']}x", file=sys.stderr)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(result, fh, indent=2)

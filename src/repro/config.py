@@ -30,7 +30,6 @@ __all__ = [
     "RdvConfig",
     "ObsConfig",
     "KernelConfig",
-    "FastPathConfig",
     "InterconnectConfig",
     "TimingModel",
     "EngineKind",
@@ -483,31 +482,6 @@ class KernelConfig:
 
 
 @dataclass(frozen=True)
-class FastPathConfig:
-    """Message-path fast-path toggles (see ``docs/performance.md``).
-
-    Like :class:`KernelConfig`, nothing here may change *simulated*
-    behaviour: fire order, virtual times, and trace signatures are
-    byte-identical whichever way the toggles are set — only wall-clock
-    speed differs. Both default on.
-
-    ``fuse_submit``
-        Collapse the deterministic eager/PIO submit chain (hardware
-        doorbell + one completion event per aggregated entry, all at the
-        same instant with consecutive sequence numbers) into a single
-        scheduled kernel event per wire packet.
-    ``pool_wire``
-        Recycle :class:`repro.network.message.Packet` and
-        :class:`repro.nmad.wire.EagerFrame` instances through bounded,
-        refcount-guarded freelists (the ``EventHandle`` pool pattern of
-        ``repro.sim.kernel``) once the receive path has consumed them.
-    """
-
-    fuse_submit: bool = True
-    pool_wire: bool = True
-
-
-@dataclass(frozen=True)
 class TimingModel:
     """Aggregate of every cost model used by a simulation run."""
 
@@ -520,7 +494,6 @@ class TimingModel:
     rdv: RdvConfig = field(default_factory=RdvConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
     kernel: KernelConfig = field(default_factory=KernelConfig)
-    fastpath: FastPathConfig = field(default_factory=FastPathConfig)
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
 
     def replace(self, **kwargs: object) -> "TimingModel":

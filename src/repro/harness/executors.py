@@ -17,8 +17,9 @@ has exactly one way to say how:
 
 The ``workers=1`` rule (the one place it is defined)
 ----------------------------------------------------
-``BENCH_kernel.json`` records a 1-CPU pool *losing* to serial (0.745×):
-a pool of one pays interpreter spawn and pickling for zero concurrency.
+An early ``BENCH_kernel.json`` recorded a 1-CPU pool *losing* to serial
+(0.745×): a pool of one pays interpreter spawn and pickling for zero
+concurrency.
 So worker counts resolve — explicit argument beats ``REPRO_BENCH_WORKERS``
 beats 1, and ``0`` means one worker per CPU — and then:
 

@@ -6,11 +6,43 @@ helpers keep that output consistent and dependency-free.
 
 from __future__ import annotations
 
+import os
+import platform
+from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from ..units import fmt_size
 
-__all__ = ["format_table", "format_series_table", "ascii_plot"]
+__all__ = ["format_table", "format_series_table", "ascii_plot", "bench_header"]
+
+
+def bench_header(bench: str, schema: int, quick: bool) -> dict[str, Any]:
+    """The header every ``BENCH_*.json`` record starts with: which bench
+    and schema produced it, on what host, and at which commit (``git_sha``
+    is None outside a git checkout)."""
+    # imported here: ``repro.harness`` is loaded by every run, and the
+    # subprocess machinery would cost each of them import time and RSS
+    import subprocess
+
+    try:
+        proc = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        sha = proc.stdout.strip() or None
+    except (OSError, subprocess.TimeoutExpired):
+        sha = None
+    return {
+        "bench": bench,
+        "schema": schema,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_sha": sha,
+        "quick": quick,
+    }
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[Any]], title: str = "") -> str:

@@ -43,7 +43,7 @@ from .strategies import Strategy
 from .tags import ANY, MatchTable, SequenceTracker
 from .rdv import RDV_STAT_KEYS
 from .unexpected import ProbeInfo, UnexpectedStore
-from .wire import recycle_wire, tx_req_ids, wire_seq_of
+from .wire import tx_req_ids, wire_seq_of
 
 __all__ = ["Gate", "SessionCore", "NmSession"]
 
@@ -112,8 +112,6 @@ class SessionCore:
         self.windowed_gates: dict[Gate, OpFn] = {}
         #: unified completion queue: wire lane + published request records
         self.cq = CompletionQueue()
-        #: recycle consumed wire packets/frames (FastPathConfig.pool_wire)
-        self._pool_wire = self.timing.fastpath.pool_wire
         #: in-flight sends by req_id (tx completion / CTS lookup)
         self._sends: dict[int, NmRequest] = {}
         # dispatch tables, filled by the protocol engines' constructors
@@ -360,7 +358,6 @@ class SessionCore:
         backpressure a single queue to watch.
         """
         did = False
-        pool_wire = self._pool_wire
         for driver in self.drivers:
             driver.poll_into(ctx, self.cq, max_events)
             while True:
@@ -370,14 +367,6 @@ class SessionCore:
                 self._dispatch_wire(ctx, wc)
                 self.stats["completions_handled"] += 1
                 did = True
-                if pool_wire:
-                    # the completion record was this packet's last protocol
-                    # holder in the common case: drop it and recycle. The
-                    # refcount guard inside vetoes anything still referenced
-                    # (reliability tracking, the peer's unpolled record).
-                    packet = wc.packet
-                    wc = None
-                    recycle_wire(packet)
         return did
 
     # ------------------------------------------------------ completion handling

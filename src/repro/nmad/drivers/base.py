@@ -107,15 +107,35 @@ class Driver:
 
     # -- TX ----------------------------------------------------------------------
 
+    def plan_submit(
+        self,
+        ctx: ExecContext,
+        packet: Packet,
+        mode: str,
+        copy_bytes: int,
+        numa_factor: float = 1.0,
+    ) -> Callable[[], None]:
+        """Eager/PIO submission, split at the CPU/hardware boundary.
+
+        Charges the CPU cost of submitting ``packet`` in ``mode``
+        (``"pio"``/``"eager"``; ``copy_bytes`` and ``numa_factor`` price
+        the eager copy), bumps the send counter, and returns the hardware
+        doorbell as a thunk for the caller to schedule. This is the one
+        place each driver states its submit cost.
+        """
+        raise NotImplementedError
+
     def submit_pio(self, ctx: ExecContext, packet: Packet) -> None:
         """CPU-driven submission of a tiny packet."""
-        raise NotImplementedError
+        doorbell = self.plan_submit(ctx, packet, "pio", packet.payload_size)
+        ctx.schedule_after(0.0, doorbell)
 
     def submit_eager(
         self, ctx: ExecContext, packet: Packet, copy_bytes: int, numa_factor: float = 1.0
     ) -> None:
         """Copy ``copy_bytes`` into the registered region and DMA out."""
-        raise NotImplementedError
+        doorbell = self.plan_submit(ctx, packet, "eager", copy_bytes, numa_factor)
+        ctx.schedule_after(0.0, doorbell)
 
     def submit_control(self, ctx: ExecContext, packet: Packet) -> None:
         """Send a small control frame (RTS/CTS/ACK)."""
@@ -124,27 +144,6 @@ class Driver:
     def submit_zero_copy(self, ctx: ExecContext, packet: Packet) -> None:
         """DMA directly from a (pre-registered) application buffer."""
         raise NotImplementedError(f"driver {self.name} does not support zero-copy")
-
-    def plan_submit(
-        self,
-        ctx: ExecContext,
-        packet: Packet,
-        mode: str,
-        copy_bytes: int,
-        numa_factor: float = 1.0,
-    ) -> Callable[[], None] | None:
-        """Fused-submit half of :meth:`submit_pio`/:meth:`submit_eager`.
-
-        Charges exactly the CPU cost the classic ``submit_*`` call for
-        ``mode`` (``"pio"``/``"eager"``) would charge, bumps the same
-        counters, and returns the *hardware doorbell* as a thunk — the
-        caller schedules it once, fused with whatever else fires at the
-        same instant (see ``FastPathConfig.fuse_submit``). Returning None
-        opts a driver out: the caller falls back to the classic
-        event-per-action path. The classic methods stay — the reliability
-        layer's retransmit path submits through them directly.
-        """
-        return None
 
     # -- completion discovery -------------------------------------------------------
 

@@ -76,28 +76,9 @@ class IbDriver(Driver):
     def rdv_threshold(self) -> int:
         return self.model.rdv_threshold
 
-    def submit_pio(self, ctx: ExecContext, packet: Packet) -> None:
-        """Inline send: payload embedded in the WQE."""
-        self._check_ctx(ctx)
-        ctx.charge(self.nic.pio_cpu_us(packet))
-        self.inline_sends += 1
-        ctx.schedule_after(0.0, self.nic.submit_pio, packet)
-
-    def submit_eager(self, ctx: ExecContext, packet: Packet, copy_bytes: int, numa_factor: float = 1.0) -> None:
-        """Copy through a pre-registered bounce buffer, then post_send."""
-        self._check_ctx(ctx)
-        cost = (
-            self.model.tx_setup_us
-            + self.host.memcpy_us(copy_bytes) * numa_factor
-            + self.model.dma_setup_us
-        )
-        ctx.charge(cost)
-        self.eager_sends += 1
-        ctx.schedule_after(0.0, self.nic.submit_dma, packet)
-
     def plan_submit(
         self, ctx: ExecContext, packet: Packet, mode: str, copy_bytes: int, numa_factor: float = 1.0
-    ) -> Callable[[], None] | None:
+    ) -> Callable[[], None]:
         self._check_ctx(ctx)
         if mode == "pio":
             ctx.charge(self.nic.pio_cpu_us(packet))

@@ -38,19 +38,9 @@ class ShmDriver(Driver):
         # everything is "eager" through the shared segment
         return 1 << 62
 
-    def submit_pio(self, ctx: ExecContext, packet: Packet) -> None:  # pragma: no cover - unused path
-        self.submit_eager(ctx, packet, packet.payload_size)
-
-    def submit_eager(self, ctx: ExecContext, packet: Packet, copy_bytes: int, numa_factor: float = 1.0) -> None:
-        self._check_ctx(ctx)
-        cost = self.model.ring_op_us + self.host.memcpy_us(copy_bytes) * numa_factor
-        ctx.charge(cost)
-        self.eager_sends += 1
-        ctx.schedule_after(0.0, self.channel.submit, packet, 0.0)
-
     def plan_submit(
         self, ctx: ExecContext, packet: Packet, mode: str, copy_bytes: int, numa_factor: float = 1.0
-    ) -> Callable[[], None] | None:
+    ) -> Callable[[], None]:
         self._check_ctx(ctx)
         if mode == "pio":
             # no PIO notion on shared memory: same copy as the eager path

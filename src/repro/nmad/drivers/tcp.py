@@ -59,26 +59,12 @@ class TcpDriver(Driver):
     def rdv_threshold(self) -> int:
         return self.model.rdv_threshold
 
-    def submit_pio(self, ctx: ExecContext, packet: Packet) -> None:  # pragma: no cover - no PIO on TCP
-        self.submit_eager(ctx, packet, packet.payload_size)
-
-    def submit_eager(self, ctx: ExecContext, packet: Packet, copy_bytes: int, numa_factor: float = 1.0) -> None:
-        self._check_ctx(ctx)
-        cost = (
-            self.host.syscall_us
-            + self.model.tx_setup_us
-            + self.host.memcpy_us(copy_bytes) * numa_factor
-        )
-        ctx.charge(cost)
-        self.eager_sends += 1
-        ctx.schedule_after(0.0, self.nic.submit_dma, packet)
-
     def plan_submit(
         self, ctx: ExecContext, packet: Packet, mode: str, copy_bytes: int, numa_factor: float = 1.0
-    ) -> Callable[[], None] | None:
+    ) -> Callable[[], None]:
         self._check_ctx(ctx)
         if mode == "pio":
-            # no PIO on TCP: the classic path degrades to a plain socket
+            # no PIO on TCP: a PIO submission degrades to a plain socket
             # send of the whole payload at the local-copy rate
             copy_bytes, numa_factor = packet.payload_size, 1.0
         cost = (

@@ -17,14 +17,14 @@ never inspects eager frames itself.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import ProtocolError, RequestError
 from ..network.message import Packet, PacketKind
 from .drivers.base import Driver, ExecContext
 from .request import NmRequest, Protocol, ReqState
 from .unexpected import UnexpectedEager
-from .wire import EagerFrame, eager_frames, eager_to_packet, make_eager_frame
+from .wire import EagerFrame, eager_frames, eager_to_packet
 
 if TYPE_CHECKING:  # pragma: no cover - engines are owned by the session
     from .core import Gate, SessionCore
@@ -49,7 +49,6 @@ class EagerEngine:
         self.session = session
         #: multirail reassembly: (src, send req_id) -> accumulated state
         self._reassembly: dict[tuple[int, int], _Reassembly] = {}
-        self._fuse = session.timing.fastpath.fuse_submit
         session.register_send_path(Protocol.PIO, self.push_send)
         session.register_send_path(Protocol.EAGER, self.push_send)
         session.register_rx_handler(PacketKind.EAGER, self.on_rx)
@@ -141,7 +140,7 @@ class EagerEngine:
             frames = []
             for e in plan.entries:
                 frames.append(
-                    make_eager_frame(
+                    EagerFrame(
                         e.req.req_id,
                         session.node_index,
                         e.req.tag,
@@ -165,16 +164,7 @@ class EagerEngine:
                     e.req.submitted_at = ctx.end
             if session.reliability is not None:
                 session.reliability.track(gate, packet, plan.mode, plan.rail_index)
-            hw = (
-                driver.plan_submit(ctx, packet, plan.mode, plan.payload_size(), factor)
-                if self._fuse
-                else None
-            )
-            if hw is None:
-                if plan.mode == "pio":
-                    driver.submit_pio(ctx, packet)
-                else:
-                    driver.submit_eager(ctx, packet, plan.payload_size(), factor)
+            hw = driver.plan_submit(ctx, packet, plan.mode, plan.payload_size(), factor)
             if plan.mode != "pio":
                 session.stats["copies_bytes"] += plan.payload_size()
             if session.reliability is not None:
@@ -182,24 +172,18 @@ class EagerEngine:
             # Both PIO and eager are *buffered* sends: the request completes
             # as soon as the CPU pushed/copied the payload (MX semantics —
             # the application buffer is reusable immediately). Only the
-            # zero-copy rendezvous DATA completes at DMA drain. Fused: one
-            # event rings the doorbell and runs every completion inline —
-            # same instant, same relative order as the event-per-action path.
-            if hw is not None:
-                ctx.schedule_after(0.0, self._fused_submit, hw, [e.req for e in plan.entries])
-            else:
-                for e in plan.entries:
-                    ctx.schedule_after(0.0, session._complete_send_chunk, e.req)
+            # zero-copy rendezvous DATA completes at DMA drain. One event
+            # rings the doorbell and then runs every completion inline.
+            ctx.schedule_after(0.0, self._fused_submit, hw, [e.req for e in plan.entries])
             session._trace_raw(
                 "nmad.submit", f"gate->n{gate.peer}", f"{plan.mode} {plan.payload_size()}B"
             )
 
-    def _fused_submit(self, hw: Any, reqs: list[NmRequest]) -> None:
-        """Single fused event: hardware doorbell, then every per-entry
-        completion inline — replaces 1 + len(reqs) scheduled events. Any
-        event the doorbell creates (NIC wakeups, fabric arrival) allocates
-        its sequence number after this one, exactly as it would after the
-        pre-scheduled completions of the classic chain."""
+    def _fused_submit(self, hw: Callable[[], None], reqs: list[NmRequest]) -> None:
+        """The eager/PIO submit event: hardware doorbell, then every
+        per-entry send completion inline, in plan order. Events the
+        doorbell creates (NIC wakeups, fabric arrival) take their sequence
+        numbers from inside this event."""
         hw()
         complete = self.session._complete_send_chunk
         for req in reqs:

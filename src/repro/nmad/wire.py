@@ -27,7 +27,6 @@ from typing import Any, Optional, Sequence, Union
 
 from ..errors import ProtocolError
 from ..network.message import Packet, PacketKind
-from ..network.pool import POOL_MAX, POOL_REFS, acquire_packet, refcount, release_packet
 
 __all__ = [
     "NdarrayMeta",
@@ -38,8 +37,6 @@ __all__ = [
     "AckFrame",
     "Frame",
     "eager_to_packet",
-    "make_eager_frame",
-    "recycle_wire",
     "from_packet",
     "eager_frames",
     "data_frame",
@@ -96,9 +93,7 @@ class RtsFrame:
     size: int
 
     def to_packet(self, dst_node: int) -> Packet:
-        packet = acquire_packet(PacketKind.RTS, self.src, dst_node, 0)
-        packet.headers["frame"] = self
-        return packet
+        return Packet(PacketKind.RTS, self.src, dst_node, 0, {"frame": self})
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,9 +105,7 @@ class CtsFrame:
     recv_req_id: int
 
     def to_packet(self, src_node: int, dst_node: int) -> Packet:
-        packet = acquire_packet(PacketKind.CTS, src_node, dst_node, 0)
-        packet.headers["frame"] = self
-        return packet
+        return Packet(PacketKind.CTS, src_node, dst_node, 0, {"frame": self})
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,9 +131,7 @@ class DataChunkFrame:
     nchunks: int = 1
 
     def to_packet(self, src_node: int, dst_node: int) -> Packet:
-        packet = acquire_packet(PacketKind.DATA, src_node, dst_node, self.length)
-        packet.headers["frame"] = self
-        return packet
+        return Packet(PacketKind.DATA, src_node, dst_node, self.length, {"frame": self})
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,9 +141,7 @@ class AckFrame:
     ack_seq: int
 
     def to_packet(self, src_node: int, dst_node: int) -> Packet:
-        packet = acquire_packet(PacketKind.ACK, src_node, dst_node, 0)
-        packet.headers["frame"] = self
-        return packet
+        return Packet(PacketKind.ACK, src_node, dst_node, 0, {"frame": self})
 
 
 Frame = Union[EagerFrame, RtsFrame, CtsFrame, DataChunkFrame, AckFrame]
@@ -179,93 +168,13 @@ def eager_to_packet(
     """
     if not frames:
         raise ProtocolError("an eager packet needs at least one frame")
-    packet = acquire_packet(
+    return Packet(
         PacketKind.PIO if mode == "pio" else PacketKind.EAGER,
         src_node,
         dst_node,
         sum(f.length for f in frames),
+        {"entries": tuple(frames)},
     )
-    packet.headers["entries"] = tuple(frames)
-    return packet
-
-
-_frame_pool: list[EagerFrame] = []
-
-
-def make_eager_frame(
-    req_id: int,
-    src: int,
-    tag: int,
-    seq: int,
-    size: int,
-    offset: int,
-    length: int,
-    nchunks: int,
-    payload: Any = None,
-) -> EagerFrame:
-    """An :class:`EagerFrame`, recycled from the freelist when possible.
-
-    Frozen-dataclass reuse goes through ``object.__setattr__`` — the frame
-    is exclusively owned once popped, so immutability guarantees hold for
-    every other holder.
-    """
-    pool = _frame_pool
-    if pool:
-        frame = pool.pop()
-        fset = object.__setattr__
-        fset(frame, "req_id", req_id)
-        fset(frame, "src", src)
-        fset(frame, "tag", tag)
-        fset(frame, "seq", seq)
-        fset(frame, "size", size)
-        fset(frame, "offset", offset)
-        fset(frame, "length", length)
-        fset(frame, "nchunks", nchunks)
-        fset(frame, "payload", payload)
-        return frame
-    return EagerFrame(
-        req_id=req_id,
-        src=src,
-        tag=tag,
-        seq=seq,
-        size=size,
-        offset=offset,
-        length=length,
-        nchunks=nchunks,
-        payload=payload,
-    )
-
-
-def recycle_wire(packet: Packet) -> None:
-    """Opportunistically return a consumed wire packet — and, for eager/PIO
-    packets, its frames — to the freelists.
-
-    Safe to call on any packet at any point: the refcount guards veto the
-    recycle whenever the reliability layer, an unpolled completion on the
-    other side of the fabric, a parked out-of-order frame, or any other
-    holder still references the object. The caller must hold the packet in
-    exactly one local binding.
-    """
-    if refcount is None:  # pragma: no cover - non-CPython
-        return
-    # the caller's local + our parameter stand in for the baseline probe
-    if refcount(packet) != POOL_REFS + 1:
-        return
-    if packet.kind in (PacketKind.EAGER, PacketKind.PIO):
-        entries = packet.headers.get("entries")
-        # frames are recyclable only when the entries tuple dies with the
-        # packet, i.e. the headers dict is its sole remaining holder
-        if type(entries) is tuple and refcount(entries) == POOL_REFS + 1:
-            pool = _frame_pool
-            for frame in entries:
-                if (
-                    isinstance(frame, EagerFrame)
-                    and len(pool) < POOL_MAX
-                    and refcount(frame) == POOL_REFS + 1
-                ):
-                    object.__setattr__(frame, "payload", None)
-                    pool.append(frame)
-    release_packet(packet, holders=2)
 
 
 def eager_frames(packet: Packet) -> tuple[EagerFrame, ...]:

@@ -27,36 +27,14 @@ in exactly N events returns normally. ``stop()`` requested before
 
 from __future__ import annotations
 
-import heapq
-import sys
+import math
 from typing import Any, Callable, Iterable, Union
 
 from ..errors import DeadlockError, SimulationError
 from .events import EventHandle, Priority, _noop
-from .queues import CalendarQueue, EventQueue, HeapQueue, make_queue
+from .queues import CalendarQueue, EventQueue, make_queue
 
 __all__ = ["Simulator"]
-
-#: recycled EventHandle objects kept per simulator (allocation churn cap)
-_POOL_MAX = 512
-
-
-def _pool_baseline() -> int:
-    """Refcount of a function-local object with no other holders.
-
-    A fired handle is recycled into the pool only when its refcount
-    proves the caller kept no reference to it — so a retained handle
-    (e.g. a timer someone may still cancel) is never reused. On runtimes
-    without refcounts, pooling is disabled.
-    """
-    getrefcount = getattr(sys, "getrefcount", None)
-    if getrefcount is None:  # pragma: no cover - non-CPython
-        return -1
-    probe = object()
-    return int(getrefcount(probe))
-
-
-_POOL_REFS = _pool_baseline()
 
 
 class Simulator:
@@ -76,7 +54,7 @@ class Simulator:
         is identical for every implementation; the calendar queue is the
         fast one (O(1) amortized, batch firing, cancelled-entry
         compaction) and is what :class:`repro.config.TimingModel` selects
-        for engine runs, with the heap as the conservative fallback.
+        for engine runs; the heap is the reference-ordering test oracle.
     """
 
     def __init__(
@@ -90,8 +68,6 @@ class Simulator:
         self._running = False
         self._stopped = False
         self.trace = trace
-        #: recycled handles (see _pool_baseline); schedule_at reuses them
-        self._pool: list[EventHandle] = []
         #: callbacks invoked when :meth:`run` drains the queue; used by
         #: higher layers (Marcel) to report blocked threads for deadlock
         #: diagnostics.
@@ -126,8 +102,8 @@ class Simulator:
     # they are the hottest call sites in the whole library (one-plus calls
     # per fired event), and the extra Python frame of a delegating wrapper
     # is measurable at kernel-benchmark scale. Keep the two bodies in
-    # lockstep; the push fast path mirrors CalendarQueue.push /
-    # HeapQueue.push, whose tests pin the shared semantics.
+    # lockstep; the inlined push mirrors CalendarQueue.push, whose tests
+    # pin the semantics. Every other queue goes through ``queue.push``.
 
     def schedule(
         self,
@@ -143,20 +119,7 @@ class Simulator:
         time = self._now + delay
         seq = self._seq + 1
         self._seq = seq
-        pool = self._pool
-        if pool:
-            handle = pool.pop()
-            handle.time = time
-            handle.priority = priority
-            handle.seq = seq
-            handle._key = (time, priority, seq)
-            handle._fn = fn
-            handle._args = args
-            handle.cancelled = False
-            handle.fired = False
-            handle.label = label
-        else:
-            handle = EventHandle(time, priority, seq, fn, args, label)
+        handle = EventHandle(time, priority, seq, fn, args, label)
         queue = self._queue
         if type(queue) is CalendarQueue:
             handle._queue = queue
@@ -168,9 +131,6 @@ class Simulator:
                 queue._bucket_count += 1
             else:
                 queue._push_near(handle, bidx)
-        elif type(queue) is HeapQueue:
-            handle._queue = queue
-            heapq.heappush(queue._heap, handle)
         else:
             queue.push(handle)
         return handle
@@ -190,23 +150,7 @@ class Simulator:
             )
         seq = self._seq + 1
         self._seq = seq
-        pool = self._pool
-        if pool:
-            # recycle a fired handle: same fields as __init__, no allocation
-            handle = pool.pop()
-            handle.time = time
-            handle.priority = priority
-            handle.seq = seq
-            handle._key = (time, priority, seq)
-            handle._fn = fn
-            # ``args`` is already a tuple (built by the ``*args`` packing);
-            # re-wrapping it was a per-event allocation for nothing.
-            handle._args = args
-            handle.cancelled = False
-            handle.fired = False
-            handle.label = label
-        else:
-            handle = EventHandle(time, priority, seq, fn, args, label)
+        handle = EventHandle(time, priority, seq, fn, args, label)
         queue = self._queue
         if type(queue) is CalendarQueue:
             handle._queue = queue
@@ -218,9 +162,6 @@ class Simulator:
                 queue._bucket_count += 1
             else:
                 queue._push_near(handle, bidx)
-        elif type(queue) is HeapQueue:
-            handle._queue = queue
-            heapq.heappush(queue._heap, handle)
         else:
             queue.push(handle)
         return handle
@@ -318,11 +259,11 @@ class Simulator:
           event; completing in exactly N events is legitimate.
         * A :meth:`stop` requested before the call fires zero events.
 
-        This is the hot loop of every benchmark: per queue implementation
-        it inlines the pop/fire sequence (heap: local ``heappop`` binding,
-        one cancelled sweep per iteration; calendar: straight-line batch
-        consumption) and recycles fired handles nobody retained. Behaviour
-        is identical to driving the simulation through :meth:`step` —
+        Two loops: a :class:`CalendarQueue` runs the fast loop, which
+        consumes the queue's batches inline (the hot loop of every engine
+        run); any other queue — the :class:`HeapQueue` oracle included —
+        runs the generic ``peek``/``pop`` loop. Both fire exactly what
+        driving the simulation through :meth:`step` would —
         ``tests/sim/test_kernel_fastpath`` pins that equivalence.
         """
         if self._running:
@@ -332,15 +273,8 @@ class Simulator:
             if self._stopped:
                 return self._now
             queue = self._queue
-            free = until is None and max_events is None
             if type(queue) is CalendarQueue:
-                if free:
-                    return self._run_calendar_free(queue)
                 return self._run_calendar(queue, until, max_events)
-            if type(queue) is HeapQueue:
-                if free:
-                    return self._run_heap_free(queue)
-                return self._run_heap(queue, until, max_events)
             return self._run_generic(queue, until, max_events)
         finally:
             self._running = False
@@ -358,210 +292,69 @@ class Simulator:
             "(runaway simulation?)"
         )
 
-    def _run_heap_free(self, queue: HeapQueue) -> float:
-        """Unbounded heap run (no ``until``/``max_events``): the benchmark
-        loop, with the bound checks compiled out and ``events_fired``
-        flushed lazily — it is exact whenever an observer fires and when
-        the run returns (or raises), which is every point an outside
-        reader can observe mid-run."""
-        heap = queue._heap
-        pool = self._pool
-        heappop = heapq.heappop
-        getrefcount = sys.getrefcount if _POOL_REFS > 0 else None
-        observers = self._observers
-        ef = self.events_fired
-        try:
-            while True:
-                while heap and heap[0].cancelled:
-                    heappop(heap)
-                    queue._cancelled -= 1
-                if not heap:
-                    self._finish_drained(None)
-                    break
-                handle = heappop(heap)
-                self._now = handle.time
-                handle.fired = True
-                handle._fn(*handle._args)
-                ef += 1
-                if observers:
-                    self.events_fired = ef
-                    for ob in tuple(observers):
-                        ob(self._now)
-                if (
-                    getrefcount is not None
-                    and len(pool) < _POOL_MAX
-                    and getrefcount(handle) == _POOL_REFS
-                ):
-                    pool.append(handle)
-                else:
-                    handle._fn = _noop
-                    handle._args = ()
-                if self._stopped:
-                    break
-        finally:
-            self.events_fired = ef
-        return self._now
-
-    def _run_calendar_free(self, queue: CalendarQueue) -> float:
-        """Unbounded calendar run — see :meth:`_run_heap_free`. Straight-line
-        batch consumption: index bump, fire, recycle."""
-        pool = self._pool
+    def _run_calendar(
+        self, queue: CalendarQueue, until: float | None, max_events: int | None
+    ) -> float:
+        """The fast loop: straight-line batch consumption of the calendar
+        queue (index bump, fire, release). ``events_fired`` is flushed
+        lazily — it is exact whenever an observer fires and when the run
+        returns (or raises), which is every point an outside reader can
+        observe mid-run."""
         refill = queue._refill
-        getrefcount = sys.getrefcount if _POOL_REFS > 0 else None
+        # the observer list is only ever mutated in place, so the alias
+        # tracks add_observer/remove_observer across the whole run
         observers = self._observers
+        horizon = math.inf if until is None else until
         ef = self.events_fired
+        # ``ef`` climbs by one per event, so it meets ``last`` exactly
+        last = -1 if max_events is None else ef + max(max_events, 0)
         try:
-            while True:
+            while not self._stopped:
                 i = queue._batch_i
                 batch = queue._batch
                 if i >= len(batch):
                     if not refill():
-                        self._finish_drained(None)
+                        self._finish_drained(until)
                         break
                     continue
                 handle = batch[i]
+                if handle.cancelled:
+                    batch[i] = None
+                    queue._batch_i = i + 1
+                    queue._cancelled -= 1
+                    continue
+                time = handle.time
+                if time > horizon:
+                    # leave the handle in the batch: the run is resumable
+                    if horizon > self._now:
+                        self._now = horizon
+                    break
+                if ef == last:
+                    raise self._runaway(max_events)
                 batch[i] = None
                 queue._batch_i = i + 1
-                if handle.cancelled:
-                    queue._cancelled -= 1
-                    # a cancelled entry nobody retained (ack'd retransmit
-                    # timer whose owner dropped the handle) is recyclable
-                    # like a fired one
-                    if (
-                        getrefcount is not None
-                        and len(pool) < _POOL_MAX
-                        and getrefcount(handle) == _POOL_REFS
-                    ):
-                        pool.append(handle)
-                    continue
-                self._now = handle.time
+                self._now = time
                 handle.fired = True
                 handle._fn(*handle._args)
+                # release the closure so a retained handle pins nothing
+                handle._fn = _noop
+                handle._args = ()
                 ef += 1
                 if observers:
                     self.events_fired = ef
+                    # observers may detach themselves mid-run: iterate a
+                    # snapshot, paid for only when any exist
                     for ob in tuple(observers):
                         ob(self._now)
-                if (
-                    getrefcount is not None
-                    and len(pool) < _POOL_MAX
-                    and getrefcount(handle) == _POOL_REFS
-                ):
-                    pool.append(handle)
-                else:
-                    handle._fn = _noop
-                    handle._args = ()
-                if self._stopped:
-                    break
         finally:
             self.events_fired = ef
-        return self._now
-
-    def _run_heap(self, queue: HeapQueue, until: float | None, max_events: int | None) -> float:
-        fired = 0
-        heap = queue._heap
-        pool = self._pool
-        heappop = heapq.heappop
-        getrefcount = sys.getrefcount if _POOL_REFS > 0 else None
-        observers = self._observers
-        while not self._stopped:
-            while heap and heap[0].cancelled:
-                heappop(heap)
-                queue._cancelled -= 1
-            if not heap:
-                self._finish_drained(until)
-                break
-            if until is not None and heap[0].time > until:
-                if until > self._now:
-                    self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                raise self._runaway(max_events)
-            handle = heappop(heap)
-            self._now = handle.time
-            handle.fired = True
-            handle._fn(*handle._args)
-            self.events_fired += 1
-            # observers may detach themselves mid-run, so iterate a
-            # snapshot — but only pay for the copy when any exist
-            if observers:
-                for ob in tuple(observers):
-                    ob(self._now)
-            fired += 1
-            # recycle the handle if the refcount proves nobody kept it;
-            # otherwise release the closure so retained handles keep
-            # nothing alive across long simulations
-            if (
-                getrefcount is not None
-                and len(pool) < _POOL_MAX
-                and getrefcount(handle) == _POOL_REFS
-            ):
-                pool.append(handle)
-            else:
-                handle._fn = _noop
-                handle._args = ()
-        return self._now
-
-    def _run_calendar(
-        self, queue: CalendarQueue, until: float | None, max_events: int | None
-    ) -> float:
-        fired = 0
-        pool = self._pool
-        refill = queue._refill
-        getrefcount = sys.getrefcount if _POOL_REFS > 0 else None
-        # the observer list is only ever mutated in place, so the alias
-        # tracks add_observer/remove_observer across the whole run
-        observers = self._observers
-        while not self._stopped:
-            i = queue._batch_i
-            batch = queue._batch
-            if i >= len(batch):
-                if not refill():
-                    self._finish_drained(until)
-                    break
-                continue
-            handle = batch[i]
-            if handle.cancelled:
-                batch[i] = None
-                queue._batch_i = i + 1
-                queue._cancelled -= 1
-                continue
-            time = handle.time
-            if until is not None and time > until:
-                # leave the handle in the batch: the run is resumable
-                if until > self._now:
-                    self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                raise self._runaway(max_events)
-            batch[i] = None
-            queue._batch_i = i + 1
-            self._now = time
-            handle.fired = True
-            handle._fn(*handle._args)
-            self.events_fired += 1
-            if observers:
-                for ob in tuple(observers):
-                    ob(self._now)
-            fired += 1
-            # recycle if the refcount proves nobody kept the handle (the
-            # reused fields are overwritten at reuse); otherwise release
-            # the closure so retained handles keep nothing alive
-            if (
-                getrefcount is not None
-                and len(pool) < _POOL_MAX
-                and getrefcount(handle) == _POOL_REFS
-            ):
-                pool.append(handle)
-            else:
-                handle._fn = _noop
-                handle._args = ()
         return self._now
 
     def _run_generic(
         self, queue: EventQueue, until: float | None, max_events: int | None
     ) -> float:
-        """Correctness-first loop for third-party EventQueue implementations."""
+        """Correctness-first loop for every other queue: the
+        :class:`HeapQueue` test oracle and third-party implementations."""
         fired = 0
         while not self._stopped:
             time = queue.peek_time()

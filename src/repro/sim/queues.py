@@ -6,7 +6,7 @@ run produces byte-identical per-seed traces whichever queue it selects
 (``tests/property/test_prop_queues.py`` pins this with random schedules):
 
 * :class:`HeapQueue` — the classic binary heap (:mod:`heapq`). O(log n)
-  push/pop. The conservative fallback, and the reference ordering.
+  push/pop. The reference ordering, kept as the test oracle.
 * :class:`CalendarQueue` — a calendar queue keyed on the microsecond
   virtual clock: O(1) amortized push/pop with lazy bucket resizing,
   batch extraction of whole bucket-visits (sorted once, fired without
@@ -19,12 +19,13 @@ ones (with a small floor so tiny queues never bother), which fixes the
 historical heap behaviour of carrying every cancelled timer until its
 timestamp surfaced.
 
-The kernel's hot loops (:meth:`repro.sim.kernel.Simulator.run`) reach
-into the concrete queues' internals (``_heap``, ``_batch``/``_batch_i``,
+The kernel's fast loop (:meth:`repro.sim.kernel.Simulator.run`) reaches
+into the calendar queue's internals (``_batch``/``_batch_i``,
 ``_count``/``_cancelled``) to avoid per-event method calls; that
-contract is private to ``repro.sim`` and documented on each class.
-Third-party :class:`EventQueue` subclasses only need the public methods
-— the kernel falls back to a ``peek``/``pop`` loop for them.
+contract is private to ``repro.sim`` and documented on the class. Every
+other queue — the heap and third-party :class:`EventQueue` subclasses —
+only needs the public methods: the kernel runs them through a generic
+``peek``/``pop`` loop.
 
 Bucket mapping
 --------------
@@ -110,10 +111,8 @@ class EventQueue:
 class HeapQueue(EventQueue):
     """Binary-heap queue — the original kernel data structure.
 
-    Kernel-private contract: ``_heap`` is the heap list (compaction
-    mutates it *in place* so the run loop's local alias stays valid) and
-    ``_cancelled`` counts cancelled entries still inside it; the run
-    loop decrements it when sweeping cancelled heads.
+    ``_heap`` is the heap list and ``_cancelled`` counts cancelled
+    entries still inside it.
     """
 
     kind = "heap"

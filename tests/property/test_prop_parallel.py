@@ -29,7 +29,7 @@ pytestmark = pytest.mark.perf
 
 # shared across all examples: the pool is stateless between tasks, so reuse
 # cannot leak information from one example into the next
-_POOL_SETTINGS = settings(
+_EXECUTOR_SETTINGS = settings(
     max_examples=8,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
@@ -94,7 +94,7 @@ def _traced_phase_digest(n_phases: int, seed: int = 0) -> str:
 # -- properties ----------------------------------------------------------------
 
 
-@_POOL_SETTINGS
+@_EXECUTOR_SETTINGS
 @given(
     a_vals=st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True),
     b_vals=st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True),
@@ -107,7 +107,7 @@ def test_sweep_rows_identical_serial_vs_parallel(pool, a_vals, b_vals):
     assert serial.metric_names == parallel.metric_names
 
 
-@_POOL_SETTINGS
+@_EXECUTOR_SETTINGS
 @given(
     sizes=st.lists(
         st.sampled_from([KiB(1), KiB(4), KiB(16), KiB(64)]),
@@ -123,7 +123,7 @@ def test_simulation_sweep_rows_identical(pool, sizes, compute):
     assert serial.rows == parallel.rows
 
 
-@_POOL_SETTINGS
+@_EXECUTOR_SETTINGS
 @given(
     configs=st.lists(st.integers(2, 6), min_size=1, max_size=4),
     root_seed=st.integers(0, 2**32 - 1),
@@ -136,7 +136,7 @@ def test_run_many_metrics_identical_serial_vs_parallel(pool, configs, root_seed)
     assert serial == parallel
 
 
-@_POOL_SETTINGS
+@_EXECUTOR_SETTINGS
 @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3, unique=True))
 def test_per_seed_traces_identical_serial_vs_parallel(pool, seeds):
     """Explicit per-seed replication: the full trace digest of each seeded

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim.events import Priority
-from repro.sim.kernel import Simulator, _POOL_MAX
+from repro.sim.kernel import Simulator
 from repro.sim.queues import (
     QUEUE_KINDS,
     CalendarQueue,
@@ -198,51 +198,25 @@ def test_cancel_before_run_with_no_queue_is_safe():
     assert h.cancelled
 
 
-# -- handle pooling ------------------------------------------------------------
+# -- fired handles ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_fired_handles_are_recycled(kind):
+def test_retained_handles_keep_their_fields_after_firing(kind):
+    """A handle the caller kept a reference to stays readable after it
+    fires (fired, time, label), while the kernel drops its callback so a
+    retained timer does not pin its closure."""
     sim = Simulator(queue=kind)
-
-    def rearm(i: int) -> None:
-        if i < 200:
-            sim.schedule(1.0, rearm, i + 1)
-
-    sim.schedule(1.0, rearm, 0)
-    sim.run()
-    assert len(sim._pool) >= 1  # the dropped handles fed the pool
-    assert len(sim._pool) <= _POOL_MAX
-
-
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_retained_handles_are_never_recycled(kind):
-    """A handle the caller kept a reference to must not be reused for a
-    later event — its fields (fired, time, label) stay readable."""
-    sim = Simulator(queue=kind)
-    kept = [sim.schedule(float(i) + 1.0, lambda: None, label=f"ev{i}") for i in range(50)]
+    log: list[int] = []
+    kept = [sim.schedule(float(i) + 1.0, log.append, i, label=f"ev{i}") for i in range(50)]
     for i in range(50):
         sim.schedule(float(i) + 1.5, lambda: None)  # interleaved churn
     sim.run()
-    assert all(h.fired for h in kept)
+    assert log == list(range(50))
+    assert all(h.fired and not h.pending for h in kept)
+    assert [h.time for h in kept] == [float(i) + 1.0 for i in range(50)]
     assert [h.label for h in kept] == [f"ev{i}" for i in range(50)]
-    assert all(h not in sim._pool for h in kept)
-
-
-def test_pool_reuse_resets_all_fields():
-    sim = Simulator(queue="calendar")
-    log = []
-    sim.schedule(1.0, log.append, "a", priority=Priority.TASKLET, label="first")
-    sim.run()
-    assert len(sim._pool) == 1
-    recycled = sim._pool[-1]
-    h = sim.schedule(2.0, log.append, "b", label="second")
-    assert h is recycled
-    assert (h.time, h.priority, h.label, h.fired, h.cancelled) == (
-        3.0, Priority.NORMAL, "second", False, False)
-    sim.run()
-    assert log == ["a", "b"]
-    assert h.fired
+    assert all(h._fn != log.append and h._args == () for h in kept)
 
 
 # -- generic EventQueue fallback ----------------------------------------------
