@@ -30,7 +30,7 @@ import pytest
 from repro.apps.traffic import FixedSize, OpenLoop, PoissonArrivals
 from repro.config import EngineKind
 from repro.harness.multijob import JobSpec, run_multi_job
-from repro.harness.report import format_table
+from repro.harness.report import bench_header, format_table
 from repro.harness.runner import ClusterRuntime
 from repro.units import KiB
 
@@ -151,6 +151,7 @@ def run_bench(quick: bool = False) -> dict:
     messages = 40 if quick else 150
     params = {"messages": messages, "mean_gap_us": 25.0, "seed": 5}
     return {
+        **bench_header("topo", 2, quick),
         "params": {
             "flows": {"A": list(_FLOW_A), "B": list(_FLOW_B)},
             "size_bytes": KiB(16),

@@ -32,7 +32,7 @@ from typing import Any, Optional
 import pytest
 
 from repro.config import EngineKind
-from repro.harness.report import format_table
+from repro.harness.report import bench_header, format_table
 from repro.harness.runner import ClusterRuntime
 from repro.mpi import MpiWorld
 from repro.units import KiB
@@ -102,11 +102,10 @@ def sweep(quick: bool = False) -> dict[str, Any]:
             )
     largest = [r for r in rows if r["grain_frac"] == max(fractions)]
     return {
-        "bench": "nbc_overlap",
+        **bench_header("nbc_overlap", 2, quick),
         "engine": "pioman",
         "nodes": NODES,
         "iters": iters,
-        "quick": quick,
         "results": rows,
         "min_speedup_at_largest_grain": min(r["speedup"] for r in largest),
     }

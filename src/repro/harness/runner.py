@@ -52,7 +52,7 @@ from .parallel import run_many  # noqa: F401  (re-export: runner.run_many)
 __all__ = ["NodeRuntime", "ClusterRuntime", "run_many"]
 
 
-def _make_offload_policy(name: Optional[str], kwargs: Optional[dict[str, Any]]):
+def _make_offload_policy(name: Optional[str]):
     """Resolve an offload-policy name ("always"/"never"/"adaptive")."""
     from ..pioman.adaptive import AdaptiveOffload, AlwaysOffload, NeverOffload
 
@@ -65,7 +65,7 @@ def _make_offload_policy(name: Optional[str], kwargs: Optional[dict[str, Any]]):
         raise HarnessError(
             f"unknown offload policy {name!r}; expected one of {sorted(table)}"
         ) from None
-    return cls(**(kwargs or {}))
+    return cls()
 
 
 @dataclass
@@ -133,7 +133,6 @@ class ClusterRuntime:
         tracer: Optional[Tracer] = None,
         seed: int = 0,
         offload_policy: Optional[str] = None,
-        offload_policy_kwargs: Optional[dict[str, Any]] = None,
         ingress_contention: bool = False,
         topology: "str | Topology | None" = None,
         faults: Optional[FaultPlan] = None,
@@ -146,8 +145,9 @@ class ClusterRuntime:
         Parameters mirror the paper's setup: the defaults are the §4
         testbed (2 nodes × 8 cores, MX-like interconnect). ``engine``
         selects the progression engine; ``rails > 1`` attaches several
-        NICs per node (multirail); ``interconnect`` is ``"mx"`` or
-        ``"tcp"``.
+        NICs per node (multirail); ``interconnect`` is ``"mx"``, ``"ib"``
+        or ``"tcp"``, and its NIC model prices the wire, buffer
+        registration and PIOMan's blocking-detection interrupt.
 
         ``faults`` installs a :class:`repro.faults.FaultPlan` on every
         fabric (one shared injector, so ``every_nth`` counts cluster-wide
@@ -204,6 +204,7 @@ class ClusterRuntime:
             nic_model = ib_nic_model()
         else:
             nic_model = tcp_nic_model()
+        timing = timing.replace(nic=nic_model)
         if isinstance(topology, Topology):
             if rails > 1:
                 raise HarnessError(
@@ -266,10 +267,8 @@ class ClusterRuntime:
                 drivers = [TcpDriver(nic, timing.host) for nic in nics]
             shm = ShmChannel(sim, node.index, timing.shm)
             shm_driver = ShmDriver(shm, timing.host)
-            # engine before gates or after — session supports both; build
-            # engine first so it watches every driver as gates appear
             if engine == EngineKind.PIOMAN:
-                eng: Any = PiomanEngine(session, offload_policy=_make_offload_policy(offload_policy, offload_policy_kwargs))
+                eng: Any = PiomanEngine(session, offload_policy=_make_offload_policy(offload_policy))
             else:
                 if offload_policy is not None:
                     raise HarnessError("offload_policy only applies to the pioman engine")
@@ -488,10 +487,10 @@ class ClusterRuntime:
         return totals
 
     def close(self) -> None:
-        """Tear down engines: deregister every scheduler/session/driver
-        hook. Call when a runtime is discarded but its sessions, scheduler,
-        or simulator objects stay reachable (engine-comparison harnesses);
-        idempotent."""
+        """Tear down engines and metrics hooks: deregister every scheduler
+        trigger and completion listener. Call when a runtime is discarded
+        but its sessions, scheduler, or simulator objects stay reachable
+        (engine-comparison harnesses); idempotent."""
         for nrt in self.nodes:
             nrt.engine.close()
         for session, cb in self._metric_hooks:

@@ -1,7 +1,7 @@
 """Latency statistics collection and summary.
 
-A :class:`LatencyCollector` subscribes to a session's request-completion
-hook and records post-to-completion latencies; :meth:`summary` reports
+A :class:`LatencyCollector` listens on a session's ``on_request_complete``
+channel and records post-to-completion latencies; :meth:`summary` reports
 count/mean/percentiles, the numbers a communication-engine evaluation
 quotes beyond simple means.
 """

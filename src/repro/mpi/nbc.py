@@ -12,9 +12,9 @@ per-communicator :class:`NbcProgressor`, which advances it incrementally:
 * ``i*`` entry points only *register* the schedule (sub-microsecond, like
   nmad's isend) and return an :class:`NbcRequest` that interoperates with
   ``test``/``wait``/``waitany``;
-* each round's sends/recvs are posted through the session core; a
-  push-mode :class:`~repro.nmad.progress.CompletionCursor` observes every
-  step completion and queues an *advance* action when the round drains;
+* each round's sends/recvs are posted through the session; an
+  ``on_request_complete`` listener observes every step completion and
+  queues an *advance* action when the round drains;
 * advance actions ride the session's deferred-op queue **and** a
   progression hook registered with PIOMan, so idle cores run folds and
   post the next round while the application thread computes — the paper's
@@ -38,7 +38,6 @@ from typing import Any, Callable, Generator, Optional
 from ..marcel.effects import Compute
 from ..marcel.thread import ThreadContext
 from ..nmad.drivers.base import ExecContext
-from ..nmad.progress import CompletionRecordType, RequestCompletion
 from ..nmad.request import NmRequest
 from ..nmad.tags import ANY
 from .collectives import _binomial_children
@@ -350,8 +349,8 @@ class NbcProgressor:
 
     Wiring (all built lazily on the first ``i*`` call):
 
-    * a push-mode completion cursor sees every request completion on the
-      node's session and routes those belonging to a schedule step;
+    * an ``on_request_complete`` listener sees every request completion
+      on the node's session and routes those belonging to a schedule step;
     * *actions* (post next round, run folds, finalize) queue on an internal
       deque; each is mirrored by a deferred op on the session queue, so
       both engines drain them through their normal progression paths;
@@ -367,7 +366,7 @@ class NbcProgressor:
         self._host = self.session.timing.host
         self._actions: deque[Callable[[ExecContext], None]] = deque()
         self._by_req: dict[int, _Active] = {}
-        self._cursor = self.session.cq.subscribe(listener=self._on_completion)
+        self.session.on_request_complete.append(self._on_completion)
         self.stats: dict[str, int] = {
             "schedules_started": 0,
             "schedules_completed": 0,
@@ -432,18 +431,16 @@ class NbcProgressor:
 
     # -- schedule advancement -------------------------------------------------
 
-    def _on_completion(self, rec: CompletionRecordType) -> None:
-        """Push-mode cursor listener: runs at publish time, defers work."""
-        if not isinstance(rec, RequestCompletion):
-            return
-        active = self._by_req.pop(rec.req.req_id, None)
+    def _on_completion(self, req: NmRequest) -> None:
+        """Completion listener: runs when the request finishes, defers work."""
+        active = self._by_req.pop(req.req_id, None)
         if active is None:
             return
         self.stats["steps_completed"] += 1
-        slot = active.recv_slots.pop(rec.req.req_id, None)
+        slot = active.recv_slots.pop(req.req_id, None)
         if slot is not None:
-            active.schedule.state[slot] = rec.req.data
-        active.pending.discard(rec.req.req_id)
+            active.schedule.state[slot] = req.data
+        active.pending.discard(req.req_id)
         if not active.pending and not active.posting:
             self._defer(lambda ctx: self._advance(ctx, active))
 

@@ -6,7 +6,7 @@ synchronization. The defining property (and the reason this lives on the
 progression engine) is **true passive-target progress**: the target rank's
 application threads never service anything. Instead each window keeps a
 persistent service receive posted on the session; when a request message
-lands, a push-mode completion cursor defers a *service action* onto the
+lands, the window's completion listener defers a *service action* onto the
 session's op queue, and whichever execution context next drains it — an
 idle core under PIOMan, or the origin-facing library call under the
 sequential baseline — applies the operation to the target buffer and sends
@@ -39,7 +39,6 @@ from ..errors import MpiError
 from ..marcel.effects import Compute
 from ..marcel.thread import ThreadContext
 from ..nmad.drivers.base import ExecContext
-from ..nmad.progress import CompletionRecordType, RequestCompletion
 from ..nmad.request import NmRequest
 from ..nmad.tags import ANY
 from .collectives import _OP_WIN
@@ -73,7 +72,7 @@ class Window:
         self._outstanding: list[NmRequest] = []
         self._service_req: Optional[NmRequest] = None
         self._closed = False
-        self._cursor = self._session.cq.subscribe(listener=self._on_completion)
+        self._session.on_request_complete.append(self._on_completion)
         self.stats: dict[str, int] = {
             "puts": 0,
             "gets": 0,
@@ -121,14 +120,11 @@ class Window:
             ctx.charge(self._host.request_post_us)
         self._session.post_recv(req)
 
-    def _on_completion(self, rec: CompletionRecordType) -> None:
-        """Push-mode cursor listener: a completed service receive defers
-        the service action; every other completion is ignored."""
-        if not isinstance(rec, RequestCompletion):
+    def _on_completion(self, req: NmRequest) -> None:
+        """Completion listener: a completed service receive defers the
+        service action; every other completion is ignored."""
+        if req is not self._service_req:
             return
-        if rec.req is not self._service_req:
-            return
-        req = rec.req
         self._service_req = None
         self._session.defer("rma.serve", lambda ctx: self._serve(ctx, req))
 
@@ -234,13 +230,13 @@ class Window:
 
     def free(self, tctx: ThreadContext) -> Generator[Any, Any, None]:
         """Collective teardown: fence, then cancel the service receive and
-        detach from the completion queue."""
+        stop listening for completions."""
         yield from self.fence(tctx)
         self._closed = True
         if self._service_req is not None:
             self._session.match_table.cancel(self._service_req)
             self._service_req = None
-        self._cursor.close()
+        self._session.on_request_complete.remove(self._on_completion)
 
     # -- local access ---------------------------------------------------------
 

@@ -15,10 +15,11 @@ Three-layer architecture (Fig. 3 of the paper):
 Protocols: PIO (very small), eager copy+DMA (≤ rendezvous threshold), and
 the zero-copy rendezvous (RTS/CTS/DATA) for large messages (§2.2, §2.3).
 Each protocol lives in its own engine module — :mod:`repro.nmad.eager`
-and :mod:`repro.nmad.rdv` — registered against the
-:class:`~repro.nmad.core.SessionCore` dispatch tables, exchanging the
-typed wire frames of :mod:`repro.nmad.wire` and completing through the
-unified :class:`~repro.nmad.progress.CompletionQueue`.
+and :mod:`repro.nmad.rdv` — which :class:`~repro.nmad.core.NmSession`
+calls directly, exchanging the typed wire frames of :mod:`repro.nmad.wire`.
+Driver completions drain through the session's
+:class:`~repro.nmad.progress.CompletionQueue` wire lane; finished requests
+are announced to the session's ``on_request_complete`` listeners.
 
 Progression is pluggable: :class:`repro.nmad.progress.SequentialEngine`
 reproduces the original non-multithreaded NewMadeleine (progress only on
@@ -26,14 +27,12 @@ the application thread), while :class:`repro.pioman.engine.PiomanEngine`
 is the paper's contribution.
 """
 
-from .core import Gate, NmSession, SessionCore
+from .core import Gate, NmSession
 from .eager import EagerEngine
 from .interface import NmInterface, payload_nbytes
 from .progress import (
     CompletionQueue,
     EngineBase,
-    RecoveryCompletion,
-    RequestCompletion,
     SequentialEngine,
     WireCompletion,
 )
@@ -43,7 +42,6 @@ from .wire import AckFrame, CtsFrame, DataChunkFrame, EagerFrame, RtsFrame
 
 __all__ = [
     "NmSession",
-    "SessionCore",
     "Gate",
     "NmRequest",
     "ReqState",
@@ -53,8 +51,6 @@ __all__ = [
     "SequentialEngine",
     "CompletionQueue",
     "WireCompletion",
-    "RequestCompletion",
-    "RecoveryCompletion",
     "EagerEngine",
     "RdvEngine",
     "EagerFrame",

@@ -1,17 +1,20 @@
-"""NewMadeleine session core: protocol-agnostic state and dispatch.
+"""NewMadeleine session: per-node state and protocol dispatch.
 
 One :class:`NmSession` lives on each node (the paper's "one MPI process
-per node"). Since the layered refactor it is a thin composition shell: the
-protocol state machines live in :class:`repro.nmad.eager.EagerEngine` and
-:class:`repro.nmad.rdv.RdvEngine`, while :class:`SessionCore` keeps the
+per node"). The protocol state machines live in
+:class:`repro.nmad.eager.EagerEngine` (``session.eager``) and
+:class:`repro.nmad.rdv.RdvEngine` (``session.rdv``); the session keeps the
 gates (:mod:`repro.nmad.gate`), the matching machinery (posted-receive
 table, sequence tracker, unexpected store), the deferred-op work list the
-progression engines drain (§2.1, Fig. 1), the **dispatch tables** the
-protocol engines register their handlers against (send paths by
-``Protocol``, receive handlers by ``PacketKind``, ordered delivery by
-frame type, unexpected matches by item type), and the **unified
-completion queue** (:class:`repro.nmad.progress.CompletionQueue`) that
-wire completions drain through and finished requests are published to.
+progression engines drain (§2.1, Fig. 1) and the wire lane
+(:class:`repro.nmad.progress.CompletionQueue`) that driver completions
+drain through. It calls the protocol engines directly, chosen by
+``Protocol``, ``PacketKind``, frame type and unexpected-item type.
+
+Events travel up through two direct paths: the session notifies its one
+progression engine (``session.engine``) of queued ops and of hardware
+activity, and announces every finished request to the
+``on_request_complete`` listeners.
 
 All CPU costs are charged to the execution context passed in (see
 :mod:`repro.nmad.drivers.base`), so the same protocol code is priced
@@ -35,28 +38,21 @@ from ..sim.tracing import Tracer
 from ..topology.machine import Node
 from ..topology.numa import NumaModel
 from .drivers.base import Driver, ExecContext
+from .eager import EagerEngine
 from .gate import Gate
-from .progress import CompletionQueue, RequestCompletion, WireCompletion
+from .progress import CompletionQueue, EngineBase, WireCompletion
+from .rdv import RDV_STAT_KEYS, RdvEngine
 from .reliability import ReliabilityLayer
 from .request import NmRequest, Protocol, ReqState
 from .strategies import Strategy
 from .tags import ANY, MatchTable, SequenceTracker
-from .rdv import RDV_STAT_KEYS
-from .unexpected import ProbeInfo, UnexpectedStore
-from .wire import tx_req_ids, wire_seq_of
+from .unexpected import ProbeInfo, UnexpectedEager, UnexpectedStore
+from .wire import EagerFrame, tx_req_ids, wire_seq_of
 
-__all__ = ["Gate", "SessionCore", "NmSession"]
+__all__ = ["Gate", "NmSession"]
 
 #: a deferred operation body: runs under an execution context, returns nothing
 OpFn = Callable[[ExecContext], None]
-#: a registered send path: (request, gate) -> queue the protocol's work
-SendPath = Callable[[NmRequest, "Gate"], None]
-#: a registered receive handler: (ctx, driver, packet) -> advance the protocol
-RxHandler = Callable[[ExecContext, Driver, Packet], None]
-#: a registered ordered-delivery handler: (ctx, driver, frame)
-OrderHandler = Callable[[ExecContext, Driver, Any], None]
-#: a registered unexpected-match path: (recv request, store item)
-UnexpectedPath = Callable[[NmRequest, Any], None]
 
 
 def _trace_noop(*_args: Any, **_kw: Any) -> None:
@@ -64,13 +60,9 @@ def _trace_noop(*_args: Any, **_kw: Any) -> None:
     return None
 
 
-class SessionCore:
-    """Protocol-agnostic per-node session state and dispatch.
-
-    Protocol engines (constructed by :class:`NmSession`) register their
-    handlers against the four dispatch tables; the core never inspects
-    protocol frames itself.
-    """
+class NmSession:
+    """Per-node communication session: state, dispatch and the two
+    protocol engines."""
 
     #: rendezvous data-phase counters (owned by :mod:`repro.nmad.rdv`,
     #: re-exported here for the ``n{i}.rdv.*`` observability lane)
@@ -110,26 +102,20 @@ class SessionCore:
         #: execution context. Counted by :meth:`has_pending_ops` so idle
         #: cores, waiters, and inline drains all see the deferred work.
         self.windowed_gates: dict[Gate, OpFn] = {}
-        #: unified completion queue: wire lane + published request records
+        #: wire lane: driver completions awaiting protocol dispatch
         self.cq = CompletionQueue()
         #: in-flight sends by req_id (tx completion / CTS lookup)
         self._sends: dict[int, NmRequest] = {}
-        # dispatch tables, filled by the protocol engines' constructors
-        self._send_paths: dict[Protocol, SendPath] = {}
-        self._rx_handlers: dict[str, RxHandler] = {}
-        self._order_handlers: dict[type, OrderHandler] = {}
-        self._unexpected_paths: dict[type, UnexpectedPath] = {}
         #: level-triggered flag set on any driver activity (baseline waits)
         self.activity_flag = ThreadFlag(scheduler, name=f"n{self.node_index}.nm.activity")
-        #: callbacks fired when ops are enqueued (PIOMan wakes idle cores)
-        self.on_ops_enqueued: list[Callable[[], None]] = []
-        #: callbacks fired when a new driver joins the session
-        self.on_driver_added: list[Callable[[Driver], None]] = []
-        #: callbacks fired on each completed request
+        #: the progression engine told about queued ops and hardware
+        #: activity; set by :class:`repro.nmad.progress.EngineBase`
+        self.engine: Optional[EngineBase] = None
+        #: listeners called with each finished request, in registration
+        #: order — the one place a completion is announced. They run in
+        #: whatever context completed the request and must not block or
+        #: charge CPU; real work goes through :meth:`defer`.
         self.on_request_complete: list[Callable[[NmRequest], None]] = []
-        #: callbacks fired when a retransmit timer queued recovery work
-        #: (engines re-arm their detection paths: idle kick, blocking server)
-        self.on_retransmit_timer: list[Callable[[], None]] = []
         self._core_by_index = {c.core_index: c for c in node.cores}
         # statistics
         self.stats: dict[str, int] = {
@@ -154,32 +140,10 @@ class SessionCore:
         self.reliability: Optional[ReliabilityLayer] = (
             ReliabilityLayer(self) if self.timing.faults.enabled else None
         )
-
-    # ------------------------------------------------------- engine registration
-
-    def register_send_path(self, protocol: Protocol, path: SendPath) -> None:
-        """Claim the send path for ``protocol`` (one engine per protocol)."""
-        if protocol in self._send_paths:
-            raise ProtocolError(f"send path for {protocol} registered twice")
-        self._send_paths[protocol] = path
-
-    def register_rx_handler(self, kind: str, handler: RxHandler) -> None:
-        """Claim receive dispatch for packets of ``kind``."""
-        if kind in self._rx_handlers:
-            raise ProtocolError(f"rx handler for {kind} registered twice")
-        self._rx_handlers[kind] = handler
-
-    def register_order_handler(self, frame_type: type, handler: OrderHandler) -> None:
-        """Claim sequence-ordered delivery of ``frame_type`` descriptors."""
-        if frame_type in self._order_handlers:
-            raise ProtocolError(f"order handler for {frame_type.__name__} registered twice")
-        self._order_handlers[frame_type] = handler
-
-    def register_unexpected_path(self, item_type: type, path: UnexpectedPath) -> None:
-        """Claim recv-matching of ``item_type`` unexpected-store items."""
-        if item_type in self._unexpected_paths:
-            raise ProtocolError(f"unexpected path for {item_type.__name__} registered twice")
-        self._unexpected_paths[item_type] = path
+        #: eager/PIO protocol engine (small buffered sends)
+        self.eager = EagerEngine(self)
+        #: rendezvous protocol engine (RTS/CTS handshake + data phase)
+        self.rdv = RdvEngine(self)
 
     # ------------------------------------------------------------------ wiring
 
@@ -191,9 +155,7 @@ class SessionCore:
         for rail in rails:
             if rail not in self.drivers:
                 self.drivers.append(rail)
-                rail.add_activity_listener(self.activity_flag.set)
-                for cb in self.on_driver_added:
-                    cb(rail)
+                rail.add_activity_listener(self._hw_activity)
         return gate
 
     def gate_to(self, peer: int) -> Gate:
@@ -261,10 +223,10 @@ class SessionCore:
             self.stats["rdv_sends"] += 1
         req.transition(ReqState.QUEUED)
         self._sends[req.req_id] = req
-        path = self._send_paths.get(req.protocol)
-        if path is None:  # pragma: no cover - engines cover every protocol
-            raise ProtocolError(f"no engine registered for protocol {req.protocol}")
-        path(req, gate)
+        if req.protocol == Protocol.RDV:
+            self.rdv.start_send(req)
+        else:
+            self.eager.push_send(req, gate)
         self._trace("nmad.post_send", req)
 
     def post_recv(self, req: NmRequest) -> None:
@@ -275,10 +237,10 @@ class SessionCore:
             self.match_table.post(req)
             self._trace("nmad.post_recv", req)
             return
-        path = self._unexpected_paths.get(type(item))
-        if path is None:  # pragma: no cover - store only holds registered kinds
-            raise ProtocolError(f"unknown unexpected item {item!r}")
-        path(req, item)
+        if isinstance(item, UnexpectedEager):
+            self.eager.match_unexpected(req, item)
+        else:
+            self.rdv.match_unexpected(req, item)
         self._trace("nmad.post_recv_unexpected", req)
 
     def probe_unexpected(self, source: int, tag: int) -> Optional[ProbeInfo]:
@@ -290,8 +252,8 @@ class SessionCore:
 
     def _enqueue_op(self, name: str, fn: OpFn) -> None:
         self.ops.append((name, fn))
-        for cb in self.on_ops_enqueued:
-            cb()
+        if self.engine is not None:
+            self.engine.notify_ops()
 
     def defer(self, name: str, fn: OpFn) -> None:
         """Queue ``fn`` as a deferred op for the progression engines.
@@ -304,13 +266,14 @@ class SessionCore:
         """
         self._enqueue_op(name, fn)
 
-    def _notify_retransmit(self) -> None:
-        """Timer (hardware) context: a retransmit op was just queued. Wake
-        baseline waiters blocked on the activity flag and give engines a
-        chance to re-arm interrupt-based detection."""
+    def _hw_activity(self) -> None:
+        """Hardware context: a driver produced a completion, or a
+        retransmit timer queued recovery work. Wake baseline waiters
+        blocked on the activity flag, then let the engine re-arm its
+        detection paths."""
         self.activity_flag.set()
-        for cb in self.on_retransmit_timer:
-            cb()
+        if self.engine is not None:
+            self.engine.notify_activity()
 
     def has_pending_ops(self) -> bool:
         return bool(self.ops) or bool(self.windowed_gates)
@@ -350,11 +313,11 @@ class SessionCore:
     def poll_completions(self, ctx: ExecContext, max_events: int = 16) -> bool:
         """Poll every driver once; dispatch what surfaced.
 
-        Each driver's harvest goes through the unified completion queue's
-        wire lane — pushed, then drained straight through the receive
-        dispatch table. Push-then-drain per driver keeps the handling order
-        identical to dispatching each record inline (handlers never produce
-        wire completions synchronously), while giving observability and
+        Each driver's harvest goes through the completion queue's wire
+        lane — pushed, then drained straight into the protocol engines.
+        Push-then-drain per driver keeps the handling order identical to
+        dispatching each record inline (handlers never produce wire
+        completions synchronously), while giving observability and
         backpressure a single queue to watch.
         """
         did = False
@@ -373,17 +336,25 @@ class SessionCore:
 
     def _dispatch_wire(self, ctx: ExecContext, wc: WireCompletion) -> None:
         """Route one wire completion: TX drains complete sends; arrived
-        packets pass the reliability filter, then the kind dispatch table."""
+        packets pass the reliability filter, then go to their protocol
+        engine by packet kind."""
         packet = wc.packet
         if wc.event == "tx_done":
             self._on_tx_done(ctx, packet)
             return
         if self.reliability is not None and not self.reliability.on_rx(ctx, wc.driver, packet):
             return  # consumed at the wire level: ACK, corrupted, or duplicate
-        handler = self._rx_handlers.get(packet.kind)
-        if handler is None:  # pragma: no cover - ACKs are consumed above
-            raise ProtocolError(f"unhandled packet kind {packet.kind}")
-        handler(ctx, wc.driver, packet)
+        kind = packet.kind
+        if kind == PacketKind.EAGER or kind == PacketKind.PIO:
+            self.eager.on_rx(ctx, wc.driver, packet)
+        elif kind == PacketKind.RTS:
+            self.rdv.on_rx_rts(ctx, wc.driver, packet)
+        elif kind == PacketKind.CTS:
+            self.rdv.on_rx_cts(ctx, wc.driver, packet)
+        elif kind == PacketKind.DATA:
+            self.rdv.on_rx_data(ctx, wc.driver, packet)
+        else:  # pragma: no cover - ACKs are consumed above
+            raise ProtocolError(f"unhandled packet kind {kind}")
 
     def _on_tx_done(self, ctx: ExecContext, packet: Packet) -> None:
         # Only the rendezvous DATA leg completes on DMA drain: the
@@ -411,15 +382,15 @@ class SessionCore:
             self._complete_req(req)
 
     def deliver_in_order(self, ctx: ExecContext, driver: Driver, item: Any) -> None:
-        """Route a sequence-ordered descriptor to its protocol handler.
+        """Route a sequence-ordered descriptor to its protocol engine.
 
         The reorder buffer interleaves eager and RTS frames of one flow, so
         each drained item is re-dispatched by frame type.
         """
-        handler = self._order_handlers.get(type(item))
-        if handler is None:  # pragma: no cover - engines cover every frame
-            raise ProtocolError(f"no ordered-delivery handler for {item!r}")
-        handler(ctx, driver, item)
+        if isinstance(item, EagerFrame):
+            self.eager.deliver(ctx, driver, item)
+        else:
+            self.rdv.deliver_rts(ctx, driver, item)
 
     # ----------------------------------------------------------------- helpers
 
@@ -439,7 +410,7 @@ class SessionCore:
 
         Higher layers synthesize proxy requests (e.g. one per nbc
         collective schedule) so multi-step operations plug into the
-        ordinary wait/wait_any/event machinery; this publishes the
+        ordinary wait/wait_any/event machinery; this announces the
         completion exactly like a wire-backed request. Idempotent-hostile
         like :meth:`NmRequest.complete`: completing twice is an error.
         """
@@ -453,7 +424,6 @@ class SessionCore:
         if req.kind == "send":
             self._sends.pop(req.req_id, None)
         req.complete(self.sim.now)
-        self.cq.publish(RequestCompletion(req=req, time=self.sim.now))
         for cb in self.on_request_complete:
             cb(req)
         self._trace("nmad.complete", req)
@@ -477,26 +447,3 @@ class SessionCore:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} n{self.node_index} gates={sorted(self.gates)} ops={len(self.ops)}>"
-
-
-class NmSession(SessionCore):
-    """Per-node communication session: the core plus its protocol engines."""
-
-    def __init__(
-        self,
-        sim: Simulator,
-        scheduler: MarcelScheduler,
-        node: Node,
-        timing: TimingModel | None = None,
-        numa: NumaModel | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        super().__init__(sim, scheduler, node, timing=timing, numa=numa, tracer=tracer)
-        # engine construction registers the dispatch-table entries
-        from .eager import EagerEngine
-        from .rdv import RdvEngine
-
-        #: eager/PIO protocol engine (small buffered sends)
-        self.eager = EagerEngine(self)
-        #: rendezvous protocol engine (RTS/CTS handshake + data phase)
-        self.rdv = RdvEngine(self)

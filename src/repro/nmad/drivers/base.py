@@ -13,7 +13,6 @@ after).
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from ...errors import NetworkError
@@ -21,11 +20,6 @@ from ...network.message import CompletionRecord, Packet
 from ..progress import CompletionQueue, WireCompletion
 
 __all__ = ["ExecContext", "Driver"]
-
-#: process-wide monotonic driver numbering — serials are never reused, so
-#: they are safe identity keys across engine rebuilds (unlike ``id()``,
-#: which the allocator recycles after garbage collection)
-_driver_serials = itertools.count(1)
 
 
 @runtime_checkable
@@ -87,13 +81,6 @@ class Driver:
         if records:
             self.rx_completions += len(records)
         return records
-
-    def serial(self) -> int:
-        """Monotonic process-unique identity of this driver instance."""
-        s: int | None = getattr(self, "_serial", None)
-        if s is None:
-            s = self._serial = next(_driver_serials)
-        return s
 
     # -- thresholds --------------------------------------------------------------
 
@@ -161,7 +148,7 @@ class Driver:
 
         Charges the poll cost unconditionally (polling an empty queue is
         not free) and returns the number of records pushed. The session
-        core drains the queue through its dispatch table right after.
+        drains the queue into its protocol engines right after.
         """
         ctx.charge(self.poll_cpu_us())
         count = 0

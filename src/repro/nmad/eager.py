@@ -10,9 +10,10 @@ into a matching posted receive or — unexpected — copied into the
 :class:`repro.nmad.unexpected.UnexpectedStore` (§2.2: "only necessary
 copies are performed").
 
-The engine registers its handlers against the
-:class:`repro.nmad.core.SessionCore` dispatch tables; the session core
-never inspects eager frames itself.
+The session (:class:`repro.nmad.core.NmSession`) calls this engine
+directly for PIO/eager sends, EAGER/PIO packets, ordered
+:class:`~repro.nmad.wire.EagerFrame` delivery and unexpected eager
+matches; it never inspects eager frames itself.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import ProtocolError, RequestError
-from ..network.message import Packet, PacketKind
+from ..network.message import Packet
 from .drivers.base import Driver, ExecContext
-from .request import NmRequest, Protocol, ReqState
+from .request import NmRequest, ReqState
 from .unexpected import UnexpectedEager
 from .wire import EagerFrame, eager_frames, eager_to_packet
 
 if TYPE_CHECKING:  # pragma: no cover - engines are owned by the session
-    from .core import Gate, SessionCore
+    from .core import Gate, NmSession
 
 __all__ = ["EagerEngine"]
 
@@ -45,16 +46,10 @@ class _Reassembly:
 class EagerEngine:
     """Protocol engine for the PIO and eager (copied) send paths."""
 
-    def __init__(self, session: "SessionCore") -> None:
+    def __init__(self, session: "NmSession") -> None:
         self.session = session
         #: multirail reassembly: (src, send req_id) -> accumulated state
         self._reassembly: dict[tuple[int, int], _Reassembly] = {}
-        session.register_send_path(Protocol.PIO, self.push_send)
-        session.register_send_path(Protocol.EAGER, self.push_send)
-        session.register_rx_handler(PacketKind.EAGER, self.on_rx)
-        session.register_rx_handler(PacketKind.PIO, self.on_rx)
-        session.register_order_handler(EagerFrame, self.deliver)
-        session.register_unexpected_path(UnexpectedEager, self.match_unexpected)
 
     # ------------------------------------------------------------------ TX side
 
@@ -83,8 +78,8 @@ class EagerEngine:
                 gate,
                 label=f"n{session.node_index}.aggreg.window->n{gate.peer}",
             )
-            for cb in session.on_ops_enqueued:
-                cb()
+            if session.engine is not None:
+                session.engine.notify_ops()
             return
         gate.flush_pending = True
         self.session._enqueue_op(
@@ -192,7 +187,7 @@ class EagerEngine:
     # ------------------------------------------------------------------ RX side
 
     def on_rx(self, ctx: ExecContext, driver: Driver, packet: Packet) -> None:
-        """Dispatch-table entry for arrived EAGER/PIO packets."""
+        """Arrived EAGER/PIO packet: reassemble, order, deliver."""
         session = self.session
         for frame in eager_frames(packet):
             whole = frame

@@ -1,4 +1,4 @@
-"""Progression engines and the unified completion queue.
+"""Progression engines and the wire completion queue.
 
 :class:`EngineBase` defines the engine interface used by
 :class:`repro.nmad.interface.NmInterface`; all engine entry points are
@@ -17,27 +17,24 @@ application thread is inside a library call. Its measured behaviour is
 The multithreaded engine of the paper lives in
 :class:`repro.pioman.engine.PiomanEngine`.
 
-:class:`CompletionQueue` is the spine between producers and consumers of
-completion events. It has two lanes:
+:class:`CompletionQueue` is the session's wire lane: drivers push one
+:class:`WireCompletion` per harvested hardware record
+(``tx_done``/``rx``) and the session drains the lane straight into its
+protocol engines. Its ``depth`` is exported as a gauge through
+``repro.obs``. Finished requests are not queued anywhere: the session
+announces each one to its ``on_request_complete`` listeners.
 
-* the **wire lane** — drivers push one :class:`WireCompletion` per
-  harvested hardware record (``tx_done``/``rx``); the session core drains
-  the lane through its :class:`repro.network.message.PacketKind` dispatch
-  table. Its ``depth`` is exported as a gauge through ``repro.obs``.
-* the **subscription lane** — the session core publishes a
-  :class:`RequestCompletion` for every finished request and the
-  reliability layer a :class:`RecoveryCompletion` for every settled wire
-  sequence; open :class:`CompletionCursor` subscriptions (``wait_any``,
-  the MPI layer's ``waitall``) receive each published record exactly once,
-  which is what lets them track *newly completed* requests instead of
-  re-scanning their whole request list after every progress pass.
+Engines hear about session events through :class:`EngineBase`'s
+notification methods (:meth:`EngineBase.notify_ops`,
+:meth:`EngineBase.notify_activity`), which the session calls on its one
+``engine`` reference.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional, Union
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from ..errors import RequestError
 from ..marcel.effects import Compute, WaitFlag
@@ -54,17 +51,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle: core owns the queue
 
 __all__ = [
     "WireCompletion",
-    "RequestCompletion",
-    "RecoveryCompletion",
-    "CompletionRecordType",
-    "CompletionCursor",
     "CompletionQueue",
     "EngineBase",
     "SequentialEngine",
 ]
 
 
-# ---------------------------------------------------------- completion records
+# ------------------------------------------------------------------ wire lane
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,106 +76,24 @@ class WireCompletion:
     time: float
 
 
-@dataclass(frozen=True, slots=True)
-class RequestCompletion:
-    """A send/recv request finished (published by the session core)."""
-
-    req: NmRequest
-    time: float
-
-
-@dataclass(frozen=True, slots=True)
-class RecoveryCompletion:
-    """The reliability layer settled one wire sequence number.
-
-    ``outcome`` is ``"acked"`` (the peer confirmed delivery) or
-    ``"gave_up"`` (retries exhausted; the transport abandoned the frame).
-    """
-
-    outcome: str
-    peer: int
-    wire_seq: int
-    time: float
-
-
-CompletionRecordType = Union[RequestCompletion, RecoveryCompletion]
-
-
-class CompletionCursor:
-    """One subscription to the completion queue's published records.
-
-    Each published record is delivered to every open cursor exactly once;
-    :meth:`drain` hands the accumulated records over. Close the cursor when
-    done (``wait_any`` subscribes per call) or the queue keeps feeding it.
-
-    A cursor may instead be opened in **push mode** by passing a
-    ``listener`` callable to :meth:`CompletionQueue.subscribe`: each record
-    is then delivered to the listener at publish time and nothing is
-    buffered (``drain`` stays empty). Push mode is what lets long-lived
-    consumers — the nbc schedule progressor, RMA window servicing — react
-    to individual step completions without a polling thread. Listeners run
-    in whatever context published the completion and must not block or
-    charge CPU; defer real work through the session's op queue.
-    """
-
-    __slots__ = ("_queue", "_records", "_listener")
-
-    def __init__(
-        self,
-        queue: "CompletionQueue",
-        listener: Optional[Callable[[CompletionRecordType], None]] = None,
-    ) -> None:
-        self._queue: Optional[CompletionQueue] = queue
-        self._records: deque[CompletionRecordType] = deque()
-        self._listener = listener
-
-    def _push(self, rec: CompletionRecordType) -> None:
-        if self._listener is not None:
-            self._listener(rec)
-            return
-        self._records.append(rec)
-
-    def pending(self) -> bool:
-        """True when records were published since the last drain."""
-        return bool(self._records)
-
-    def drain(self) -> list[CompletionRecordType]:
-        """All records published since the last drain (may be empty)."""
-        out = list(self._records)
-        self._records.clear()
-        return out
-
-    def close(self) -> None:
-        """Detach from the queue; idempotent."""
-        queue, self._queue = self._queue, None
-        if queue is not None:
-            queue._detach(self)
-        self._records.clear()
-
-
 class CompletionQueue:
-    """Unified completion queue of one session (see the module docstring).
+    """Wire lane of one session (see the module docstring).
 
-    Pure bookkeeping: pushing, draining, and publishing consume **zero
-    simulated time** — all CPU cost stays with the execution contexts that
+    Pure bookkeeping: pushing and draining consume **zero simulated
+    time** — all CPU cost stays with the execution contexts that
     poll drivers and run handlers, so wiring the queue through the hot path
     leaves per-seed traces byte-identical.
     """
 
-    __slots__ = ("_wire", "_cursors", "pushed", "consumed", "published", "peak_depth")
+    __slots__ = ("_wire", "pushed", "consumed", "peak_depth")
 
     def __init__(self) -> None:
         self._wire: deque[WireCompletion] = deque()
-        self._cursors: list[CompletionCursor] = []
-        #: wire-lane records pushed / consumed since construction
+        #: records pushed / consumed since construction
         self.pushed = 0
         self.consumed = 0
-        #: request/recovery records published to subscribers
-        self.published = 0
-        #: high-water mark of the wire lane
+        #: high-water mark of the lane
         self.peak_depth = 0
-
-    # -- wire lane (drivers -> protocol dispatch) ------------------------------
 
     @property
     def depth(self) -> int:
@@ -201,28 +112,6 @@ class CompletionQueue:
         self.consumed += 1
         return self._wire.popleft()
 
-    # -- subscription lane (session/reliability -> waiters) --------------------
-
-    def subscribe(
-        self, listener: Optional[Callable[[CompletionRecordType], None]] = None
-    ) -> CompletionCursor:
-        """Open a cursor; with ``listener`` the cursor runs in push mode
-        (records delivered at publish time, nothing buffered)."""
-        cursor = CompletionCursor(self, listener)
-        self._cursors.append(cursor)
-        return cursor
-
-    def _detach(self, cursor: CompletionCursor) -> None:
-        try:
-            self._cursors.remove(cursor)
-        except ValueError:
-            pass
-
-    def publish(self, rec: CompletionRecordType) -> None:
-        self.published += 1
-        for cursor in self._cursors:
-            cursor._push(rec)
-
     # -- observability ---------------------------------------------------------
 
     def stats(self) -> dict[str, int]:
@@ -232,15 +121,10 @@ class CompletionQueue:
             "peak_depth": self.peak_depth,
             "pushed": self.pushed,
             "consumed": self.consumed,
-            "published": self.published,
-            "cursors": len(self._cursors),
         }
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"<CompletionQueue depth={self.depth} pushed={self.pushed} "
-            f"published={self.published} cursors={len(self._cursors)}>"
-        )
+        return f"<CompletionQueue depth={self.depth} pushed={self.pushed}>"
 
 
 # ------------------------------------------------------------------ engines
@@ -255,6 +139,9 @@ class EngineBase:
         self.session = session
         self.sim = session.sim
         self.timing = session.timing
+        # the session notifies exactly one engine: the newest replaces any
+        # earlier (closed) one
+        session.engine = self
 
     # -- helpers ---------------------------------------------------------------
 
@@ -266,23 +153,26 @@ class EngineBase:
     def _service(ctx: TaskletContext, label: str) -> Compute:
         return Compute(ctx.cpu_us, kind="service", label=label)
 
-    @staticmethod
-    def _remove_hook(hooks: list[Callable[..., Any]], cb: Callable[..., Any]) -> None:
-        """Remove ``cb`` from a hook list; idempotent."""
-        try:
-            hooks.remove(cb)
-        except ValueError:
-            pass
+    # -- session notifications (hardware/timer context; must not block) -------
+
+    def notify_ops(self) -> None:
+        """Deferred work was queued (an op, or an aggregation window)."""
+
+    def notify_activity(self) -> None:
+        """A driver produced a completion, or a retransmit timer queued
+        recovery work; the session has already set its activity flag."""
 
     def close(self) -> None:
-        """Detach every session/scheduler hook this engine registered.
+        """Stop taking session notifications; idempotent.
 
         Engines can be rebuilt on a live session (harness reuse, engine
-        comparison runs); without deregistration the stale engine keeps
-        reacting to session events — duplicate idle kicks, double polling,
-        double statistics. The base engine registers nothing, so this is a
-        no-op here; subclasses override and must stay idempotent.
+        comparison runs): constructing the new engine points the session
+        at it. Subclasses that register scheduler hooks override this,
+        call it, and detach them too — otherwise the stale engine keeps
+        reacting to scheduler triggers (double polling, double statistics).
         """
+        if self.session.engine is self:
+            self.session.engine = None
 
     # -- engine API --------------------------------------------------------------
 
@@ -351,12 +241,12 @@ class EngineBase:
         is work, then sleep on the session activity flag (every completion
         sets it).
 
-        Completion tracking rides a :class:`CompletionCursor`: one upfront
-        scan records requests that were already done, after which each
-        progress pass only inspects *newly published* completions — O(n +
-        completions) request inspections per call instead of the old
-        O(n × passes) full rescan. Among simultaneously completed requests
-        the lowest index wins, exactly as the rescan behaved.
+        Completion tracking rides an ``on_request_complete`` listener: one
+        upfront scan records requests that were already done, after which
+        only *newly completed* requests are inspected — O(n + completions)
+        request inspections per call instead of the old O(n × passes) full
+        rescan. Among simultaneously completed requests the lowest index
+        wins, exactly as the rescan behaved.
         """
         if not reqs:
             raise RequestError("wait_any needs at least one request")
@@ -364,19 +254,17 @@ class EngineBase:
         index_of: dict[int, int] = {}
         for i, req in enumerate(reqs):
             index_of.setdefault(id(req), i)
-        cursor = self.session.cq.subscribe()
+        done_idx = {i for i, req in enumerate(reqs) if req.done}
+
+        def note_completion(req: NmRequest) -> None:
+            idx = index_of.get(id(req))
+            if idx is not None:
+                done_idx.add(idx)
+
+        listeners = self.session.on_request_complete
+        listeners.append(note_completion)
         try:
-            done_idx = {i for i, req in enumerate(reqs) if req.done}
-
-            def note_new_completions() -> None:
-                for rec in cursor.drain():
-                    if isinstance(rec, RequestCompletion):
-                        idx = index_of.get(id(rec.req))
-                        if idx is not None:
-                            done_idx.add(idx)
-
             while True:
-                note_new_completions()
                 if done_idx:
                     i = min(done_idx)
                     return i, reqs[i]
@@ -385,13 +273,12 @@ class EngineBase:
                     continue
                 flag.clear()
                 # completions can land while the pass yields (lock waits,
-                # service charges): pick them up before deciding to sleep
-                note_new_completions()
+                # service charges): the listener has recorded them already
                 if self.session.has_work() or done_idx:
                     continue
                 yield WaitFlag(flag)
         finally:
-            cursor.close()
+            listeners.remove(note_completion)
 
     def drain(self, tctx: ThreadContext) -> Generator[Any, Any, None]:
         """Quiesce the session: progress until no local work is queued and

@@ -4,10 +4,11 @@ The paper's §2.3 ships the rendezvous payload as one zero-copy DATA
 transfer on one rail once the CTS arrives. This module holds the whole
 rendezvous protocol:
 
-* :class:`RdvEngine` — the handler module registered against the
-  :class:`repro.nmad.core.SessionCore` dispatch tables: RTS emission and
-  answering, CTS handling, the DATA phase (whole or pipelined), and the
-  receiver-side rendezvous request/assembly state;
+* :class:`RdvEngine` — the engine :class:`repro.nmad.core.NmSession`
+  calls for rendezvous sends, RTS/CTS/DATA packets, ordered RTS delivery
+  and unexpected RTS matches: RTS emission and answering, CTS handling,
+  the DATA phase (whole or pipelined), and the receiver-side rendezvous
+  request/assembly state;
 * :class:`RdvPlanner` — plans a *pipelined* data phase: the payload is
   first **striped** across the gate's healthy rails proportionally to rail
   bandwidth (the same arithmetic
@@ -32,15 +33,15 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence
 
 from ..config import RdvConfig
 from ..errors import ProtocolError
-from ..network.message import Packet, PacketKind
+from ..network.message import Packet
 from .drivers.base import Driver, ExecContext
-from .request import NmRequest, Protocol, ReqState
+from .request import NmRequest, ReqState
 from .strategies.base import RailInfo, stripe_by_bandwidth
 from .unexpected import UnexpectedRts
 from .wire import CtsFrame, DataChunkFrame, NdarrayMeta, RtsFrame, data_frame, from_packet
 
 if TYPE_CHECKING:  # pragma: no cover - engines are owned by the session
-    from .core import SessionCore
+    from .core import NmSession
 
 __all__ = [
     "RDV_STAT_KEYS",
@@ -231,7 +232,7 @@ class PayloadAssembler:
 class RdvEngine:
     """Protocol engine for the RTS/CTS/DATA rendezvous state machine."""
 
-    def __init__(self, session: "SessionCore") -> None:
+    def __init__(self, session: "NmSession") -> None:
         self.session = session
         #: rendezvous receives waiting for DATA, by recv req_id
         self._recvs: dict[int, NmRequest] = {}
@@ -239,16 +240,10 @@ class RdvEngine:
         self._assembly: dict[int, PayloadAssembler] = {}
         #: rendezvous data-phase chunk/stripe planner
         self.planner = RdvPlanner(session.timing.rdv)
-        session.register_send_path(Protocol.RDV, self.start_send)
-        session.register_rx_handler(PacketKind.RTS, self.on_rx_rts)
-        session.register_rx_handler(PacketKind.CTS, self.on_rx_cts)
-        session.register_rx_handler(PacketKind.DATA, self.on_rx_data)
-        session.register_order_handler(RtsFrame, self.deliver_rts)
-        session.register_unexpected_path(UnexpectedRts, self.match_unexpected)
 
     # ---------------------------------------------------------------- TX side
 
-    def start_send(self, req: NmRequest, gate: object) -> None:
+    def start_send(self, req: NmRequest) -> None:
         """A send chose the rendezvous protocol: queue the RTS op."""
         self.session._enqueue_op(
             f"send_rts#{req.req_id}", lambda ctx, r=req: self.op_send_rts(ctx, r)

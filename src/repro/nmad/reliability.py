@@ -30,8 +30,8 @@ protocol state machines above it expect:
   ``degraded_restore_us`` or a delivery on it proves it healthy again.
 
 Retransmit timers fire in hardware (sim-callback) context: they only
-enqueue a session op and notify the engines, which re-arm their detection
-paths; the actual resubmission is charged to whichever execution context
+enqueue a session op and notify the session's engine, which re-arms its
+detection paths; the actual resubmission is charged to whichever execution context
 runs the op, identically to any other deferred operation.
 """
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..network.message import Packet, PacketKind
-from .progress import RecoveryCompletion
 from .strategies.base import RailInfo
 from .wire import (
     AckFrame,
@@ -55,7 +54,7 @@ from .wire import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.events import EventHandle
-    from .core import Gate, SessionCore
+    from .core import Gate, NmSession
     from .drivers.base import Driver, ExecContext
 
 __all__ = ["DegradedLink", "ReliabilityLayer"]
@@ -107,7 +106,7 @@ class ReliabilityLayer:
         "degraded_events",
     )
 
-    def __init__(self, session: "SessionCore") -> None:
+    def __init__(self, session: "NmSession") -> None:
         self.session = session
         self.sim = session.sim
         self.cfg = session.timing.faults
@@ -202,11 +201,6 @@ class ReliabilityLayer:
             # max_retries deliveries the frame almost certainly arrived and
             # only the ACKs were lost, e.g. a peer that stopped polling)
             self._complete_data_reqs(None, entry)
-            session.cq.publish(
-                RecoveryCompletion(
-                    outcome="gave_up", peer=key[0], wire_seq=key[1], time=self.sim.now
-                )
-            )
             session.activity_flag.set()
             session._trace_raw(
                 "rel.gave_up", f"n{session.node_index}", f"wire_seq={key[1]} ->n{key[0]}"
@@ -217,8 +211,8 @@ class ReliabilityLayer:
             f"retransmit#{key[1]}->n{key[0]}",
             lambda ctx, k=key: self._op_retransmit(ctx, k),
         )
-        # engines re-arm their detection paths (idle kick / blocking server)
-        session._notify_retransmit()
+        # the engine re-arms its detection paths (idle kick / blocking server)
+        session._hw_activity()
 
     def _op_retransmit(self, ctx: "ExecContext", key: tuple[int, int]) -> None:
         """Session op: resubmit one unacked packet (charged to ``ctx``)."""
@@ -354,11 +348,6 @@ class ReliabilityLayer:
         if entry is None:
             return  # duplicate ACK for an already-settled packet
         self.session.stats["acks_received"] += 1
-        self.session.cq.publish(
-            RecoveryCompletion(
-                outcome="acked", peer=key[0], wire_seq=key[1], time=self.sim.now
-            )
-        )
         self._acked(entry)
         self._complete_data_reqs(ctx, entry)
 

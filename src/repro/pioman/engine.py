@@ -52,16 +52,6 @@ class PiomanEngine(EngineBase):
             self.scheduler.register_tick_hook(self._tick_hook)
         if self.cfg.ctx_switch_trigger:
             self.scheduler.register_switch_hook(self._switch_hook)
-        # events: new deferred ops and hardware completions wake idle cores
-        session.on_ops_enqueued.append(self._kick)
-        self._seen_drivers: set[int] = set()
-        self._watch_drivers()
-        #: kept by name so close() can deregister it
-        self._driver_added_cb = lambda _drv: self._watch_drivers()
-        session.on_driver_added.append(self._driver_added_cb)
-        # retransmit timers fire in hardware context while every core may be
-        # blocked: re-arm the detection paths exactly like a hw completion
-        session.on_retransmit_timer.append(self._on_retransmit_timer)
         #: per-core virtual time at which a paid tasklet dispatch lands
         self._dispatch_due: dict[int, float | None] = {
             c.index: None for c in self.scheduler.cores
@@ -79,33 +69,23 @@ class PiomanEngine(EngineBase):
         self.kicks = 0
         self.offloaded_ops = 0
 
-    # ------------------------------------------------------------------ wiring
+    # ------------------------------------------------------------------ events
 
-    def _watch_drivers(self) -> None:
-        """Subscribe to activity of all (current) drivers; called again by
-        the session hook when gates are added later.
+    def notify_ops(self) -> None:
+        """An op was enqueued (e.g. a deferred submission): give it to an
+        idle core if one exists."""
+        if not self._kick_enabled:
+            return
+        self.kicks += 1
+        self.scheduler.kick_idle()
 
-        Keyed by the driver's monotonic :meth:`~repro.nmad.drivers.base.
-        Driver.serial`, NOT by ``id()``: the allocator reuses addresses of
-        collected drivers, and a recycled id would make this silently skip
-        a brand-new driver (its completions would then only ever be seen by
-        polling, never by the activity-driven wakeups).
-        """
-        for driver in self.session.drivers:
-            if driver.serial() not in self._seen_drivers:
-                self._seen_drivers.add(driver.serial())
-                driver.add_activity_listener(self._on_hw_activity)
-
-    def _on_hw_activity(self) -> None:
-        """Hardware context: a completion was produced somewhere."""
+    def notify_activity(self) -> None:
+        """Hardware context: a completion was produced somewhere, or a
+        retransmit timer queued recovery work while every core may be
+        blocked."""
         if not self.scheduler.kick_idle():
             # every core is busy: the blocking method (if armed) takes over;
             # otherwise the timer-tick trigger will detect the completion.
-            self.server.on_hw_activity()
-
-    def _on_retransmit_timer(self) -> None:
-        """Hardware context: an ack timeout queued a retransmit op."""
-        if not self.scheduler.kick_idle():
             self.server.on_hw_activity()
 
     def register_progress_hook(self, hook) -> None:
@@ -120,7 +100,8 @@ class PiomanEngine(EngineBase):
 
     def unregister_progress_hook(self, hook) -> None:
         """Remove a registered progression hook; idempotent."""
-        self._remove_hook(self._progress_hooks, hook)
+        if hook in self._progress_hooks:
+            self._progress_hooks.remove(hook)
 
     def _run_progress_hooks(self, ctx) -> bool:
         """Offer the context to each registered hook; True if one ran work."""
@@ -130,26 +111,14 @@ class PiomanEngine(EngineBase):
         return False
 
     def close(self) -> None:
-        """Deregister every scheduler/session/driver hook (idempotent)."""
+        """Deregister the Marcel triggers and the event server's completion
+        listener (idempotent)."""
+        super().close()
         self._progress_hooks.clear()
         self.scheduler.unregister_idle_hook(self._idle_hook)
         self.scheduler.unregister_tick_hook(self._tick_hook)
         self.scheduler.unregister_switch_hook(self._switch_hook)
-        self._remove_hook(self.session.on_ops_enqueued, self._kick)
-        self._remove_hook(self.session.on_driver_added, self._driver_added_cb)
-        self._remove_hook(self.session.on_retransmit_timer, self._on_retransmit_timer)
-        for driver in self.session.drivers:
-            driver.remove_activity_listener(self._on_hw_activity)
-        self._seen_drivers.clear()
         self.server.close()
-
-    def _kick(self) -> None:
-        """An op was enqueued (e.g. a deferred submission): give it to an
-        idle core if one exists."""
-        if not self._kick_enabled:
-            return
-        self.kicks += 1
-        self.scheduler.kick_idle()
 
     # ------------------------------------------------------------------ triggers
 

@@ -10,16 +10,13 @@ polling never touch the server.
 
 from __future__ import annotations
 
-from typing import Callable, TYPE_CHECKING
+from typing import Callable
 
 from ..config import TimingModel
 from ..marcel.scheduler import MarcelScheduler
 from ..marcel.tasklet import Tasklet
 from ..nmad.core import NmSession
 from ..nmad.request import NmRequest
-
-if TYPE_CHECKING:  # pragma: no cover
-    pass
 
 __all__ = ["EventServer"]
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import EngineKind
+from repro.config import EngineKind, TimingModel
 from repro.errors import HarnessError
 from repro.harness.runner import ClusterRuntime
+from repro.nmad.drivers.ib import ib_nic_model
+from repro.nmad.drivers.tcp import tcp_nic_model
 from repro.nmad.progress import SequentialEngine
 from repro.pioman.engine import PiomanEngine
 
@@ -35,6 +37,26 @@ class TestBuild:
     def test_invalid_interconnect_rejected(self):
         with pytest.raises(HarnessError):
             ClusterRuntime.build(interconnect="carrier-pigeon")
+
+    @pytest.mark.parametrize(
+        "interconnect, nic_model",
+        [("mx", TimingModel().nic), ("ib", ib_nic_model()), ("tcp", tcp_nic_model())],
+    )
+    def test_interconnect_prices_registration_and_interrupt(self, interconnect, nic_model):
+        """Buffer registration and PIOMan's blocking-detection interrupt are
+        priced with the chosen interconnect's NIC model (IB and TCP runs
+        used to be priced with the MX model)."""
+        rt = ClusterRuntime.build(interconnect=interconnect)
+        nrt = rt.node(0)
+        cost = nrt.session.registry.register("buf", 4096)
+        assert cost == pytest.approx(nic_model.registration_us(4096))
+        server = nrt.engine.server
+        fired = []
+        server._fire_detection = lambda: fired.append(rt.sim.now)
+        server.arm(nrt.session.make_recv(1, 0, 16))
+        server.on_hw_activity()
+        rt.run(until=100.0)
+        assert fired == [pytest.approx(nic_model.interrupt_us)]
 
     def test_gates_fully_wired(self):
         rt = ClusterRuntime.build(nodes=3)

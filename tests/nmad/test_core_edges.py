@@ -1,4 +1,4 @@
-"""Edge-case and error-path tests for the session core."""
+"""Edge-case and error-path tests for the nmad session."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from repro.marcel.scheduler import MarcelScheduler
 from repro.marcel.tasklet import TaskletContext
 from repro.nmad.core import Gate, NmSession
 from repro.nmad.drivers.shm import ShmDriver
+from repro.nmad.progress import EngineBase
 from repro.nmad.wire import CtsFrame, DataChunkFrame, EagerFrame
 from repro.network.shm import ShmChannel
 from repro.units import KiB
@@ -112,9 +113,16 @@ class TestProgressBudget:
         assert session.progress(_ctx(sim), poll=False)
 
     def test_ops_listener_fires(self, sim, wired_session):
+        """An enqueued op notifies the session's engine, once."""
         session, _ = wired_session
+        session._enqueue_op("op", lambda c: None)  # no engine yet: no-op
         fired = []
-        session.on_ops_enqueued.append(lambda: fired.append(True))
+
+        class Recorder(EngineBase):
+            def notify_ops(self):
+                fired.append(True)
+
+        Recorder(session)
         session._enqueue_op("op", lambda c: None)
         assert fired == [True]
 

@@ -2,10 +2,10 @@
 
 The pre-refactor implementation re-scanned the whole request list after
 *every* progress pass — O(n × passes) ``req.done`` inspections for one
-call. The completion-cursor implementation scans the list exactly once up
-front and then only looks at newly published
-:class:`repro.nmad.progress.RequestCompletion` records, so a 256-request
-``wait_any`` spanning hundreds of passes must stay O(n + completions).
+call. The listener implementation scans the list exactly once up front
+and then only hears about newly completed requests through the session's
+``on_request_complete`` channel, so a 256-request ``wait_any`` spanning
+hundreds of passes must stay O(n + completions).
 """
 
 from __future__ import annotations
@@ -77,9 +77,9 @@ def test_wait_any_does_not_rescan_per_pass(session, monkeypatch):
     )
 
 
-def test_wait_any_completion_released_through_cursor(session):
-    """The cursor must notice a completion published *during* a pass even
-    when the request list was clean at subscription time."""
+def test_wait_any_completion_released_through_listener(session):
+    """The listener must notice a completion announced *during* a pass even
+    when the request list was clean when wait_any started."""
     engine = SequentialEngine(session)
     reqs = [session.make_recv(0, i, 16) for i in range(8)]
 
@@ -91,8 +91,8 @@ def test_wait_any_completion_released_through_cursor(session):
     engine._progress_step = one_shot_step
     idx, req = _run_to_completion(engine.wait_any(None, reqs))
     assert (idx, req) == (5, reqs[5])
-    # the cursor was closed on exit: no leaked subscription keeps growing
-    assert session.cq.stats()["cursors"] == 0
+    # the listener was removed on exit: wait_any leaves nothing behind
+    assert session.on_request_complete == []
 
 
 def test_wait_any_prefers_lowest_index_when_pre_completed(session):

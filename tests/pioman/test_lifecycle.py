@@ -1,22 +1,19 @@
-"""Engine lifecycle regressions: hook deregistration and driver identity.
+"""Engine lifecycle regressions: hook deregistration and engine replacement.
 
-Two bugs this file pins down:
-
-* engines used to register scheduler/session/driver hooks they never
-  removed, so rebuilding an engine on live objects left the stale one
-  reacting to every event (duplicate kicks, double polling);
-* ``PiomanEngine._watch_drivers`` used to key its seen-set by ``id(driver)``
-  — the allocator reuses addresses of collected drivers, so a brand-new
-  driver could be silently skipped and never get an activity listener.
+Engines used to register scheduler/session/driver hooks they never
+removed, so rebuilding an engine on live objects left the stale one
+reacting to every event (duplicate kicks, double polling). The session
+now holds one ``engine`` reference: constructing an engine points the
+session at it, and ``close()`` detaches the Marcel triggers and the event
+server's completion listener.
 """
 
 from __future__ import annotations
 
-import gc
-
-from repro.config import EngineKind, TimingModel
+from repro.config import EngineKind
+from repro.faults import FaultPlan
 from repro.harness.runner import ClusterRuntime
-from repro.nmad.drivers.mx import MxDriver
+from repro.nmad.wire import RtsFrame
 from repro.pioman.engine import PiomanEngine
 
 
@@ -26,12 +23,22 @@ def _hook_counts(nrt):
         "idle": len(sched.idle_hooks),
         "tick": len(sched.tick_hooks),
         "switch": len(sched.switch_hooks),
-        "ops_enqueued": len(sess.on_ops_enqueued),
-        "driver_added": len(sess.on_driver_added),
-        "retransmit": len(sess.on_retransmit_timer),
         "request_complete": len(sess.on_request_complete),
         "nic_listeners": [len(nic._activity_listeners) for nic in nrt.nics],
     }
+
+
+def _record_activity(engine):
+    """Count the engine's hardware-activity notifications."""
+    calls = []
+    original = engine.notify_activity
+
+    def notify_activity():
+        calls.append(True)
+        original()
+
+    engine.notify_activity = notify_activity
+    return calls
 
 
 def test_close_deregisters_every_hook():
@@ -41,23 +48,19 @@ def test_close_deregisters_every_hook():
     # request_complete: the engine's hook + the runtime's metrics-latency
     # hook (removed by rt.close(), not by engine.close())
     assert before["idle"] == 1 and before["request_complete"] == 2
-    assert all(n >= 1 for n in before["nic_listeners"])
+    assert nrt.session.engine is nrt.engine
     nrt.engine.close()
     after = _hook_counts(nrt)
     assert after["idle"] == 0
     assert after["tick"] == 0
     assert after["switch"] == 0
-    assert after["ops_enqueued"] == 0
-    assert after["driver_added"] == 0
-    assert after["retransmit"] == 0
     assert after["request_complete"] == 1  # only the metrics hook remains
+    assert nrt.session.engine is None
     rt.close()
     assert len(nrt.session.on_request_complete) == 0
-    # each nic loses exactly the engine's listener; the session's own
-    # activity_flag.set listener (registered at gate creation) stays
-    assert after["nic_listeners"] == [n - 1 for n in before["nic_listeners"]]
-    for nic in nrt.nics:
-        assert nrt.engine._on_hw_activity not in nic._activity_listeners
+    # the session's own listener (registered at gate creation) is the
+    # only one on each nic, with or without an engine
+    assert before["nic_listeners"] == after["nic_listeners"] == [1] * len(nrt.nics)
 
 
 def test_close_is_idempotent():
@@ -78,12 +81,64 @@ def test_rebuild_after_close_does_not_accumulate_hooks():
     replacement.close()
 
 
+def test_replacement_engine_alone_receives_session_events():
+    """After ``PiomanEngine(session)`` replaces a closed engine, an
+    enqueued op, hardware activity and a retransmit timer each reach the
+    new engine only."""
+    rt = ClusterRuntime.build(
+        engine=EngineKind.PIOMAN, faults=FaultPlan.uniform_drop(0.5)
+    )
+    nrt = rt.node(0)
+    session = nrt.session
+    old = nrt.engine
+    old.close()
+    new = PiomanEngine(session)
+    assert session.engine is new
+    old_activity, new_activity = _record_activity(old), _record_activity(new)
+
+    # an enqueued op
+    session.defer("probe", lambda ctx: None)
+    assert (old.kicks, new.kicks) == (0, 1)
+
+    # hardware activity on a rail: the session flag is set, then the engine
+    sets = session.activity_flag.set_count
+    nrt.nics[0]._notify()
+    assert session.activity_flag.set_count == sets + 1
+    assert (len(old_activity), len(new_activity)) == (0, 1)
+
+    # a retransmit timer: a tracked RTS whose ack never came
+    rel = session.reliability
+    packet = RtsFrame(send_req_id=1, src=0, tag=0, seq=0, size=1).to_packet(1)
+    rel.track(session.gate_to(1), packet, "control", 0)
+    (key,) = rel._pending
+    rel._on_timeout(key)
+    assert session.stats["timeouts"] == 1
+    assert (len(old_activity), len(new_activity)) == (0, 2)
+    assert (old.kicks, new.kicks) == (0, 2)  # the queued retransmit op
+
+    new.close()
+    new.close()  # idempotent
+    old.close()  # closing the replaced engine again leaves the session alone
+    assert session.engine is None
+
+
+def test_closing_a_replaced_engine_keeps_the_new_one_attached():
+    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN)
+    session = rt.node(0).session
+    old = rt.node(0).engine
+    new = PiomanEngine(session)
+    old.close()
+    assert session.engine is new
+    new.close()
+
+
 def test_runtime_close_tears_down_all_nodes():
     rt = ClusterRuntime.build(engine=EngineKind.PIOMAN)
     rt.close()
     for nrt in rt.nodes:
         assert not nrt.scheduler.idle_hooks
         assert not nrt.session.on_request_complete
+        assert nrt.session.engine is None
 
 
 def test_sequential_engine_close_is_safe():
@@ -92,42 +147,3 @@ def test_sequential_engine_close_is_safe():
     rt = ClusterRuntime.build(engine=EngineKind.SEQUENTIAL)
     rt.close()
     rt.close()
-
-
-# ------------------------------------------------------------ driver identity
-
-
-def test_driver_serials_are_unique_and_stable():
-    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, rails=2)
-    drivers = rt.node(0).session.drivers
-    serials = [d.serial() for d in drivers]
-    assert len(set(serials)) == len(serials)
-    assert serials == [d.serial() for d in drivers]  # stable across calls
-
-
-def test_driver_serial_never_reused_after_collection():
-    """Unlike ``id()``, a serial is never recycled: a fresh driver always
-    gets a fresh serial even if it lands at a collected driver's address."""
-    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN)
-    nic = rt.node(0).nics[0]
-    timing = TimingModel()
-    d1 = MxDriver(nic, timing.host)
-    s1, addr1 = d1.serial(), id(d1)
-    del d1
-    gc.collect()
-    d2 = MxDriver(nic, timing.host)
-    assert d2.serial() != s1
-    assert d2.serial() > s1
-    # even in the id-reuse case the seen-set logic stays correct
-    if id(d2) == addr1:  # pragma: no cover - allocator-dependent
-        assert d2.serial() != s1
-
-
-def test_watch_drivers_keyed_by_serial():
-    """The engine's seen-set holds serials (never ids), so every driver of
-    the session — including ones added after construction — is watched."""
-    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN)
-    nrt = rt.node(0)
-    engine = nrt.engine
-    assert engine._seen_drivers == {d.serial() for d in nrt.session.drivers}
-    assert all(isinstance(s, int) for s in engine._seen_drivers)
