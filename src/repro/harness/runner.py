@@ -321,7 +321,12 @@ class ClusterRuntime:
             return
         sim = self.sim
         reg.register_collector(
-            "sim", lambda: {"time_us": sim.now, "events_fired": sim.events_fired}
+            "sim",
+            lambda: {
+                "time_us": sim.now,
+                "events_fired": sim.events_fired,
+                "chain_boundaries": sim.chain_boundaries,
+            },
         )
         if self.fault_injector is not None:
             reg.register_collector("faults", self.fault_injector.stats)

@@ -24,6 +24,8 @@ class RunQueue:
         self._levels: tuple[deque[MarcelThread], ...] = tuple(
             deque() for _ in range(Priority.LEVELS)
         )
+        #: threads queued over all levels (``len`` is on the hot path)
+        self._count = 0
 
     def push(self, thread: MarcelThread) -> None:
         if thread.state != ThreadState.READY:
@@ -31,6 +33,7 @@ class RunQueue:
                 f"cannot enqueue {thread.name} in state {thread.state}"
             )
         self._levels[thread.priority].append(thread)
+        self._count += 1
 
     def push_front(self, thread: MarcelThread) -> None:
         """Re-queue a preempted thread at the head of its level (it keeps
@@ -40,11 +43,13 @@ class RunQueue:
                 f"cannot enqueue {thread.name} in state {thread.state}"
             )
         self._levels[thread.priority].appendleft(thread)
+        self._count += 1
 
     def pop(self) -> Optional[MarcelThread]:
         """Take the highest-priority ready thread, or None."""
         for level in self._levels:
             if level:
+                self._count -= 1
                 return level.popleft()
         return None
 
@@ -66,6 +71,7 @@ class RunQueue:
                 if level[i].migratable:
                     thread = level[i]
                     del level[i]
+                    self._count -= 1
                     return thread
         return None
 
@@ -74,12 +80,13 @@ class RunQueue:
         level = self._levels[thread.priority]
         try:
             level.remove(thread)
-            return True
         except ValueError:
             return False
+        self._count -= 1
+        return True
 
     def __len__(self) -> int:
-        return sum(len(level) for level in self._levels)
+        return self._count
 
     def __iter__(self) -> Iterator[MarcelThread]:
         for level in self._levels:

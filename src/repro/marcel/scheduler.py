@@ -14,7 +14,9 @@ switches, timer interrupts"):
   returns ``(cpu_us, repoll_delay)``: CPU consumed now, and an optional
   delay after which the core should call again even without a wake.
 * *tick hooks* — run at timer-interrupt boundaries while a thread computes;
-  intended for cheap completion detection only.
+  intended for cheap completion detection only. A hook may come with a
+  ``wants(core)`` predicate saying whether a tick on that core would do
+  anything for it.
 * *switch hooks* — run at context-switch points.
 
 Tasklets are drained at every safe point (dispatch, tick, idle) before any
@@ -27,6 +29,21 @@ kernel event is in flight that will re-enter the core's dispatch machinery,
 or the core is **parked** (truly idle, no events — it is woken explicitly).
 This keeps the simulation free of double-dispatch races and keeps the event
 count proportional to actual activity.
+
+Tickless compute
+----------------
+Timer ticks stay the safe points at which a computing core notices new
+work, but most of them find none. A core is *quiet* while its runqueue is
+empty, no tasklet is pending for it, its thread runs above LOW priority
+and every tick hook's ``wants`` predicate is false. A quiet core's slice
+ends become one kernel tick chain (:meth:`Simulator.start_chain`) instead
+of an event per tick: each boundary runs the slice-end arithmetic of a
+tick that does nothing, with the same float operations in the same order,
+and takes the same sequence number. Whatever can end quietness re-arms
+the core first — a thread woken or spawned onto it, a tasklet it could
+run, :meth:`MarcelScheduler.resume_ticks` (PIOMan's hardware-activity
+notice), a hook registered without a predicate — by materializing the
+pending boundary into the ordinary slice-end event with the same key.
 """
 
 from __future__ import annotations
@@ -80,6 +97,10 @@ class CoreRuntime:
         self.next_tick = 0.0
         self.idle_since: Optional[float] = None
         self.repoll_handle = None  # EventHandle for a pending idle repoll
+        #: kernel tick-chain entry while the core computes quietly
+        self.chain: Optional[list[Any]] = None
+        #: length of the slice the chain's pending boundary ends
+        self.chain_len = 0.0
         # statistics
         self.switches = 0
         self.preemptions = 0
@@ -118,6 +139,8 @@ class MarcelScheduler:
         self.threads: list[MarcelThread] = []
         self.idle_hooks: list[Callable[[CoreRuntime], tuple[float, Optional[float]]]] = []
         self.tick_hooks: list[Callable[[CoreRuntime], float]] = []
+        #: ``wants(core)`` predicate per tick hook; None keeps cores ticking
+        self._tick_wants: dict[Any, Optional[Callable[[CoreRuntime], bool]]] = {}
         self.switch_hooks: list[Callable[[CoreRuntime], float]] = []
         #: thread whose generator is currently being advanced (for
         #: primitives needing the caller's identity)
@@ -130,8 +153,23 @@ class MarcelScheduler:
     def register_idle_hook(self, hook: Callable[[CoreRuntime], tuple[float, Optional[float]]]) -> None:
         self.idle_hooks.append(hook)
 
-    def register_tick_hook(self, hook: Callable[[CoreRuntime], float]) -> None:
+    def register_tick_hook(
+        self,
+        hook: Callable[[CoreRuntime], float],
+        wants: Optional[Callable[[CoreRuntime], bool]] = None,
+    ) -> None:
+        """Run ``hook(core)`` at every timer tick of a computing core.
+
+        ``wants(core)`` tells whether a tick on ``core`` would do anything
+        for the hook right now. While it is false (and nothing else needs
+        the tick) the core computes tickless; whoever makes it true must
+        call :meth:`resume_ticks`. Without a predicate the hook keeps every
+        core ticking.
+        """
         self.tick_hooks.append(hook)
+        self._tick_wants[hook] = wants
+        if wants is None:
+            self.resume_ticks()
 
     def register_switch_hook(self, hook: Callable[[CoreRuntime], float]) -> None:
         self.switch_hooks.append(hook)
@@ -149,6 +187,9 @@ class MarcelScheduler:
             self.tick_hooks.remove(hook)
         except ValueError:
             pass
+        else:
+            if hook not in self.tick_hooks:
+                del self._tick_wants[hook]
 
     def unregister_switch_hook(self, hook: Callable[[CoreRuntime], float]) -> None:
         try:
@@ -207,9 +248,12 @@ class MarcelScheduler:
                     thread.core_index = cand.index
                     core_index = cand.index
                     break
-        self.cores[core_index].runqueue.push(thread)
-        self._trace("marcel.spawn", self.cores[core_index].name, thread.name)
-        self._wake_core(self.cores[core_index])
+        core = self.cores[core_index]
+        core.runqueue.push(thread)
+        if core.chain is not None:
+            self._materialize(core)
+        self._trace("marcel.spawn", core.name, thread.name)
+        self._wake_core(core)
         return thread
 
     def done_event_of(self, thread: MarcelThread) -> ThreadEvent:
@@ -240,6 +284,8 @@ class MarcelScheduler:
                     core = cand
                     break
         core.runqueue.push(thread)
+        if core.chain is not None:
+            self._materialize(core)
         self._trace("marcel.wake", core.name, thread.name)
         self._wake_core(core)
 
@@ -286,9 +332,14 @@ class MarcelScheduler:
 
     def _on_tasklet_enqueued(self, core_index: Optional[int]) -> None:
         if core_index is not None:
-            self._wake_core(self.cores[core_index])
+            core = self.cores[core_index]
+            if core.chain is not None:
+                self._materialize(core)
+            self._wake_core(core)
             return
-        # shared tasklet: wake the first non-active core, if any
+        # shared tasklet: any core's next tick may run it
+        self.resume_ticks()
+        # wake the first non-active core, if any
         for core in self.cores:
             if core.control != CoreRuntime.ACTIVE:
                 self._wake_core(core)
@@ -463,7 +514,68 @@ class MarcelScheduler:
         self._account(core, slice_len, thread.compute_kind)
         thread.cpu_us += slice_len
         core.quantum_used += slice_len
+        if thread.compute_remaining - slice_len > _EPS and self._quiet(core, thread):
+            # the slice ends on a tick that will do nothing: chain it
+            core.chain_len = slice_len
+            core.chain = self.sim.start_chain(now + slice_len, self._quiet_tick, core, thread)
+            return
         self.sim.schedule(slice_len, self._slice_end, core, thread, slice_len, priority=EventPriority.NORMAL, label=f"{core.name}.slice")
+
+    def _quiet(self, core: CoreRuntime, thread: MarcelThread) -> bool:
+        """True when the ticks of ``thread``'s compute on ``core`` would do
+        nothing (see "Tickless compute" in the module docstring)."""
+        if (
+            thread.priority >= Priority.LOW
+            or len(core.runqueue)
+            or self.tasklets.pending_for(core.index)
+        ):
+            return False
+        for wants in self._tick_wants.values():
+            if wants is None or wants(core):
+                return False
+        return True
+
+    def _quiet_tick(self, core: CoreRuntime, thread: MarcelThread) -> Optional[float]:
+        """Chain boundary: the slice end at ``now``. A tick that does
+        nothing runs ``_slice_end``'s and ``_start_slice``'s arithmetic
+        and returns the next slice end; the end of the compute goes
+        through the ordinary ``_slice_end`` and ends the chain."""
+        slice_len = core.chain_len
+        remaining = max(0.0, thread.compute_remaining - slice_len)
+        if remaining <= _EPS:
+            core.chain = None
+            self._slice_end(core, thread, slice_len)
+            return None
+        thread.compute_remaining = remaining
+        now = self.sim.now
+        tick = self.cfg.timer_tick_us
+        if now + _EPS >= core.next_tick:
+            core.ticks += 1
+            while core.next_tick <= now + _EPS:
+                core.next_tick += tick
+        # next_tick is past now here, so _start_slice's re-phase never applies
+        slice_len = min(remaining, core.next_tick - now)
+        core.timeline.add(now, now + slice_len, thread.compute_kind)
+        thread.cpu_us += slice_len
+        core.quantum_used += slice_len
+        core.chain_len = slice_len
+        return now + slice_len
+
+    def _materialize(self, core: CoreRuntime) -> None:
+        """Re-arm ticking on ``core``: its chain's pending boundary becomes
+        the ordinary slice-end event, with the same kernel key."""
+        self.sim.materialize(
+            core.chain, self._slice_end, core, core.current, core.chain_len,
+            label=f"{core.name}.slice",
+        )
+        core.chain = None
+
+    def resume_ticks(self) -> None:
+        """Re-arm ticking on every core computing tickless. Call it when a
+        tick hook's ``wants`` predicate may have turned true."""
+        for core in self.cores:
+            if core.chain is not None:
+                self._materialize(core)
 
     def _slice_end(self, core: CoreRuntime, thread: MarcelThread, slice_len: float) -> None:
         thread.compute_remaining = max(0.0, thread.compute_remaining - slice_len)

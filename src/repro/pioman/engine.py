@@ -49,7 +49,7 @@ class PiomanEngine(EngineBase):
         # Marcel triggers (§3.1)
         self.scheduler.register_idle_hook(self._idle_hook)
         if self.cfg.timer_trigger:
-            self.scheduler.register_tick_hook(self._tick_hook)
+            self.scheduler.register_tick_hook(self._tick_hook, wants=self._tick_wants)
         if self.cfg.ctx_switch_trigger:
             self.scheduler.register_switch_hook(self._switch_hook)
         #: per-core virtual time at which a paid tasklet dispatch lands
@@ -83,6 +83,8 @@ class PiomanEngine(EngineBase):
         """Hardware context: a completion was produced somewhere, or a
         retransmit timer queued recovery work while every core may be
         blocked."""
+        # the tick trigger wants the next tick of every computing core
+        self.scheduler.resume_ticks()
         if not self.scheduler.kick_idle():
             # every core is busy: the blocking method (if armed) takes over;
             # otherwise the timer-tick trigger will detect the completion.
@@ -188,6 +190,13 @@ class PiomanEngine(EngineBase):
             self.session.poll_completions(ctx)
             cost += ctx.cpu_us
         return cost
+
+    def _tick_wants(self, core: CoreRuntime) -> bool:
+        """Whether a tick on ``core`` would find anything to do. Only
+        completions matter: LOW-priority threads, whose ticks also run
+        deferred ops, never compute tickless. A completion surfaces through
+        :meth:`notify_activity`, which re-arms the ticks."""
+        return self.session.has_completions()
 
     def _switch_hook(self, core: CoreRuntime) -> float:
         """Cheap completion detection at context switches."""

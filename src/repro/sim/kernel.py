@@ -23,10 +23,29 @@ interleaving bounded runs with ``schedule_at`` see a consistent clock.
 Nth event; a run that *completes* (drains, stops, or reaches ``until``)
 in exactly N events returns normally. ``stop()`` requested before
 ``run()`` is honoured: the run fires zero events and consumes the stop.
+
+Tick chains
+-----------
+A *tick chain* (:meth:`Simulator.start_chain`) is a run of boundaries a
+layer would otherwise schedule as one event each, every one rescheduling
+the next: Marcel's timer-tick slice ends on a core that computes with
+nothing to react to. Its entry ``[time, priority, seq, fn, args]`` sits
+in a small heap beside the event queue and the run loops merge the two
+in key order. Passing a boundary calls ``fn(*args)``, which returns the
+time of the next boundary (or None to end the chain); the kernel then
+takes the one sequence number that boundary's event would have taken
+and re-keys the entry in place — no :class:`EventHandle`, no queue
+traffic. :meth:`Simulator.materialize` turns the pending boundary into a
+real event with the identical key, so a chain is indistinguishable from
+the events it stands for. ``events_fired`` counts real events only;
+``chain_boundaries`` counts the boundaries passed; ``max_events``,
+:meth:`step`, :meth:`peek_time`, :meth:`pending_count` and the liveness
+check see both.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Any, Callable, Iterable, Union
 
@@ -74,6 +93,12 @@ class Simulator:
         self._liveness_probes: list[Callable[[], Iterable[str]]] = []
         #: total events fired (statistics / regression checks)
         self.events_fired: int = 0
+        #: tick-chain boundaries passed (see "Tick chains" above)
+        self.chain_boundaries: int = 0
+        #: heap of live tick-chain entries ``[time, priority, seq, fn, args]``;
+        #: an entry leaves it (and its ``fn`` becomes None) when the chain
+        #: ends or is materialized
+        self._chains: list[list[Any]] = []
         #: callbacks fired after every event with the current time; observers
         #: must not schedule events (they exist so samplers can piggyback on
         #: the loop without perturbing it — see ``repro.obs.sampler``).
@@ -173,6 +198,61 @@ class Simulator:
         callback returns)."""
         return self.schedule_at(self._now, fn, *args, priority=priority, label=label)
 
+    # -- tick chains -----------------------------------------------------------
+
+    def start_chain(self, time: float, fn: Callable[..., Any], *args: Any) -> list[Any]:
+        """Start a tick chain whose first boundary is at ``time``.
+
+        At each boundary ``fn(*args)`` runs with the clock on it and
+        returns the next boundary's time, or None to end the chain. The
+        first boundary takes its sequence number now, exactly as
+        ``schedule_at(time, …)`` would. Returns the chain's heap entry,
+        the handle :meth:`materialize` takes.
+        """
+        if time < self._now:
+            raise SimulationError(
+                f"cannot start a chain at t={time} before now={self._now}"
+            )
+        seq = self._seq + 1
+        self._seq = seq
+        entry = [time, Priority.NORMAL, seq, fn, args]
+        heapq.heappush(self._chains, entry)
+        return entry
+
+    def materialize(
+        self, entry: list[Any], fn: Callable[..., Any], *args: Any, label: str = ""
+    ) -> EventHandle:
+        """Retire a live chain: its pending boundary becomes ``fn(*args)``
+        scheduled with the boundary's own ``(time, priority, seq)`` key."""
+        if entry[3] is None:
+            raise SimulationError("chain entry already retired")
+        chains = self._chains
+        i = next(i for i, other in enumerate(chains) if other is entry)
+        chains[i] = chains[-1]
+        chains.pop()
+        heapq.heapify(chains)  # a heap of one entry per computing core
+        entry[3] = None
+        handle = EventHandle(entry[0], entry[1], entry[2], fn, args, label)
+        self._queue.push(handle)
+        return handle
+
+    def _pass_boundary(self, entry: list[Any]) -> None:
+        """Pass ``entry``'s boundary, the top of the chain heap; the clock
+        is already on it. Entries pushed by ``fn`` have later keys, so
+        ``entry`` is still the top when ``fn`` returns."""
+        nxt = entry[3](*entry[4])
+        self.chain_boundaries += 1
+        chains = self._chains
+        if nxt is None:
+            heapq.heappop(chains)
+            entry[3] = None
+            return
+        seq = self._seq + 1
+        self._seq = seq
+        entry[0] = nxt
+        entry[2] = seq
+        heapq.heapreplace(chains, entry)
+
     # -- liveness ------------------------------------------------------------
 
     def add_liveness_probe(self, probe: Callable[[], Iterable[str]]) -> None:
@@ -225,19 +305,41 @@ class Simulator:
         self._stopped = True
 
     def peek_time(self) -> float | None:
-        """Time of the next pending event, or None if the queue is drained."""
-        return self._queue.peek_time()
+        """Time of the next pending event or chain boundary, or None if
+        nothing is pending."""
+        time = self._queue.peek_time()
+        chains = self._chains
+        if chains and (time is None or chains[0][0] < time):
+            return chains[0][0]
+        return time
+
+    def _due_chain(self) -> list[Any] | None:
+        """The live chain entry that precedes the queue's next event, or
+        None when the next thing to run is an event (or nothing)."""
+        if not self._chains:
+            return None
+        entry = self._chains[0]
+        handle = self._queue.peek()
+        if handle is None or (entry[0], entry[1], entry[2]) < handle._key:
+            return entry
+        return None
 
     def step(self) -> bool:
-        """Fire the next pending event. Returns False if the queue is empty."""
-        handle = self._queue.pop_next()
-        if handle is None:
-            return False
-        if handle.time < self._now:  # pragma: no cover - guarded at insert
-            raise SimulationError("time went backwards")
-        self._now = handle.time
-        handle._fire()
-        self.events_fired += 1
+        """Fire the next pending event or pass the next chain boundary.
+        Returns False if nothing is pending."""
+        entry = self._due_chain()
+        if entry is not None:
+            self._now = entry[0]
+            self._pass_boundary(entry)
+        else:
+            handle = self._queue.pop_next()
+            if handle is None:
+                return False
+            if handle.time < self._now:  # pragma: no cover - guarded at insert
+                raise SimulationError("time went backwards")
+            self._now = handle.time
+            handle._fire()
+            self.events_fired += 1
         if self._observers:
             for ob in tuple(self._observers):
                 ob(self._now)
@@ -296,22 +398,60 @@ class Simulator:
         self, queue: CalendarQueue, until: float | None, max_events: int | None
     ) -> float:
         """The fast loop: straight-line batch consumption of the calendar
-        queue (index bump, fire, release). ``events_fired`` is flushed
-        lazily — it is exact whenever an observer fires and when the run
-        returns (or raises), which is every point an outside reader can
-        observe mid-run."""
+        queue (index bump, fire, release), merged with the chain heap in
+        key order. ``events_fired`` is flushed lazily — it is exact
+        whenever an observer fires and when the run returns (or raises),
+        which is every point an outside reader can observe mid-run."""
         refill = queue._refill
+        chains = self._chains
         # the observer list is only ever mutated in place, so the alias
         # tracks add_observer/remove_observer across the whole run
         observers = self._observers
         horizon = math.inf if until is None else until
-        ef = self.events_fired
-        # ``ef`` climbs by one per event, so it meets ``last`` exactly
+        # ``ef`` counts events and chain boundaries (both count towards
+        # ``max_events``) and climbs by one per step, so it meets ``last``
+        # exactly
+        ef = self.events_fired + self.chain_boundaries
         last = -1 if max_events is None else ef + max(max_events, 0)
         try:
             while not self._stopped:
                 i = queue._batch_i
                 batch = queue._batch
+                if chains:
+                    # a live chain: pass its boundary if it precedes the
+                    # next event (an empty refill skipped), else fall
+                    # through to the event path
+                    entry = chains[0]
+                    if i < len(batch):
+                        handle = batch[i]
+                        ctime = entry[0]
+                        first = not handle.cancelled and (
+                            ctime < handle.time
+                            or (
+                                ctime == handle.time
+                                and (entry[1], entry[2]) < (handle.priority, handle.seq)
+                            )
+                        )
+                    elif queue._bucket_count and refill():
+                        continue
+                    else:
+                        first = True
+                    if first:
+                        time = entry[0]
+                        if time > horizon:
+                            if horizon > self._now:
+                                self._now = horizon
+                            break
+                        if ef == last:
+                            raise self._runaway(max_events)
+                        self._now = time
+                        self._pass_boundary(entry)
+                        ef += 1
+                        if observers:
+                            self.events_fired = ef - self.chain_boundaries
+                            for ob in tuple(observers):
+                                ob(self._now)
+                        continue
                 if i >= len(batch):
                     if not refill():
                         self._finish_drained(until)
@@ -341,13 +481,13 @@ class Simulator:
                 handle._args = ()
                 ef += 1
                 if observers:
-                    self.events_fired = ef
+                    self.events_fired = ef - self.chain_boundaries
                     # observers may detach themselves mid-run: iterate a
                     # snapshot, paid for only when any exist
                     for ob in tuple(observers):
                         ob(self._now)
         finally:
-            self.events_fired = ef
+            self.events_fired = ef - self.chain_boundaries
         return self._now
 
     def _run_generic(
@@ -357,7 +497,8 @@ class Simulator:
         :class:`HeapQueue` test oracle and third-party implementations."""
         fired = 0
         while not self._stopped:
-            time = queue.peek_time()
+            entry = self._due_chain()
+            time = queue.peek_time() if entry is None else entry[0]
             if time is None:
                 self._finish_drained(until)
                 break
@@ -367,11 +508,15 @@ class Simulator:
                 break
             if max_events is not None and fired >= max_events:
                 raise self._runaway(max_events)
-            handle = queue.pop_next()
-            assert handle is not None
-            self._now = handle.time
-            handle._fire()
-            self.events_fired += 1
+            if entry is not None:
+                self._now = time
+                self._pass_boundary(entry)
+            else:
+                handle = queue.pop_next()
+                assert handle is not None
+                self._now = handle.time
+                handle._fire()
+                self.events_fired += 1
             observers = self._observers
             if observers:
                 for ob in tuple(observers):
@@ -382,8 +527,9 @@ class Simulator:
     # -- introspection ---------------------------------------------------------
 
     def pending_count(self) -> int:
-        """Number of scheduled, non-cancelled events (O(n); for tests)."""
-        return self._queue.pending_count()
+        """Number of scheduled, non-cancelled events plus live chains, one
+        pending boundary each (O(n); for tests)."""
+        return self._queue.pending_count() + len(self._chains)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator t={self._now:.3f}µs pending={len(self._queue)}>"

@@ -90,6 +90,12 @@ class EventQueue:
         """Time of the next pending handle, or None when drained."""
         raise NotImplementedError
 
+    def peek(self) -> "EventHandle | None":
+        """The next pending handle without removing it, or None when
+        drained. This default scans every entry; the kernel only asks
+        while a tick chain is live, and both built-in queues override it."""
+        return min((h for h in self if not h.cancelled), key=_SORT_KEY, default=None)
+
     def __len__(self) -> int:
         raise NotImplementedError
 
@@ -148,6 +154,13 @@ class HeapQueue(EventQueue):
             heapq.heappop(heap)
             self._cancelled -= 1
         return heap[0].time if heap else None
+
+    def peek(self) -> "EventHandle | None":
+        heap = self._heap
+        while heap and heap[0].cancelled:
+            heapq.heappop(heap)
+            self._cancelled -= 1
+        return heap[0] if heap else None
 
     def _note_cancel(self) -> None:
         self._cancelled += 1
@@ -302,6 +315,11 @@ class CalendarQueue(EventQueue):
                 return handle.time
             if not self._refill():
                 return None
+
+    def peek(self) -> "EventHandle | None":
+        if self.peek_time() is None:
+            return None
+        return self._batch[self._batch_i]
 
     def _refill(self) -> bool:
         """Extract the next bucket-visit into ``_batch``; False if drained."""

@@ -128,7 +128,9 @@ class CoreTimeline:
 
     Intervals are accumulated by the Marcel scheduler: ``busy`` when a user
     thread computes, ``service`` when PIOMan/tasklet work runs, ``idle``
-    otherwise.
+    otherwise. An interval that starts where the last one ended, with the
+    same kind, extends it (a long compute is one interval, not one per
+    timer tick); the per-kind sums still add every span separately.
     """
 
     name: str
@@ -149,7 +151,13 @@ class CoreTimeline:
             self.idle_us += span
         else:
             raise ValueError(f"unknown interval kind {kind!r}")
-        self.intervals.append((start, end, kind))
+        intervals = self.intervals
+        if intervals:
+            last = intervals[-1]
+            if last[1] == start and last[2] == kind:
+                intervals[-1] = (last[0], end, kind)
+                return
+        intervals.append((start, end, kind))
 
     @property
     def total_us(self) -> float:

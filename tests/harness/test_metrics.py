@@ -159,6 +159,7 @@ class TestRuntimeWiring:
         assert m["n0.latency.send_us.count"] == 3
         assert m["n1.latency.recv_us.count"] == 3
         assert m["sim.events_fired"] > 0
+        assert m["sim.chain_boundaries"] == rt.sim.chain_boundaries
         rt.close()
 
     def test_per_core_scheduler_series(self):

@@ -90,5 +90,23 @@ def test_len_and_iter():
     assert [t.name for t in rq] == names
 
 
+def test_len_tracks_every_mutation():
+    rq = RunQueue("c0")
+    a, b = _ready("a", Priority.HIGH), _ready("b", Priority.LOW)
+    c, d = _ready("c"), _ready("d", migratable=False)
+    rq.push(a)
+    rq.push_front(b)
+    rq.push(c)
+    rq.push(d)
+    assert len(rq) == 4
+    assert rq.steal() is b
+    assert len(rq) == 3
+    assert rq.remove(c) and not rq.remove(c)
+    assert len(rq) == 2
+    assert rq.pop() is a and rq.pop() is d
+    assert rq.pop() is None and rq.steal() is None
+    assert len(rq) == 0 and not rq
+
+
 def test_peek_priority_empty():
     assert RunQueue("c0").peek_priority() is None

@@ -1,0 +1,169 @@
+"""Tickless compute in the Marcel scheduler: quiet ticks run as a kernel
+tick chain, and every way a tick can start to matter re-arms it.
+
+Each scenario runs twice — as is, and with :meth:`MarcelScheduler._quiet`
+patched to False so every slice end is a kernel event — and the two runs
+must agree on the trace, the statistics and the end time.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+from repro.marcel.scheduler import MarcelScheduler
+from repro.marcel.tasklet import Tasklet
+from repro.marcel.thread import Priority
+from repro.sim.kernel import Simulator
+from repro.sim.tracing import Tracer
+from repro.topology.builder import build_node
+
+
+def _run(scenario, ticking: bool, until: float | None = None):
+    sim = Simulator()
+    tracer = Tracer()
+    sched = MarcelScheduler(sim, build_node(0, sockets=1, cores_per_socket=2), tracer=tracer)
+    log: list = []
+    scenario(sim, sched, log)
+    if ticking:
+        with mock.patch.object(MarcelScheduler, "_quiet", lambda self, core, thread: False):
+            end = sim.run(until=until)
+    else:
+        end = sim.run(until=until)
+    return {
+        "end": end,
+        "trace": tracer.signature(),
+        "stats": sched.stats(),
+        "log": log,
+        "work": sim.events_fired + sim.chain_boundaries,
+        "boundaries": sim.chain_boundaries,
+    }
+
+
+def _agree(scenario, until: float | None = None):
+    tickless = _run(scenario, ticking=False, until=until)
+    ticking = _run(scenario, ticking=True, until=until)
+    assert ticking["boundaries"] == 0
+    for key in ("end", "trace", "stats", "log", "work"):
+        assert tickless[key] == ticking[key], key
+    return tickless
+
+
+def _compute(us: float, log: list | None = None):
+    def body(ctx):
+        yield ctx.compute(us)
+        if log is not None:
+            log.append(("done", ctx.now))
+
+    return body
+
+
+def test_quiet_compute_is_one_chain():
+    def scenario(sim, sched, log):
+        sched.spawn(_compute(100.0, log), name="t", core_index=0)
+
+    out = _agree(scenario)
+    # ten slice ends, all ticks, all chain boundaries; the last one ends
+    # the compute through the ordinary slice end
+    assert out["stats"]["ticks"] == 10
+    assert out["boundaries"] == 10
+
+
+def test_stats_mid_chain_equal_ticking():
+    def scenario(sim, sched, log):
+        sched.spawn(_compute(100.0), name="t", core_index=0)
+
+    out = _agree(scenario, until=35.0)
+    assert out["end"] == 35.0 and out["boundaries"] == 3
+
+
+def test_low_priority_threads_keep_ticking():
+    def scenario(sim, sched, log):
+        sched.spawn(_compute(100.0), name="t", core_index=0, priority=Priority.LOW)
+
+    assert _agree(scenario)["boundaries"] == 0
+
+
+def test_hook_without_predicate_keeps_ticking():
+    def scenario(sim, sched, log):
+        sched.register_tick_hook(lambda core: log.append(sim.now) or 0.0)
+        sched.spawn(_compute(50.0), name="t", core_index=0)
+
+    out = _agree(scenario)
+    assert out["boundaries"] == 0 and out["log"] == [10.0, 20.0, 30.0, 40.0, 50.0]
+
+
+def test_hook_whose_predicate_is_false_goes_tickless():
+    def scenario(sim, sched, log):
+        sched.register_tick_hook(lambda core: 0.0, wants=lambda core: False)
+        sched.spawn(_compute(50.0), name="t", core_index=0)
+
+    out = _agree(scenario)
+    assert out["boundaries"] == 5
+
+
+def test_registering_a_plain_hook_mid_compute_rearms():
+    def scenario(sim, sched, log):
+        def hook(core):
+            log.append(sim.now)
+            return 0.5
+
+        sim.schedule(25.0, sched.register_tick_hook, hook)
+        sched.spawn(_compute(60.0), name="t", core_index=0)
+
+    out = _agree(scenario)
+    assert out["log"][0] == 30.0
+
+
+def test_resume_ticks_rearms_a_wanted_tick():
+    def scenario(sim, sched, log):
+        wanted = []
+
+        def hook(core):
+            if wanted:
+                wanted.clear()
+                log.append(sim.now)
+                return 1.0
+            return 0.0
+
+        def arrive():
+            wanted.append(True)
+            sched.resume_ticks()
+
+        sched.register_tick_hook(hook, wants=lambda core: bool(wanted))
+        sim.schedule(42.0, arrive)
+        sched.spawn(_compute(100.0), name="t", core_index=0)
+
+    out = _agree(scenario)
+    assert out["log"] == [50.0]
+    assert out["end"] == 101.0
+
+
+def test_wake_onto_a_computing_core_rearms_preemption():
+    def scenario(sim, sched, log):
+        def sleeper(ctx):
+            yield ctx.sleep(13.0)
+            yield ctx.compute(5.0)
+            log.append(("hi", ctx.now))
+
+        sched.spawn(_compute(100.0, log), name="lo", core_index=0, migratable=False)
+        sched.spawn(sleeper, name="hi", core_index=0, priority=Priority.HIGH, migratable=False)
+
+    out = _agree(scenario)
+    assert out["stats"]["preemptions"] == 1
+    assert out["log"][0][0] == "hi"
+
+
+def test_tasklets_rearm_their_core_and_shared_ones_every_core():
+    def scenario(sim, sched, log):
+        def mark(ctx):
+            log.append((ctx.core_index, sim.now))
+            ctx.charge(1.0)
+
+        sim.schedule(21.0, sched.tasklets.schedule, Tasklet(mark, "own"), 0)
+        sim.schedule(47.0, sched.tasklets.schedule, Tasklet(mark, "shared"))
+        sched.spawn(_compute(80.0), name="a", core_index=0, migratable=False)
+        sched.spawn(_compute(80.0), name="b", core_index=1, migratable=False)
+
+    out = _agree(scenario)
+    assert [core for core, _ in out["log"]] == [0, 1]
+    assert out["stats"]["tasklets_run"] == 2

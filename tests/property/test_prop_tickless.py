@@ -1,0 +1,148 @@
+"""Tickless compute is invisible: a run whose quiet cores compute on kernel
+tick chains equals the same run ticking every 10 µs slice as an event.
+
+The ticking oracle patches :meth:`MarcelScheduler._quiet` to always answer
+False, so every slice end is an ordinary kernel event. Hypothesis draws
+oversubscribed symmetric two-node workloads — priorities, pinning, sleeps,
+compute lengths on 10/5/2.5 µs grids (same-phase tick ties across cores),
+eager and rendezvous exchanges, the aggregation strategy, a lossy wire —
+and both runs must agree on the end time, the full trace, every
+scheduler's statistics and the sampled metric series. The kernel work must
+also add up: every real event or chain boundary of the tickless run is one
+event of the ticking run.
+"""
+
+from __future__ import annotations
+
+import itertools
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.config import EngineKind, KernelConfig, ObsConfig, TimingModel
+from repro.errors import DeadlockError
+from repro.faults.plan import FaultPlan
+from repro.harness.runner import ClusterRuntime
+from repro.marcel.scheduler import MarcelScheduler
+from repro.marcel.thread import Priority
+from repro.sim.tracing import Tracer
+from repro.units import KiB
+
+pytestmark = pytest.mark.tickless
+
+#: sampler lanes that count kernel work, which tickless runs do differently
+_KERNEL_WORK = ("sim.events_fired", "sim.chain_boundaries")
+
+grids = st.sampled_from((10.0, 5.0, 2.5))
+steps = st.one_of(
+    st.tuples(st.just("compute"), grids, st.integers(min_value=1, max_value=12)),
+    st.tuples(st.just("sleep"), grids, st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("xchg"), st.sampled_from((64, KiB(1), KiB(4), KiB(40))), st.integers(0, 6)),
+)
+threads = st.tuples(
+    st.sampled_from((Priority.HIGH, Priority.NORMAL, Priority.LOW)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=3)),  # pinned core
+    st.lists(steps, min_size=1, max_size=5),
+)
+configs = st.fixed_dictionaries(
+    {
+        "engine": st.sampled_from((EngineKind.PIOMAN, EngineKind.SEQUENTIAL)),
+        "threads": st.lists(threads, min_size=1, max_size=10),
+        "aggreg": st.booleans(),
+        "lossy": st.booleans(),
+        "queue": st.sampled_from(("calendar", "heap")),
+        "seed": st.integers(min_value=0, max_value=2**16),
+    }
+)
+
+
+def _body(index: int, program):
+    def body(ctx):
+        nm = ctx.env["nm"]
+        peer = 1 - ctx.env["node"]
+        for kind, grain, n in program:
+            if kind == "compute":
+                yield ctx.compute(grain * n)
+            elif kind == "sleep":
+                yield ctx.sleep(grain * n)
+            else:
+                req = yield from nm.isend(ctx, peer, index, grain, payload=index)
+                if n:
+                    yield ctx.compute(2.5 * n)
+                yield from nm.recv(ctx, peer, index, grain)
+                yield from nm.swait(ctx, req)
+
+    return body
+
+
+def _run(cfg):
+    # request ids come from a process-wide counter: restart it so the two
+    # runs label their requests alike and the full traces compare
+    with mock.patch("repro.nmad.request._req_ids", itertools.count(1)):
+        return _run_once(cfg)
+
+
+def _run_once(cfg):
+    timing = TimingModel(
+        obs=ObsConfig(sample_interval_us=25.0), kernel=KernelConfig(queue=cfg["queue"])
+    )
+    tracer = Tracer()
+    rt = ClusterRuntime.build(
+        engine=cfg["engine"],
+        cores_per_socket=2,
+        timing=timing,
+        tracer=tracer,
+        seed=cfg["seed"],
+        strategy="aggreg" if cfg["aggreg"] else "default",
+        faults=FaultPlan.lossy(drop=0.05, delay=0.05, seed=cfg["seed"]) if cfg["lossy"] else None,
+    )
+    for node in (0, 1):
+        for i, (prio, pin, program) in enumerate(cfg["threads"]):
+            rt.spawn(
+                node,
+                _body(i, program),
+                name=f"t{i}",
+                core_index=pin,
+                priority=prio,
+                migratable=pin is None,
+            )
+    try:
+        end: object = rt.run()
+    except DeadlockError as exc:
+        # the sequential engine may give up on a lossy wire (docs/faults.md):
+        # a stuck run must be stuck alike in both modes
+        end = str(exc)
+    assert rt.sampler is not None
+    samples = [
+        (t, {k: v for k, v in snap.items() if k not in _KERNEL_WORK}) for t, snap in rt.sampler.samples
+    ]
+    work = [
+        (t, snap["sim.events_fired"], snap["sim.chain_boundaries"])
+        for t, snap in rt.sampler.samples
+    ]
+    return {
+        "end": end,
+        "trace": tracer.signature(),
+        "stats": [nrt.scheduler.stats() for nrt in rt.nodes],
+        "samples": samples,
+        "events": rt.sim.events_fired,
+        "boundaries": rt.sim.chain_boundaries,
+        "work": work,
+    }
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs)
+def test_tick_chains_equal_ticking(cfg):
+    tickless = _run(cfg)
+    with mock.patch.object(MarcelScheduler, "_quiet", lambda self, core, thread: False):
+        ticking = _run(cfg)
+    assert ticking["boundaries"] == 0
+    assert tickless["end"] == ticking["end"]
+    assert tickless["trace"] == ticking["trace"]
+    assert tickless["stats"] == ticking["stats"]
+    assert tickless["samples"] == ticking["samples"]
+    assert tickless["events"] + tickless["boundaries"] == ticking["events"]
+    assert [(t, e + b) for t, e, b in tickless["work"]] == [(t, e) for t, e, _ in ticking["work"]]

@@ -115,6 +115,25 @@ class TestCoreTimeline:
     def test_empty_utilization_is_zero(self):
         assert CoreTimeline("c0").utilization() == 0.0
 
+    def test_contiguous_same_kind_intervals_merge(self):
+        tl = CoreTimeline("c0")
+        for start in (0.0, 0.1, 0.2):
+            tl.add(start, start + 0.1, "busy")  # ends at 0.1, 0.2, 0.30000000000000004
+        tl.add(0.3, 0.5, "busy")  # starts 4e-17 off the last end: kept apart
+        tl.add(0.5, 0.6, "service")
+        tl.add(0.7, 0.8, "service")
+        assert tl.intervals == [
+            (0.0, 0.30000000000000004, "busy"),
+            (0.3, 0.5, "busy"),
+            (0.5, 0.6, "service"),
+            (0.7, 0.8, "service"),
+        ]
+        # the sums still add each span, in order
+        total = 0.0
+        for start, end in ((0.0, 0.1), (0.1, 0.2), (0.2, 0.2 + 0.1), (0.3, 0.5)):
+            total += end - start
+        assert tl.busy_us == total
+
     def test_invalid_interval_rejected(self):
         tl = CoreTimeline("c0")
         with pytest.raises(ValueError):
