@@ -6,15 +6,16 @@ root — see ``docs/performance.md``):
 
 * **Kernel event storm** — an engine-shaped storm (self-rearming chains
   with mixed-magnitude delays and ack-cancelled retransmit timers at a
-  realistic RTO) run through each event-queue implementation of the
-  current :class:`~repro.sim.kernel.Simulator` (``heap``, ``calendar``)
-  and through ``_SeedSimulator``, a faithful in-file copy of the original
-  kernel fast path (binary heap, no cancelled-entry compaction, no batch
-  firing — the ``fast_events_per_sec`` baseline of schema-1 records).
-  Trials are interleaved across implementations and the best of each is
-  compared, which keeps ratios stable on noisy shared runners. All implementations must fire the identical event
-  sequence; ``test_queue_kernels_fire_identically`` pins it with a
-  digest.
+  realistic RTO) run through the current
+  :class:`~repro.sim.kernel.Simulator` and through ``_SeedSimulator``, a
+  faithful in-file copy of the original kernel fast path (a binary heap of
+  handles compared by ``__lt__``, no cancelled-entry compaction — the
+  ``fast_events_per_sec`` baseline of schema-1 records). Trials are
+  interleaved across the two kernels and the best of each is compared,
+  which keeps the ratio stable on noisy shared runners. Both kernels must
+  fire the identical event sequence; ``test_queue_kernels_fire_identically``
+  pins it with a digest, and is the one ordering reference for the kernel
+  that does not share its code.
 
 * **Sweep parallelism** — the same ablation-style overlap grid run with
   ``sweep(..., execution=ExecutionConfig.serial())`` and
@@ -28,7 +29,7 @@ commit).
 
 Run as a script (CI uses ``--quick``)::
 
-    python benchmarks/bench_kernel_throughput.py [--quick] [--queue all|heap|calendar] [--json PATH]
+    python benchmarks/bench_kernel_throughput.py [--quick] [--workers N] [--json PATH]
 
 or under pytest for the smoke assertions (``pytest -m perf`` lane).
 """
@@ -49,10 +50,42 @@ from repro.errors import SimulationError
 from repro.harness.executors import ExecutionConfig
 from repro.harness.report import bench_header
 from repro.harness.sweep import sweep
-from repro.sim.events import EventHandle, Priority
+from repro.sim.events import Priority, _noop
 from repro.sim.kernel import Simulator
 
 # -- the original fast path, preserved as the trajectory baseline --------------
+
+
+class _SeedHandle:
+    """The original event handle: the heap stores handles themselves and
+    orders them through ``__lt__`` on a cached ``(time, priority, seq)``."""
+
+    __slots__ = ("time", "priority", "seq", "_key", "_fn", "_args", "cancelled", "fired", "label")
+
+    def __init__(self, time, priority, seq, fn, args, label=""):
+        self.time = time
+        self.priority = priority
+        self.seq = seq
+        self._key = (time, priority, seq)
+        self._fn = fn
+        self._args = args
+        self.cancelled = False
+        self.fired = False
+        self.label = label
+
+    def cancel(self) -> None:
+        if self.cancelled or self.fired:
+            return
+        self.cancelled = True
+
+    def _fire(self) -> None:
+        self.fired = True
+        self._fn(*self._args)
+        self._fn = _noop
+        self._args = ()
+
+    def __lt__(self, other: "_SeedHandle") -> bool:
+        return self._key < other._key
 
 
 class _SeedSimulator:
@@ -60,7 +93,7 @@ class _SeedSimulator:
 
     Binary heap only, cancelled events dropped lazily when they surface
     (never compacted — an ack-cancelled retransmit timer occupies the
-    heap until its timestamp comes up), a fresh ``EventHandle`` per
+    heap until its timestamp comes up), a fresh ``_SeedHandle`` per
     schedule, one Python frame per ``schedule``→``schedule_at``. This is
     what schema-1 ``BENCH_kernel.json`` recorded as
     ``fast_events_per_sec``; keeping a live copy makes the recorded
@@ -69,7 +102,7 @@ class _SeedSimulator:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: list[EventHandle] = []
+        self._heap: list[_SeedHandle] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -89,7 +122,7 @@ class _SeedSimulator:
         if time < self._now:
             raise SimulationError(f"cannot schedule at t={time} before now={self._now}")
         self._seq += 1
-        handle = EventHandle(time, priority, self._seq, fn, args, label)
+        handle = _SeedHandle(time, priority, self._seq, fn, args, label)
         heapq.heappush(self._heap, handle)
         return handle
 
@@ -151,7 +184,7 @@ def _event_storm(sim: Any, n_events: int, chains: int = 96) -> int:
     Every third tick behaves like a send completing under the reliability
     layer: it cancels the chain's previous retransmit timer (the ack) and
     arms a fresh one ``_RTO_US`` out. Exercises push/pop ordering, mixed
-    priorities, the cancelled-entry path, and — for queues that have it —
+    priorities, the cancelled-entry path, and — in the current kernel —
     compaction. Returns events fired.
     """
     counter = [0]
@@ -178,8 +211,7 @@ def _event_storm(sim: Any, n_events: int, chains: int = 96) -> int:
 
 _IMPLS: dict[str, Callable[[], Any]] = {
     "seed": _SeedSimulator,
-    "heap": lambda: Simulator(queue="heap"),
-    "calendar": lambda: Simulator(queue="calendar"),
+    "kernel": Simulator,
 }
 
 
@@ -211,41 +243,29 @@ def _storm_digest(factory: Callable[[], Any], n_events: int = 4_000) -> str:
     return hashlib.blake2s(repr(log).encode()).hexdigest()
 
 
-def measure_kernel(
-    n_events: int, trials: int = 5, queues: tuple[str, ...] = ("heap", "calendar")
-) -> dict[str, Any]:
-    """Best-of-``trials`` events/sec, trials interleaved across kernels.
-
-    The seed baseline always runs; ``queues`` selects which current
-    implementations run next to it.
-    """
-    impls = ("seed",) + tuple(queues)
-    best = {name: float("inf") for name in impls}
+def measure_kernel(n_events: int, trials: int = 5) -> dict[str, Any]:
+    """Best-of-``trials`` events/sec of the seed and current kernels,
+    trials interleaved."""
+    best = {name: float("inf") for name in _IMPLS}
     fired: dict[str, int] = {}
     for _ in range(trials):
-        for name in impls:
-            sim = _IMPLS[name]()
+        for name, factory in _IMPLS.items():
+            sim = factory()
             t0 = time.perf_counter()
             fired[name] = _event_storm(sim, n_events)
             best[name] = min(best[name], time.perf_counter() - t0)
     assert len(set(fired.values())) == 1, f"kernels fired different events: {fired}"
-    eps = {name: fired[name] / best[name] for name in impls}
-    result: dict[str, Any] = {
+    eps = {name: fired[name] / best[name] for name in _IMPLS}
+    sim = Simulator()
+    _event_storm(sim, n_events)
+    return {
         "events": fired["seed"],
         "trials": trials,
         "storm": {"chains": 96, "delays_us": list(_DELAYS), "rto_us": _RTO_US},
-        "events_per_sec": {name: round(eps[name]) for name in impls},
+        "events_per_sec": {name: round(eps[name]) for name in _IMPLS},
+        "speedup_vs_seed": round(eps["kernel"] / eps["seed"], 3),
+        "queue": sim.queue_stats(),
     }
-    for name in impls:
-        if name != "seed":
-            result[f"speedup_{name}_vs_seed"] = round(eps[name] / eps["seed"], 3)
-    if "calendar" in impls and "heap" in impls:
-        result["speedup_calendar_vs_heap"] = round(eps["calendar"] / eps["heap"], 3)
-    if "calendar" in impls:
-        sim = Simulator(queue="calendar")
-        _event_storm(sim, n_events)
-        result["calendar_queue"] = sim.queue_stats()
-    return result
 
 
 # -- sweep wall-clock: serial vs parallel --------------------------------------
@@ -295,14 +315,12 @@ def measure_sweep(quick: bool, workers: int) -> dict[str, Any]:
     }
 
 
-def run_bench(
-    quick: bool = False, workers: int = 4, queues: tuple[str, ...] = ("heap", "calendar")
-) -> dict[str, Any]:
+def run_bench(quick: bool = False, workers: int = 4) -> dict[str, Any]:
     n_events = 30_000 if quick else 150_000
-    kernel = measure_kernel(n_events, trials=3 if quick else 5, queues=queues)
+    kernel = measure_kernel(n_events, trials=3 if quick else 5)
     sweep_res = measure_sweep(quick, workers)
     return {
-        **bench_header("kernel_throughput", 3, quick),
+        **bench_header("kernel_throughput", 4, quick),
         "kernel": kernel,
         "sweep": sweep_res,
     }
@@ -312,21 +330,13 @@ def run_bench(
 
 
 @pytest.mark.perf
-def test_calendar_kernel_not_slower_than_seed():
-    """The calendar kernel must at least match the seed fast path (very
-    generous margin because shared CI runners are noisy; the recorded
-    trajectory in BENCH_kernel.json carries the real ≥2× claim on the
-    ack-heavy storm)."""
-    result = measure_kernel(40_000, trials=3, queues=("calendar",))
-    assert result["speedup_calendar_vs_seed"] >= 1.0, f"calendar regressed: {result}"
-
-
-@pytest.mark.perf
-def test_heap_kernel_not_slower_than_seed():
-    """The heap test oracle (with compaction, run by the generic loop)
-    must not regress below the seed fast path it replaced."""
-    result = measure_kernel(40_000, trials=3, queues=("heap",))
-    assert result["speedup_heap_vs_seed"] >= 0.9, f"heap path regressed: {result}"
+def test_kernel_not_slower_than_seed():
+    """The kernel (tuple-keyed heap with compaction, one inlined run loop)
+    must at least match the seed fast path (a generous margin because
+    shared CI runners are noisy; BENCH_kernel.json records the real ratio
+    on the ack-heavy storm)."""
+    result = measure_kernel(40_000, trials=3)
+    assert result["speedup_vs_seed"] >= 1.0, f"kernel regressed: {result}"
 
 
 @pytest.mark.perf
@@ -349,7 +359,7 @@ def test_queue_kernels_fire_identically():
 
 
 def test_bench_kernel_storm(benchmark):
-    benchmark(lambda: _event_storm(Simulator(queue="calendar"), 20_000))
+    benchmark(lambda: _event_storm(Simulator(), 20_000))
 
 
 # -- script entry point --------------------------------------------------------
@@ -358,23 +368,16 @@ def test_bench_kernel_storm(benchmark):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="small CI-smoke sizes")
-    parser.add_argument(
-        "--queue", choices=("all", "heap", "calendar"), default="all",
-        help="which current queue implementations to measure against the seed baseline",
-    )
     parser.add_argument("--workers", type=int, default=4, help="parallel sweep worker count")
     parser.add_argument("--json", metavar="PATH", default=None, help="write results JSON to PATH")
     args = parser.parse_args(argv)
-    queues = ("heap", "calendar") if args.queue == "all" else (args.queue,)
-    result = run_bench(quick=args.quick, workers=args.workers, queues=queues)
+    result = run_bench(quick=args.quick, workers=args.workers)
     print(json.dumps(result, indent=2))
     k, s = result["kernel"], result["sweep"]
     eps = k["events_per_sec"]
     parts = [f"{name} {rate:,} ev/s" for name, rate in eps.items()]
     print("\nkernel storm : " + " | ".join(parts), file=sys.stderr)
-    for key, val in k.items():
-        if key.startswith("speedup_"):
-            print(f"  {key.removeprefix('speedup_').replace('_', ' ')}: {val}x", file=sys.stderr)
+    print(f"  kernel vs seed: {k['speedup_vs_seed']}x", file=sys.stderr)
     print(
         f"sweep {s['grid_points']} points : serial {s['serial_seconds']}s vs "
         f"{s['workers']}-worker {s['parallel_seconds']}s -> {s['speedup']}x "

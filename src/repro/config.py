@@ -29,7 +29,6 @@ __all__ = [
     "FaultConfig",
     "RdvConfig",
     "ObsConfig",
-    "KernelConfig",
     "InterconnectConfig",
     "TimingModel",
     "EngineKind",
@@ -461,27 +460,6 @@ class InterconnectConfig:
 
 
 @dataclass(frozen=True)
-class KernelConfig:
-    """Discrete-event kernel configuration (see ``repro.sim.queues``).
-
-    ``queue`` selects the event-queue implementation: ``"calendar"``
-    (default — O(1) amortized calendar queue with batch firing and
-    cancelled-entry compaction) or ``"heap"`` (the classic binary heap,
-    kept as the conservative fallback). Fire order — and therefore every
-    trace signature — is identical for both; only wall-clock speed
-    differs (``docs/performance.md``).
-    """
-
-    queue: str = "calendar"
-
-    def __post_init__(self) -> None:
-        if self.queue not in ("heap", "calendar"):
-            raise ConfigError(
-                f"kernel queue must be 'heap' or 'calendar', got {self.queue!r}"
-            )
-
-
-@dataclass(frozen=True)
 class TimingModel:
     """Aggregate of every cost model used by a simulation run."""
 
@@ -493,7 +471,6 @@ class TimingModel:
     faults: FaultConfig = field(default_factory=FaultConfig)
     rdv: RdvConfig = field(default_factory=RdvConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-    kernel: KernelConfig = field(default_factory=KernelConfig)
     interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
 
     def replace(self, **kwargs: object) -> "TimingModel":

@@ -189,7 +189,7 @@ class ClusterRuntime:
             timing = dataclasses.replace(
                 timing, faults=dataclasses.replace(timing.faults, enabled=True)
             )
-        sim = Simulator(trace=tracer, queue=timing.kernel.queue)
+        sim = Simulator(trace=tracer)
         rng = RngStreams(seed)
         cluster = build_cluster(
             nodes=nodes,

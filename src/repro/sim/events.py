@@ -32,21 +32,21 @@ class EventHandle:
     """A scheduled callback; supports cancellation.
 
     Cancellation is lazy: the entry stays in the heap but is skipped when it
-    surfaces. ``fired`` is True once the callback ran.
+    surfaces. ``fired`` is True once the callback ran. Handles are never
+    compared: the heap orders ``(time, priority, seq, handle)`` tuples and
+    ``seq`` is unique.
     """
 
     __slots__ = (
         "time",
         "priority",
         "seq",
-        "_key",
         "_fn",
         "_args",
         "cancelled",
         "fired",
         "label",
         "_queue",
-        "_bidx",
     )
 
     def __init__(
@@ -57,28 +57,20 @@ class EventHandle:
         fn: Callable[..., Any],
         args: tuple[Any, ...],
         label: str = "",
+        queue: Any = None,
     ) -> None:
         self.time = time
         self.priority = priority
         self.seq = seq
-        # The ordering key is precomputed once: ``__lt__`` runs O(log n)
-        # times per heap operation and allocating a fresh tuple on every
-        # comparison dominated the kernel profile. The (time, priority,
-        # seq) fields never change after construction, so the cache is
-        # always coherent.
-        self._key = (time, priority, seq)
         self._fn = fn
         self._args = args
         self.cancelled = False
         self.fired = False
         self.label = label
-        #: the EventQueue currently storing this handle (set by push);
+        #: the :class:`~repro.sim.queues.HeapQueue` storing this handle;
         #: lets cancel() report lazily-cancelled entries so the queue can
         #: compact when they pile up.
-        self._queue: Any = None
-        #: absolute calendar-bucket index (int(time / width)); only
-        #: meaningful while stored in a CalendarQueue.
-        self._bidx = 0
+        self._queue = queue
 
     def cancel(self) -> None:
         """Prevent the callback from running; no-op if already fired."""
@@ -102,10 +94,8 @@ class EventHandle:
         self._args = ()
 
     def sort_key(self) -> tuple[float, int, int]:
-        return self._key
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        return self._key < other._key
+        """The ``(time, priority, seq)`` key the kernel orders events by."""
+        return (self.time, self.priority, self.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")

@@ -1,17 +1,17 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` owns the virtual clock and a pluggable event queue
-(binary heap or calendar queue — see :mod:`repro.sim.queues`).
-Everything else in the library — Marcel cores, NIC DMA engines, wire
-deliveries, PIOMan timers — is expressed as callbacks scheduled here.
+:class:`Simulator` owns the virtual clock and one event queue, a binary
+heap of ``(time, priority, seq, handle)`` tuples
+(:class:`repro.sim.queues.HeapQueue`), run by one loop. Everything else
+in the library — Marcel cores, NIC DMA engines, wire deliveries, PIOMan
+timers — is expressed as callbacks scheduled here.
 
 Determinism contract
 --------------------
 Events fire in ``(time, priority, sequence)`` order. Sequence numbers are
 allocated at scheduling time, so the complete execution is a pure function
-of the initial schedule and the callbacks' behaviour — *independent of the
-queue implementation*. Any randomness must come from
-:class:`repro.sim.rng.RngStreams` seeded from the run config.
+of the initial schedule and the callbacks' behaviour. Any randomness must
+come from :class:`repro.sim.rng.RngStreams` seeded from the run config.
 
 Bounded-run semantics
 ---------------------
@@ -30,7 +30,7 @@ A *tick chain* (:meth:`Simulator.start_chain`) is a run of boundaries a
 layer would otherwise schedule as one event each, every one rescheduling
 the next: Marcel's timer-tick slice ends on a core that computes with
 nothing to react to. Its entry ``[time, priority, seq, fn, args]`` sits
-in a small heap beside the event queue and the run loops merge the two
+in a small heap beside the event queue and the run loop merges the two
 in key order. Passing a boundary calls ``fn(*args)``, which returns the
 time of the next boundary (or None to end the chain); the kernel then
 takes the one sequence number that boundary's event would have taken
@@ -45,13 +45,13 @@ check see both.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import Any, Callable, Iterable, Union
+from heapq import heapify, heappop, heappush, heapreplace
+from typing import Any, Callable, Iterable
 
 from ..errors import DeadlockError, SimulationError
 from .events import EventHandle, Priority, _noop
-from .queues import CalendarQueue, EventQueue, make_queue
+from .queues import HeapQueue
 
 __all__ = ["Simulator"]
 
@@ -67,22 +67,14 @@ class Simulator:
         kernel itself never consults it in the per-event path — trace
         emission lives in the layers (scheduler, sessions), which bind a
         no-op helper when no tracer is attached.
-    queue:
-        Event-queue implementation: ``"heap"`` (default), ``"calendar"``,
-        or an :class:`repro.sim.queues.EventQueue` instance. Fire order
-        is identical for every implementation; the calendar queue is the
-        fast one (O(1) amortized, batch firing, cancelled-entry
-        compaction) and is what :class:`repro.config.TimingModel` selects
-        for engine runs; the heap is the reference-ordering test oracle.
     """
 
-    def __init__(
-        self,
-        trace: Any = None,
-        queue: Union[str, EventQueue] = "heap",
-    ) -> None:
+    def __init__(self, trace: Any = None) -> None:
         self._now: float = 0.0
-        self._queue: EventQueue = make_queue(queue)
+        self._queue = HeapQueue()
+        #: alias of the queue's heap list, which is only ever mutated in
+        #: place (compaction included)
+        self._heap = self._queue._heap
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -111,14 +103,9 @@ class Simulator:
         """Current virtual time in microseconds."""
         return self._now
 
-    @property
-    def queue(self) -> EventQueue:
-        """The event-queue implementation this simulator runs on."""
-        return self._queue
-
     def queue_stats(self) -> dict[str, object]:
-        """Implementation counters of the event queue (entries, cancelled,
-        compactions, …) — see :meth:`repro.sim.queues.EventQueue.stats`."""
+        """Event-queue counters: stored ``entries`` (lazily-cancelled ones
+        included), ``cancelled`` and ``compactions``."""
         return self._queue.stats()
 
     # -- scheduling ----------------------------------------------------------
@@ -127,8 +114,7 @@ class Simulator:
     # they are the hottest call sites in the whole library (one-plus calls
     # per fired event), and the extra Python frame of a delegating wrapper
     # is measurable at kernel-benchmark scale. Keep the two bodies in
-    # lockstep; the inlined push mirrors CalendarQueue.push, whose tests
-    # pin the semantics. Every other queue goes through ``queue.push``.
+    # lockstep with HeapQueue.push.
 
     def schedule(
         self,
@@ -144,20 +130,8 @@ class Simulator:
         time = self._now + delay
         seq = self._seq + 1
         self._seq = seq
-        handle = EventHandle(time, priority, seq, fn, args, label)
-        queue = self._queue
-        if type(queue) is CalendarQueue:
-            handle._queue = queue
-            bidx = int(time * queue._inv_width)
-            handle._bidx = bidx
-            queue._count += 1
-            if bidx > queue._cur:
-                queue._buckets[bidx & queue._mask].append(handle)
-                queue._bucket_count += 1
-            else:
-                queue._push_near(handle, bidx)
-        else:
-            queue.push(handle)
+        handle = EventHandle(time, priority, seq, fn, args, label, self._queue)
+        heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     def schedule_at(
@@ -175,20 +149,8 @@ class Simulator:
             )
         seq = self._seq + 1
         self._seq = seq
-        handle = EventHandle(time, priority, seq, fn, args, label)
-        queue = self._queue
-        if type(queue) is CalendarQueue:
-            handle._queue = queue
-            bidx = int(time * queue._inv_width)
-            handle._bidx = bidx
-            queue._count += 1
-            if bidx > queue._cur:
-                queue._buckets[bidx & queue._mask].append(handle)
-                queue._bucket_count += 1
-            else:
-                queue._push_near(handle, bidx)
-        else:
-            queue.push(handle)
+        handle = EventHandle(time, priority, seq, fn, args, label, self._queue)
+        heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     def call_soon(
@@ -216,7 +178,7 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         entry = [time, Priority.NORMAL, seq, fn, args]
-        heapq.heappush(self._chains, entry)
+        heappush(self._chains, entry)
         return entry
 
     def materialize(
@@ -230,7 +192,7 @@ class Simulator:
         i = next(i for i, other in enumerate(chains) if other is entry)
         chains[i] = chains[-1]
         chains.pop()
-        heapq.heapify(chains)  # a heap of one entry per computing core
+        heapify(chains)  # a heap of one entry per computing core
         entry[3] = None
         handle = EventHandle(entry[0], entry[1], entry[2], fn, args, label)
         self._queue.push(handle)
@@ -244,14 +206,14 @@ class Simulator:
         self.chain_boundaries += 1
         chains = self._chains
         if nxt is None:
-            heapq.heappop(chains)
+            heappop(chains)
             entry[3] = None
             return
         seq = self._seq + 1
         self._seq = seq
         entry[0] = nxt
         entry[2] = seq
-        heapq.heapreplace(chains, entry)
+        heapreplace(chains, entry)
 
     # -- liveness ------------------------------------------------------------
 
@@ -319,14 +281,17 @@ class Simulator:
         if not self._chains:
             return None
         entry = self._chains[0]
-        handle = self._queue.peek()
-        if handle is None or (entry[0], entry[1], entry[2]) < handle._key:
+        nxt = self._queue.peek()
+        if nxt is None or (entry[0], entry[1], entry[2]) < nxt:
             return entry
         return None
 
     def step(self) -> bool:
         """Fire the next pending event or pass the next chain boundary.
-        Returns False if nothing is pending."""
+        Returns False if nothing is pending.
+
+        The plain reference path: :meth:`run` fires exactly what calling
+        ``step()`` until it returns False would."""
         entry = self._due_chain()
         if entry is not None:
             self._now = entry[0]
@@ -361,48 +326,22 @@ class Simulator:
           event; completing in exactly N events is legitimate.
         * A :meth:`stop` requested before the call fires zero events.
 
-        Two loops: a :class:`CalendarQueue` runs the fast loop, which
-        consumes the queue's batches inline (the hot loop of every engine
-        run); any other queue — the :class:`HeapQueue` oracle included —
-        runs the generic ``peek``/``pop`` loop. Both fire exactly what
-        driving the simulation through :meth:`step` would —
-        ``tests/sim/test_kernel_fastpath`` pins that equivalence.
+        The loop pops the heap and fires inline, merged with the chain
+        heap in key order. It fires exactly what driving the simulation
+        through :meth:`step` would — ``tests/sim/test_kernel_fastpath``
+        and ``tests/property/test_prop_queues`` pin that equivalence.
+        ``events_fired`` is flushed lazily: it is exact whenever an
+        observer runs and when the run returns (or raises), which is every
+        point an outside reader can observe mid-run.
         """
         if self._running:
             raise SimulationError("Simulator.run is not reentrant")
-        self._running = True
-        try:
-            if self._stopped:
-                return self._now
-            queue = self._queue
-            if type(queue) is CalendarQueue:
-                return self._run_calendar(queue, until, max_events)
-            return self._run_generic(queue, until, max_events)
-        finally:
-            self._running = False
+        if self._stopped:
             self._stopped = False
-
-    def _finish_drained(self, until: float | None) -> None:
-        if until is None:
-            self._check_liveness()
-        elif until > self._now:
-            self._now = until
-
-    def _runaway(self, max_events: int) -> SimulationError:
-        return SimulationError(
-            f"exceeded max_events={max_events} at t={self._now:.3f}µs "
-            "(runaway simulation?)"
-        )
-
-    def _run_calendar(
-        self, queue: CalendarQueue, until: float | None, max_events: int | None
-    ) -> float:
-        """The fast loop: straight-line batch consumption of the calendar
-        queue (index bump, fire, release), merged with the chain heap in
-        key order. ``events_fired`` is flushed lazily — it is exact
-        whenever an observer fires and when the run returns (or raises),
-        which is every point an outside reader can observe mid-run."""
-        refill = queue._refill
+            return self._now
+        self._running = True
+        queue = self._queue
+        heap = self._heap
         chains = self._chains
         # the observer list is only ever mutated in place, so the alias
         # tracks add_observer/remove_observer across the whole run
@@ -415,28 +354,12 @@ class Simulator:
         last = -1 if max_events is None else ef + max(max_events, 0)
         try:
             while not self._stopped:
-                i = queue._batch_i
-                batch = queue._batch
                 if chains:
                     # a live chain: pass its boundary if it precedes the
-                    # next event (an empty refill skipped), else fall
-                    # through to the event path
+                    # next heap entry (a cancelled one included: the
+                    # boundary precedes whatever follows it too)
                     entry = chains[0]
-                    if i < len(batch):
-                        handle = batch[i]
-                        ctime = entry[0]
-                        first = not handle.cancelled and (
-                            ctime < handle.time
-                            or (
-                                ctime == handle.time
-                                and (entry[1], entry[2]) < (handle.priority, handle.seq)
-                            )
-                        )
-                    elif queue._bucket_count and refill():
-                        continue
-                    else:
-                        first = True
-                    if first:
+                    if not heap or (entry[0], entry[1], entry[2]) < heap[0]:
                         time = entry[0]
                         if time > horizon:
                             if horizon > self._now:
@@ -452,27 +375,24 @@ class Simulator:
                             for ob in tuple(observers):
                                 ob(self._now)
                         continue
-                if i >= len(batch):
-                    if not refill():
-                        self._finish_drained(until)
-                        break
-                    continue
-                handle = batch[i]
+                if not heap:
+                    self._finish_drained(until)
+                    break
+                top = heappop(heap)
+                handle = top[3]
                 if handle.cancelled:
-                    batch[i] = None
-                    queue._batch_i = i + 1
                     queue._cancelled -= 1
                     continue
-                time = handle.time
+                time = top[0]
                 if time > horizon:
-                    # leave the handle in the batch: the run is resumable
+                    # put it back: the run is resumable
+                    heappush(heap, top)
                     if horizon > self._now:
                         self._now = horizon
                     break
                 if ef == last:
+                    heappush(heap, top)
                     raise self._runaway(max_events)
-                batch[i] = None
-                queue._batch_i = i + 1
                 self._now = time
                 handle.fired = True
                 handle._fn(*handle._args)
@@ -488,41 +408,21 @@ class Simulator:
                         ob(self._now)
         finally:
             self.events_fired = ef - self.chain_boundaries
+            self._running = False
+            self._stopped = False
         return self._now
 
-    def _run_generic(
-        self, queue: EventQueue, until: float | None, max_events: int | None
-    ) -> float:
-        """Correctness-first loop for every other queue: the
-        :class:`HeapQueue` test oracle and third-party implementations."""
-        fired = 0
-        while not self._stopped:
-            entry = self._due_chain()
-            time = queue.peek_time() if entry is None else entry[0]
-            if time is None:
-                self._finish_drained(until)
-                break
-            if until is not None and time > until:
-                if until > self._now:
-                    self._now = until
-                break
-            if max_events is not None and fired >= max_events:
-                raise self._runaway(max_events)
-            if entry is not None:
-                self._now = time
-                self._pass_boundary(entry)
-            else:
-                handle = queue.pop_next()
-                assert handle is not None
-                self._now = handle.time
-                handle._fire()
-                self.events_fired += 1
-            observers = self._observers
-            if observers:
-                for ob in tuple(observers):
-                    ob(self._now)
-            fired += 1
-        return self._now
+    def _finish_drained(self, until: float | None) -> None:
+        if until is None:
+            self._check_liveness()
+        elif until > self._now:
+            self._now = until
+
+    def _runaway(self, max_events: int) -> SimulationError:
+        return SimulationError(
+            f"exceeded max_events={max_events} at t={self._now:.3f}µs "
+            "(runaway simulation?)"
+        )
 
     # -- introspection ---------------------------------------------------------
 

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import EngineKind, KernelConfig, ObsConfig, TimingModel
+from repro.config import EngineKind, ObsConfig, TimingModel
 from repro.errors import DeadlockError
 from repro.faults.plan import FaultPlan
 from repro.harness.runner import ClusterRuntime
@@ -52,7 +52,6 @@ configs = st.fixed_dictionaries(
         "threads": st.lists(threads, min_size=1, max_size=10),
         "aggreg": st.booleans(),
         "lossy": st.booleans(),
-        "queue": st.sampled_from(("calendar", "heap")),
         "seed": st.integers(min_value=0, max_value=2**16),
     }
 )
@@ -85,9 +84,7 @@ def _run(cfg):
 
 
 def _run_once(cfg):
-    timing = TimingModel(
-        obs=ObsConfig(sample_interval_us=25.0), kernel=KernelConfig(queue=cfg["queue"])
-    )
+    timing = TimingModel(obs=ObsConfig(sample_interval_us=25.0))
     tracer = Tracer()
     rt = ClusterRuntime.build(
         engine=cfg["engine"],

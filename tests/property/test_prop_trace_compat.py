@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 import repro.network.message as _message
 import repro.nmad.request as _request
-from repro.config import EngineKind, KernelConfig, TimingModel
+from repro.config import EngineKind
 from repro.faults import FaultAction, FaultPlan, FaultRule
 from repro.harness.executors import ExecutionConfig
 from repro.harness.experiments import experiment_table1
@@ -71,8 +71,8 @@ def trace_digest(
     compute_us: float = 20.0,
     waitany: bool = False,
     categories: "tuple[str, ...] | None" = None,
-    timing: "TimingModel | None" = None,
     topology: "str | None" = None,
+    by_step: bool = False,
 ) -> str:
     """Digest of one fig5/fig6-shaped seeded run.
 
@@ -81,7 +81,9 @@ def trace_digest(
     either waits per-request or drains a ``wait_any`` set (the completion-
     queue consumption path). The blake2b digest covers the final virtual
     time and the full trace signature, so any reordering, retiming, or
-    added/removed event changes it.
+    added/removed event changes it. ``by_step`` drives the kernel one
+    :meth:`~repro.sim.kernel.Simulator.step` at a time instead of through
+    its inlined ``run()`` loop.
     """
     _fresh_counters()
     tracer = Tracer()
@@ -89,7 +91,6 @@ def trace_digest(
         engine=engine,
         tracer=tracer,
         seed=seed,
-        timing=timing,
         topology=topology,
         faults=_fault_plan(seed) if faults else None,
     )
@@ -120,7 +121,12 @@ def trace_digest(
 
     rt.spawn(0, sender, name="S")
     rt.spawn(1, receiver, name="R")
-    end = rt.run()
+    if by_step:
+        while rt.sim.step():
+            pass
+        end = rt.sim.now
+    else:
+        end = rt.run()
     sig = tracer.signature()
     if categories is not None:
         sig = tuple(r for r in sig if r[1].startswith(categories))
@@ -165,11 +171,12 @@ def test_golden_trace_digests(engine: str, seed: int, faults: bool) -> None:
 
 @pytest.mark.parametrize("engine,seed,faults", _CASES)
 def test_heap_oracle_matches_golden(engine: str, seed: int, faults: bool) -> None:
-    """The heap queue — run by the kernel's generic loop rather than the
-    calendar fast loop the goldens were captured on — reproduces every
-    golden digest: the fast loop is a wall-clock optimisation only."""
-    heap = TimingModel().replace(kernel=KernelConfig(queue="heap"))
-    assert trace_digest(engine, seed, faults, timing=heap) == GOLDEN[(engine, seed, faults)]
+    """The heap popped one ``step()`` at a time — the kernel's plain
+    reference path rather than the inlined ``run()`` loop the goldens are
+    checked on above — reproduces every golden digest: the fast loop, with
+    its tick-chain merge and lazy ``events_fired`` flush, is a wall-clock
+    optimisation only."""
+    assert trace_digest(engine, seed, faults, by_step=True) == GOLDEN[(engine, seed, faults)]
 
 
 def table1_digest() -> str:

@@ -3,7 +3,7 @@
 A chain entry carries the ``(time, priority, seq)`` key its boundary's
 event would have had, so every test here is an equivalence: the chain
 against the same boundaries scheduled as ordinary self-rescheduling
-events. The module runs once per event-queue implementation.
+events.
 """
 
 from __future__ import annotations
@@ -13,12 +13,6 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
-from repro.sim.queues import QUEUE_KINDS
-
-
-@pytest.fixture(params=QUEUE_KINDS)
-def sim(request) -> Simulator:
-    return Simulator(queue=request.param)
 
 
 class Ticker:
@@ -47,9 +41,10 @@ class Ticker:
             self.sim.schedule_at(nxt, self._event)
 
 
-def _mixed(sim: Simulator, as_events: bool) -> list:
+def _mixed(sim: Simulator, as_events: bool, by_step: bool = False) -> list:
     """Two chains sharing a tick phase plus real NORMAL events at the same
-    instants, scheduled before and after the chains start."""
+    instants, scheduled before and after the chains start; run to the end
+    by ``run()`` or by ``step()``."""
     log: list = []
     sim.schedule_at(10.0, log.append, (10.0, "early"))
     Ticker(sim, log, "a", 10.0, 60.0).start(as_events)
@@ -57,13 +52,17 @@ def _mixed(sim: Simulator, as_events: bool) -> list:
     Ticker(sim, log, "b", 5.0, 60.0).start(as_events)
     sim.schedule_at(30.0, log.append, (30.0, "late"))
     sim.schedule_at(30.0, log.append, (30.0, "irq"), priority=Priority.INTERRUPT)
-    sim.run()
+    if by_step:
+        while sim.step():
+            pass
+    else:
+        sim.run()
     return log
 
 
 def test_boundaries_and_events_fire_in_key_order(sim):
     chained = _mixed(sim, as_events=False)
-    ref = Simulator(queue="heap")
+    ref = Simulator()
     assert chained == _mixed(ref, as_events=True)
     assert sim.chain_boundaries == ref.events_fired - sim.events_fired
     # same-instant NORMAL entries order by seq, which a boundary takes when
@@ -73,6 +72,19 @@ def test_boundaries_and_events_fire_in_key_order(sim):
     assert at(10.0) == ["early", "a", "b"]
     assert at(20.0) == ["mid", "a", "b"]
     assert at(30.0) == ["irq", "late", "a", "b"]
+
+
+def test_boundary_precedes_same_instant_events_with_later_keys(sim):
+    """A boundary ties with events at its instant on time alone: a
+    NORMAL event scheduled after the boundary took its seq, and a LOW
+    one scheduled before, both fire after it; an INTERRUPT one before."""
+    log: list = []
+    sim.schedule_at(10.0, log.append, (10.0, "low"), priority=Priority.LOW)
+    Ticker(sim, log, "a", 10.0, 10.0).start(as_events=False)
+    sim.schedule_at(10.0, log.append, (10.0, "normal"))
+    sim.schedule_at(10.0, log.append, (10.0, "irq"), priority=Priority.INTERRUPT)
+    sim.run()
+    assert [name for _t, name in log] == ["irq", "a", "normal", "low"]
 
 
 def test_materialize_keeps_the_key(sim):
@@ -90,7 +102,7 @@ def test_materialize_keeps_the_key(sim):
     sim.schedule_at(25.0, rearm)
     sim.run()
     ref_log: list = []
-    ref = Simulator(queue="heap")
+    ref = Simulator()
     Ticker(ref, ref_log, "a", 10.0, 100.0).start(as_events=True)
     ref.schedule_at(30.0, ref_log.append, (30.0, "same-instant, later seq"))
     ref.schedule_at(25.0, ref_log.append, (25.0, "rearm"))
@@ -181,9 +193,9 @@ def test_chain_cannot_start_in_the_past(sim):
 
 
 @pytest.mark.parametrize("as_events", [False, True])
-def test_heap_and_calendar_loops_agree(as_events):
+def test_run_and_step_agree(as_events):
     logs = {}
-    for kind in QUEUE_KINDS:
-        sim = Simulator(queue=kind)
-        logs[kind] = (_mixed(sim, as_events), sim.events_fired, sim.chain_boundaries)
-    assert len(set(map(repr, logs.values()))) == 1
+    for by_step in (False, True):
+        sim = Simulator()
+        logs[by_step] = (_mixed(sim, as_events, by_step), sim.events_fired, sim.chain_boundaries)
+    assert logs[False] == logs[True]

@@ -13,7 +13,7 @@ def test_sort_key_total_order():
     b = EventHandle(1.0, Priority.NORMAL, 2, lambda: None, ())
     c = EventHandle(1.0, Priority.INTERRUPT, 3, lambda: None, ())
     d = EventHandle(0.5, Priority.IDLE, 4, lambda: None, ())
-    ordered = sorted([b, a, c, d])
+    ordered = sorted([b, a, c, d], key=EventHandle.sort_key)
     assert ordered == [d, c, a, b]
 
 

@@ -1,9 +1,5 @@
-"""Unit tests for the discrete-event kernel.
-
-The whole module runs once per event-queue implementation (the ``sim``
-fixture override below): every semantic pinned here — ordering, bounded
-runs, stop, liveness — is part of the queue-independence contract.
-"""
+"""Unit tests for the discrete-event kernel: ordering, bounded runs,
+stop, liveness (the ``sim`` fixture is a fresh :class:`Simulator`)."""
 
 from __future__ import annotations
 
@@ -11,13 +7,6 @@ import pytest
 
 from repro.errors import DeadlockError, SimulationError
 from repro.sim.events import Priority
-from repro.sim.kernel import Simulator
-from repro.sim.queues import QUEUE_KINDS
-
-
-@pytest.fixture(params=QUEUE_KINDS)
-def sim(request) -> Simulator:
-    return Simulator(queue=request.param)
 
 
 def test_clock_starts_at_zero(sim):
@@ -226,6 +215,20 @@ def test_max_events_still_raises_when_work_remains(sim):
         sim.schedule(float(i + 1), lambda: None)
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=5)
+
+
+def test_max_events_leaves_the_next_event_pending(sim):
+    """The event the runaway guard stops at is not lost: the next run
+    fires it."""
+    fired = []
+    for i in range(3):
+        sim.schedule(float(i + 1), fired.append, i)
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=2)
+    assert fired == [0, 1] and sim.events_fired == 2
+    assert sim.pending_count() == 1 and sim.peek_time() == 3.0
+    assert sim.run() == 3.0
+    assert fired == [0, 1, 2]
 
 
 def test_run_until_advances_clock_when_queue_drains_early(sim):

@@ -1,33 +1,35 @@
-"""The inlined ``Simulator.run`` fast paths are behaviourally identical to
-driving the simulation one :meth:`Simulator.step` at a time — and
-identical *across event-queue implementations*.
+"""The inlined ``Simulator.run`` loop is behaviourally identical to
+driving the simulation one :meth:`Simulator.step` at a time.
 
-``run()`` no longer delegates to ``step()`` (it dispatches to a
-per-queue loop that inlines the pop/fire sequence — the calendar loop
-consumes pre-sorted batches, the heap loop binds ``heappop`` locally),
-so this file pins the equivalences the docstrings promise: same firing
-order, same times, same ``events_fired``, same observer callbacks, same
-trace signatures on full traced workloads, whichever queue and whichever
-drive mode.
+``run()`` does not delegate to ``step()`` (it pops the heap and fires
+inline), so this file pins the equivalences the docstrings promise: same
+firing order, same times, same ``events_fired``, same observer callbacks,
+and stable trace signatures on full traced workloads — whether the heap
+drops cancelled entries lazily or compacts them eagerly under the loop.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import EngineKind, KernelConfig, TimingModel
+from repro.config import EngineKind
 from repro.errors import SimulationError
+from repro.faults import FaultAction, FaultPlan, FaultRule
 from repro.harness.runner import ClusterRuntime
+from repro.sim import queues
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
-from repro.sim.queues import QUEUE_KINDS
 from repro.sim.tracing import Tracer
 from repro.units import KiB
 
 
-def _storm(sim: Simulator, log: list, n_events: int = 400) -> None:
-    """Mixed-priority self-rearming chains with lazy cancellations."""
+def _storm(sim: Simulator, log: list, n_events: int = 400, timers: bool = False) -> None:
+    """Mixed-priority self-rearming chains with lazy cancellations. With
+    ``timers``, every tick also re-arms a far-future retransmit-shaped
+    timer and cancels the chain's previous one, so cancelled entries
+    pile up behind the chains."""
     counter = [0]
+    armed: dict[int, object] = {}
 
     def tick(chain: int) -> None:
         counter[0] += 1
@@ -36,42 +38,59 @@ def _storm(sim: Simulator, log: list, n_events: int = 400) -> None:
             sim.schedule(1.0, tick, chain, priority=chain % 3)
             if counter[0] % 5 == 0:
                 sim.schedule(2.0, tick, chain).cancel()
+            if timers:
+                old = armed.get(chain)
+                if old is not None:
+                    old.cancel()
+                armed[chain] = sim.schedule(50_000.0, log.append, ("rto", chain))
 
     for c in range(4):
         sim.schedule(float(c) * 0.25, tick, c)
 
 
-def _run_with_run(n_events: int = 400, queue: str = "heap"):
-    sim, log = Simulator(queue=queue), []
+def _run_with_run(n_events: int = 400):
+    sim, log = Simulator(), []
     _storm(sim, log, n_events)
     end = sim.run()
     return end, sim.events_fired, log
 
 
-def _run_with_step(n_events: int = 400, queue: str = "heap"):
-    sim, log = Simulator(queue=queue), []
+def _run_with_step(n_events: int = 400):
+    sim, log = Simulator(), []
     _storm(sim, log, n_events)
     while sim.step():
         pass
     return sim.now, sim.events_fired, log
 
 
-@pytest.mark.parametrize("queue", QUEUE_KINDS)
-def test_run_matches_step_driven_execution(queue):
-    assert _run_with_run(queue=queue) == _run_with_step(queue=queue)
+def test_run_matches_step_driven_execution():
+    assert _run_with_run() == _run_with_step()
 
 
-def test_all_queues_fire_identically():
-    """The determinism contract across implementations: the full event log
-    (time, chain, counter) is equal element-for-element."""
-    results = [_run_with_run(1_000, queue=kind) for kind in QUEUE_KINDS]
-    assert all(r == results[0] for r in results[1:])
+def test_all_queues_fire_identically(monkeypatch):
+    """The determinism contract across the heap's storage disciplines: with
+    a compaction floor of 1, the storm's cancelled timers are compacted in
+    place mid-run, and the full event log (time, chain, counter, and the
+    surviving timers) and ``pending_count``/``peek_time`` after every event
+    are still equal element-for-element to the lazily-deleting heap's."""
+
+    def observed_storm():
+        sim, log, seen = Simulator(), [], []
+        sim.add_observer(lambda now: seen.append((sim.pending_count(), sim.peek_time())))
+        _storm(sim, log, 1_000, timers=True)
+        end = sim.run()
+        return (end, sim.events_fired, log, seen), sim.queue_stats()["compactions"]
+
+    lazy, lazy_compactions = observed_storm()
+    monkeypatch.setattr(queues, "_COMPACT_MIN", 1)
+    eager, eager_compactions = observed_storm()
+    assert lazy_compactions == 0 < eager_compactions
+    assert eager == lazy
 
 
-@pytest.mark.parametrize("queue", QUEUE_KINDS)
-def test_events_fired_counter_identical(queue):
-    _, fired_run, _ = _run_with_run(1_000, queue=queue)
-    _, fired_step, _ = _run_with_step(1_000, queue=queue)
+def test_events_fired_counter_identical():
+    _, fired_run, _ = _run_with_run(1_000)
+    _, fired_step, _ = _run_with_step(1_000)
     assert fired_run == fired_step > 1_000  # chains + their rearms
 
 
@@ -154,11 +173,13 @@ def test_priority_order_preserved_at_equal_time():
     assert fired == ["tasklet", "normal", "low"]
 
 
-def _traced_signature(engine: str, queue: str | None = None) -> tuple[float, list]:
-    """A full traced communication workload, as in test_determinism."""
+def _traced_signature(engine: str, lossy: bool = False) -> tuple[float, list]:
+    """A full traced communication workload, as in test_determinism.
+    ``lossy`` drops every 7th frame, so the reliability layer arms
+    retransmit timers that ACKs cancel."""
     tracer = Tracer()
-    timing = TimingModel(kernel=KernelConfig(queue=queue)) if queue else None
-    rt = ClusterRuntime.build(engine=engine, tracer=tracer, timing=timing)
+    faults = FaultPlan(rules=[FaultRule(FaultAction.DROP, every_nth=7)]) if lossy else None
+    rt = ClusterRuntime.build(engine=engine, tracer=tracer, faults=faults)
 
     def sender(ctx):
         nm = ctx.env["nm"]
@@ -189,9 +210,13 @@ def test_traced_workload_signature_stable(engine):
 
 
 @pytest.mark.parametrize("engine", [EngineKind.SEQUENTIAL, EngineKind.PIOMAN])
-def test_traced_workload_signature_identical_across_queues(engine):
-    """The queue implementation is invisible to a full engine run: the
-    heap and calendar kernels produce identical trace signatures and end
-    times on a traced communication workload."""
-    signatures = [_traced_signature(engine, queue=kind) for kind in QUEUE_KINDS]
-    assert all(s == signatures[0] for s in signatures[1:])
+def test_traced_workload_signature_identical_across_queues(engine, monkeypatch):
+    """The heap's storage discipline is invisible to a full engine run: a
+    heap compacting on almost every cancellation (floor 1) produces the
+    same trace signature and end time as the default lazily-deleting
+    heap on a traced communication workload over a lossy wire (where the
+    PIOMan run's ACK-cancelled retransmit timers get compacted mid-run)."""
+    lazy = _traced_signature(engine, lossy=True)
+    monkeypatch.setattr(queues, "_COMPACT_MIN", 1)
+    assert _traced_signature(engine, lossy=True) == lazy
+

@@ -1,164 +1,68 @@
-"""Unit tests for the pluggable event-queue layer (:mod:`repro.sim.queues`).
+"""Unit tests for the kernel's event queue (:mod:`repro.sim.queues`).
 
-Ordering equivalence across implementations is pinned by
+Ordering against ``step()``-driven execution is pinned by
 ``test_kernel_fastpath`` and the property suite; this module covers the
-queue mechanics themselves — selection, calendar resizing, cancelled-entry
-compaction (the retransmit-timer bloat fix), incursion ordering, handle
-pooling, and the bloat regression guards.
+queue mechanics themselves — its counters, cancelled-entry compaction
+(the retransmit-timer bloat fix), compaction under a running loop,
+retained handles, and the bloat regression guards.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
-from repro.sim.queues import (
-    QUEUE_KINDS,
-    CalendarQueue,
-    EventQueue,
-    HeapQueue,
-    _COMPACT_MIN,
-    make_queue,
-)
-
-# -- selection -----------------------------------------------------------------
+from repro.sim.queues import _COMPACT_MIN
 
 
-def test_make_queue_by_kind():
-    assert isinstance(make_queue("heap"), HeapQueue)
-    assert isinstance(make_queue("calendar"), CalendarQueue)
+def _entries(sim: Simulator) -> int:
+    return sim.queue_stats()["entries"]
 
 
-def test_make_queue_passthrough_instance():
-    q = CalendarQueue()
-    assert make_queue(q) is q
-
-
-def test_make_queue_rejects_unknown_kind():
-    with pytest.raises(SimulationError, match="unknown event queue"):
-        make_queue("splay")
-
-
-def test_simulator_queue_selection():
-    assert Simulator().queue.kind == "heap"  # conservative default
-    assert Simulator(queue="calendar").queue.kind == "calendar"
-    custom = HeapQueue()
-    assert Simulator(queue=custom).queue is custom
-
-
-def test_timing_model_defaults_to_calendar():
-    from repro.config import KernelConfig, TimingModel
-    from repro.errors import ConfigError
-
-    assert TimingModel().kernel.queue == "calendar"
-    with pytest.raises(ConfigError):
-        KernelConfig(queue="splay")
-
-
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_queue_stats_shape(kind):
-    sim = Simulator(queue=kind)
+def test_queue_stats_shape():
+    sim = Simulator()
     sim.schedule(1.0, lambda: None)
-    stats = sim.queue_stats()
-    assert stats["kind"] == kind
-    assert stats["entries"] == 1
-    assert stats["cancelled"] == 0
-    assert "compactions" in stats
-
-
-# -- calendar resizing ---------------------------------------------------------
-
-
-def test_calendar_grows_buckets_under_load():
-    sim = Simulator(queue="calendar")
-    fired = []
-    for i in range(4_000):
-        sim.schedule(float(i) * 0.5 + 1.0, fired.append, i)
+    sim.schedule(2.0, lambda: None).cancel()
+    assert sim.queue_stats() == {"entries": 2, "cancelled": 1, "compactions": 0}
     sim.run()
-    assert fired == list(range(4_000))
-    stats = sim.queue_stats()
-    assert stats["resizes"] >= 1
-    assert stats["batches"] >= 1
+    assert sim.queue_stats() == {"entries": 0, "cancelled": 0, "compactions": 0}
 
 
-def test_calendar_shrinks_after_drain_burst():
-    sim = Simulator(queue="calendar")
-    peak = [0]
-    sim.add_observer(
-        lambda _now: peak.__setitem__(0, max(peak[0], sim.queue_stats()["buckets"])))
-    # a dense burst forces growth mid-run...
-    for i in range(3_000):
-        sim.schedule(float(i) * 0.1, lambda: None)
+def test_call_soon_at_higher_priority_overtakes_queued_same_instant_events():
+    """An event scheduled mid-run for the current instant at INTERRUPT
+    priority fires before same-time NORMAL events queued long before it;
+    one at NORMAL priority fires after them (its seq is later)."""
+    sim = Simulator()
+    log: list = []
+
+    def first() -> None:
+        log.append(("first", sim.now))
+        sim.call_soon(lambda: log.append(("soon-interrupt", sim.now)),
+                      priority=Priority.INTERRUPT)
+        sim.call_soon(lambda: log.append(("soon-normal", sim.now)))
+
+    sim.schedule(1.0, first)
+    for i in range(4):
+        sim.schedule(1.0, log.append, ("tail", i))
     sim.run()
-    stats = sim.queue_stats()
-    assert peak[0] >= 1_024  # grew to hold the burst
-    assert stats["buckets"] <= 64  # ...and shrank back as it drained
-    assert stats["resizes"] >= 2  # at least one grow and one shrink
-
-
-def test_calendar_handles_sparse_far_future_jumps():
-    """Cursor must jump over long empty stretches, not crawl bucket by
-    bucket for each of the 10^6 widths between events."""
-    sim = Simulator(queue="calendar")
-    fired = []
-    sim.schedule(0.5, fired.append, "near")
-    sim.schedule(1_000_000.0, fired.append, "far")
-    sim.run()
-    assert fired == ["near", "far"]
-    assert sim.now == 1_000_000.0
-
-
-def test_calendar_batch_incursion_preserves_priority_order():
-    """An event scheduled mid-batch for the current instant at INTERRUPT
-    priority must fire before same-time NORMAL events already extracted
-    into the batch — exactly as the heap orders it."""
-    logs = {}
-    for kind in QUEUE_KINDS:
-        sim = Simulator(queue=kind)
-        log = logs.setdefault(kind, [])
-
-        def first(sim=sim, log=log):
-            log.append(("first", sim.now))
-            sim.call_soon(lambda: log.append(("soon-interrupt", sim.now)),
-                          priority=Priority.INTERRUPT)
-            sim.call_soon(lambda: log.append(("soon-normal", sim.now)))
-
-        sim.schedule(1.0, first)
-        for i in range(4):
-            sim.schedule(1.0, log.append, ("tail", i))
-        sim.run()
-    assert logs["calendar"] == logs["heap"]
-
-
-def test_calendar_push_behind_skipped_cursor():
-    """A callback scheduling into a region the cursor already skipped past
-    (possible after a sparse jump) must still fire in time order."""
-    sim = Simulator(queue="calendar")
-    fired = []
-
-    def at_far():
-        fired.append(sim.now)
-        # now is huge; schedule slightly ahead — lands behind the cursor's
-        # absolute index after the sparse jump unless the queue rewinds
-        sim.schedule(0.25, lambda: fired.append(sim.now))
-
-    sim.schedule(500_000.0, at_far)
-    sim.run()
-    assert fired == [500_000.0, 500_000.25]
+    assert log == [
+        ("first", 1.0),
+        ("soon-interrupt", 1.0),
+        ("tail", 0), ("tail", 1), ("tail", 2), ("tail", 3),
+        ("soon-normal", 1.0),
+    ]
 
 
 # -- cancelled-entry compaction (the bloat fix) --------------------------------
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_cancelled_far_future_timers_are_compacted(kind):
-    """The historical heap carried every ack-cancelled retransmit timer
-    until its timestamp surfaced — hours of virtual time away. Both queues
-    must now keep stored entries bounded while cancelling far-future
-    timers en masse."""
-    sim = Simulator(queue=kind)
+def test_cancelled_far_future_timers_are_compacted():
+    """A heap without compaction carries every ack-cancelled retransmit
+    timer until its timestamp surfaces — hours of virtual time away.
+    Stored entries must stay bounded while far-future timers are
+    cancelled en masse."""
+    sim = Simulator()
     n = 20_000
     peak = 0
 
@@ -166,7 +70,7 @@ def test_cancelled_far_future_timers_are_compacted(kind):
         nonlocal peak
         h = sim.schedule(1e9, lambda: None)  # retransmit timer, RTO ~forever
         h.cancel()  # ack arrives immediately
-        peak = max(peak, len(sim.queue))
+        peak = max(peak, _entries(sim))
         if i + 1 < n:
             sim.schedule(1.0, churn, i + 1)
 
@@ -176,9 +80,8 @@ def test_cancelled_far_future_timers_are_compacted(kind):
     assert sim.queue_stats()["compactions"] >= 1
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_compaction_preserves_live_entries(kind):
-    sim = Simulator(queue=kind)
+def test_compaction_preserves_live_entries():
+    sim = Simulator()
     fired = []
     keep = [sim.schedule(float(i) + 2.0, fired.append, i) for i in range(10)]
     for _ in range(2 * _COMPACT_MIN):
@@ -187,6 +90,41 @@ def test_compaction_preserves_live_entries(kind):
     sim.run()
     assert fired == list(range(10))
     assert all(h.fired for h in keep)
+
+
+def test_compaction_inside_the_run_loop_keeps_order():
+    """A callback cancels more than ``_COMPACT_MIN`` pending timers, so the
+    heap compacts while ``run()`` holds its alias to the heap list. Every
+    live event must still fire, in ``(time, priority, seq)`` order, and no
+    cancelled one may fire."""
+    sim = Simulator()
+    n = 3 * _COMPACT_MIN
+    fired: list[int] = []
+    handles = [
+        sim.schedule(20.0 + (i * 37) % 101, fired.append, i, priority=i % 5)
+        for i in range(n)
+    ]
+    doomed = [i for i in range(n) if i % 3]
+    survivors = sorted(
+        (i for i in range(n) if i % 3 == 0),
+        key=lambda i: (20.0 + (i * 37) % 101, i % 5, i),
+    )
+    seen: dict[str, object] = {}
+
+    def cancel_most() -> None:
+        for i in doomed:
+            handles[i].cancel()
+        seen.update(sim.queue_stats())
+
+    sim.schedule(10.0, cancel_most)
+    sim.run()
+    assert len(doomed) >= _COMPACT_MIN
+    assert seen["compactions"] >= 1
+    assert fired == survivors
+    assert not any(handles[i].fired for i in doomed)
+    assert sim.queue_stats() == {
+        "entries": 0, "cancelled": 0, "compactions": seen["compactions"],
+    }
 
 
 def test_cancel_before_run_with_no_queue_is_safe():
@@ -201,12 +139,11 @@ def test_cancel_before_run_with_no_queue_is_safe():
 # -- fired handles ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
-def test_retained_handles_keep_their_fields_after_firing(kind):
+def test_retained_handles_keep_their_fields_after_firing():
     """A handle the caller kept a reference to stays readable after it
     fires (fired, time, label), while the kernel drops its callback so a
     retained timer does not pin its closure."""
-    sim = Simulator(queue=kind)
+    sim = Simulator()
     log: list[int] = []
     kept = [sim.schedule(float(i) + 1.0, log.append, i, label=f"ev{i}") for i in range(50)]
     for i in range(50):
@@ -219,70 +156,6 @@ def test_retained_handles_keep_their_fields_after_firing(kind):
     assert all(h._fn != log.append and h._args == () for h in kept)
 
 
-# -- generic EventQueue fallback ----------------------------------------------
-
-
-class _ListQueue(EventQueue):
-    """Deliberately naive third-party implementation: sorted list."""
-
-    kind = "list"
-
-    def __init__(self) -> None:
-        self._entries = []
-
-    def push(self, handle) -> None:
-        handle._queue = self
-        self._entries.append(handle)
-        self._entries.sort(key=lambda h: h._key)
-
-    def pop_next(self):
-        while self._entries:
-            h = self._entries.pop(0)
-            if not h.cancelled:
-                return h
-        return None
-
-    def peek_time(self):
-        while self._entries and self._entries[0].cancelled:
-            self._entries.pop(0)
-        return self._entries[0].time if self._entries else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
-
-    def _note_cancel(self) -> None:
-        pass
-
-    def stats(self):
-        return {"kind": self.kind, "entries": len(self._entries)}
-
-
-def test_generic_queue_runs_through_fallback_loop():
-    sim = Simulator(queue=_ListQueue())
-    fired = []
-    sim.schedule(2.0, fired.append, "b")
-    sim.schedule(1.0, fired.append, "a")
-    sim.schedule(1.0, sim.stop)  # exercises stop in the generic loop
-    sim.run()
-    assert fired == ["a"]
-    assert sim.run() == 2.0
-    assert fired == ["a", "b"]
-
-
-def test_generic_queue_bounded_run():
-    sim = Simulator(queue=_ListQueue())
-    fired = []
-    for i in range(4):
-        sim.schedule(float(i) + 1.0, fired.append, i)
-    assert sim.run(until=2.5) == 2.5
-    assert fired == [0, 1]
-    with pytest.raises(SimulationError, match="max_events"):
-        sim.run(max_events=1)
-
-
 # -- bloat regression guard (perf lane) ---------------------------------------
 
 
@@ -291,20 +164,19 @@ def test_reliability_ack_storm_queue_stays_bounded():
     """Ack-heavy reliability traffic: every send arms a retransmit timer
     the ack cancels almost immediately. Stored entries — sampled from an
     observer after every event — must stay bounded instead of growing
-    with message count, on both queue implementations."""
-    for kind in QUEUE_KINDS:
-        sim = Simulator(queue=kind)
-        n = 20_000
-        peak = [0]
-        sim.add_observer(lambda _now: peak.__setitem__(0, max(peak[0], len(sim.queue))))
+    with message count."""
+    sim = Simulator()
+    n = 20_000
+    peak = [0]
+    sim.add_observer(lambda _now: peak.__setitem__(0, max(peak[0], _entries(sim))))
 
-        def send(i: int) -> None:
-            timer = sim.schedule(1e8, lambda: None)  # RTO far beyond the run
-            sim.schedule(0.5, timer.cancel)  # the ack
-            if i + 1 < n:
-                sim.schedule(1.0, send, i + 1)
+    def send(i: int) -> None:
+        timer = sim.schedule(1e8, lambda: None)  # RTO far beyond the run
+        sim.schedule(0.5, timer.cancel)  # the ack
+        if i + 1 < n:
+            sim.schedule(1.0, send, i + 1)
 
-        sim.schedule(1.0, send, 0)
-        sim.run()
-        assert peak[0] < 2 * _COMPACT_MIN + 256, (
-            f"{kind} queue bloated to {peak[0]} entries for {n} sends")
+    sim.schedule(1.0, send, 0)
+    sim.run()
+    assert peak[0] < 2 * _COMPACT_MIN + 256, (
+        f"queue bloated to {peak[0]} entries for {n} sends")

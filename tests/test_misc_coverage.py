@@ -95,15 +95,6 @@ class TestReportEdge:
             NmInterface(s2, engine)
 
 
-class TestTimeoutAlias:
-    def test_timeout_is_delay(self, sim):
-        from repro.sim.primitives import timeout
-        from repro.sim.process import Delay
-
-        t = timeout(sim, 3.0)
-        assert isinstance(t, Delay) and t.duration == 3.0
-
-
 class TestVersionMetadata:
     def test_version_importable(self):
         import repro
