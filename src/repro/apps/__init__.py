@@ -8,25 +8,11 @@
   computing threads, mixing intra-node (shared-memory) and inter-node (NIC)
   traffic (Fig. 7/8, Table 1);
 * :mod:`repro.apps.workloads` — generic synthetic workload generators used
-  by extra examples and ablation benches;
-* :mod:`repro.apps.traffic` — composable network traffic generators
-  (arrival process × size sampler × loop discipline) driving the
-  multi-job interference harness and topology benchmarks.
+  by extra examples and ablation benches.
 """
 
 from .convolution import ConvolutionConfig, ConvolutionResult, run_convolution
 from .overlap import OverlapConfig, OverlapResult, run_overlap
-from .traffic import (
-    ClosedLoop,
-    FixedSize,
-    OnOffArrivals,
-    OpenLoop,
-    ParetoSize,
-    PeriodicArrivals,
-    PoissonArrivals,
-    TrafficMessage,
-    UniformSize,
-)
 from .workloads import Phase, irregular_phases, master_worker_plan, uniform_phases
 
 __all__ = [
@@ -40,13 +26,4 @@ __all__ = [
     "uniform_phases",
     "irregular_phases",
     "master_worker_plan",
-    "TrafficMessage",
-    "PeriodicArrivals",
-    "PoissonArrivals",
-    "OnOffArrivals",
-    "FixedSize",
-    "UniformSize",
-    "ParetoSize",
-    "OpenLoop",
-    "ClosedLoop",
 ]

@@ -29,7 +29,6 @@ __all__ = [
     "FaultConfig",
     "RdvConfig",
     "ObsConfig",
-    "InterconnectConfig",
     "TimingModel",
     "EngineKind",
 ]
@@ -407,59 +406,6 @@ class ObsConfig:
 
 
 @dataclass(frozen=True)
-class InterconnectConfig:
-    """Interconnect-model configuration (see ``docs/topology.md``).
-
-    Selects the :mod:`repro.network.interconnect` model each fabric uses
-    to time deliveries. The default — a contention-free ``direct``
-    point-to-point wire — is the paper's 2-node testbed and reproduces the
-    seed traces byte-for-byte; ``fattree``/``dragonfly`` route frames over
-    a modeled switch hierarchy, and ``contention=True`` adds per-link
-    busy-until serialization so concurrent flows queue at bottleneck hops
-    (the multi-job interference studies).
-
-    Not to be confused with :mod:`repro.topology`, the *intra-node* NUMA
-    machine model: this section describes the inter-node wire structure.
-    """
-
-    #: "direct", "fattree", or "dragonfly" (optionally with inline arity,
-    #: e.g. "fattree:8" or "dragonfly:4,2,2").
-    topology: str = "direct"
-    #: per-link busy-until serialization (frames queue at bottleneck hops).
-    contention: bool = False
-    #: fat-tree arity (k pods, k³/4 hosts); must be even.
-    fattree_k: int = 4
-    #: dragonfly routers per group / hosts per router / global links per router.
-    dragonfly_a: int = 4
-    dragonfly_p: int = 2
-    dragonfly_h: int = 2
-    #: per-switch-hop latency (intra-group hops for the dragonfly).
-    hop_latency_us: float = 0.3
-    #: dragonfly inter-group (optical) hop latency.
-    global_latency_us: float = 1.2
-    #: switch-link bandwidth in bytes/µs; 0 inherits the NIC wire bandwidth.
-    link_bw: float = 0.0
-
-    def __post_init__(self) -> None:
-        base = self.topology.partition(":")[0].strip().lower()
-        if base not in ("direct", "fattree", "dragonfly"):
-            raise ConfigError(
-                f"interconnect topology must be direct, fattree or dragonfly, "
-                f"got {self.topology!r}"
-            )
-        if self.fattree_k < 2 or self.fattree_k % 2:
-            raise ConfigError(
-                f"fattree_k must be even and >= 2, got {self.fattree_k}"
-            )
-        for name in ("dragonfly_a", "dragonfly_p", "dragonfly_h"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _non_negative("hop_latency_us", self.hop_latency_us)
-        _non_negative("global_latency_us", self.global_latency_us)
-        _non_negative("link_bw", self.link_bw)
-
-
-@dataclass(frozen=True)
 class TimingModel:
     """Aggregate of every cost model used by a simulation run."""
 
@@ -471,7 +417,6 @@ class TimingModel:
     faults: FaultConfig = field(default_factory=FaultConfig)
     rdv: RdvConfig = field(default_factory=RdvConfig)
     obs: ObsConfig = field(default_factory=ObsConfig)
-    interconnect: InterconnectConfig = field(default_factory=InterconnectConfig)
 
     def replace(self, **kwargs: object) -> "TimingModel":
         """Return a copy with top-level sections replaced.

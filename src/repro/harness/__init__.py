@@ -1,7 +1,7 @@
 """Experiment harness: cluster assembly, experiment runners, reports.
 
 * :class:`~repro.harness.runner.ClusterRuntime` — builds a full simulated
-  platform (topology + Marcel schedulers + NICs/fabric/SHM + NewMadeleine
+  platform (NUMA machine + Marcel schedulers + NICs/fabric/SHM + NewMadeleine
   sessions + the chosen progression engine) and runs thread programs on it.
 * :mod:`repro.harness.experiments` — the paper's experiments (Fig. 5,
   Fig. 6, Table 1) as parameterized functions returning structured results.
@@ -9,9 +9,6 @@
 * :mod:`repro.harness.sweep` — generic parameter sweeps for ablations.
 * :mod:`repro.harness.parallel` — multicore fan-out for sweeps and
   replications (``run_grid``/``run_many``, ``REPRO_BENCH_WORKERS``).
-* :mod:`repro.harness.multijob` — shared-fabric multi-job runs: several
-  apps' flows on one modeled interconnect, per-job latency percentiles
-  (the interference measurement surface behind ``bench_interconnects``).
 * :mod:`repro.harness.executors` — the unified execution surface:
   :class:`~repro.harness.executors.ExecutionConfig` and the
   :class:`~repro.harness.executors.Executor` protocol behind every entry
@@ -26,7 +23,6 @@ from .executors import (
     SerialExecutor,
     make_executor,
 )
-from .multijob import JobResult, JobSpec, MultiJobReport, run_multi_job
 from .parallel import derive_task_seeds, resolve_workers, run_grid, run_many
 from .report import ascii_plot, format_series_table, format_table
 from .runner import ClusterRuntime, NodeRuntime
@@ -82,10 +78,6 @@ __all__ = [
     "EXECUTION_MODES",
     "resolve_workers",
     "derive_task_seeds",
-    "JobSpec",
-    "JobResult",
-    "MultiJobReport",
-    "run_multi_job",
     "LatencyCollector",
     "LatencySummary",
     "node_utilization",

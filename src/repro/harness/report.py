@@ -9,7 +9,7 @@ from __future__ import annotations
 import os
 import platform
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from ..units import fmt_size
 
@@ -18,29 +18,36 @@ __all__ = ["format_table", "format_series_table", "ascii_plot", "bench_header"]
 
 def bench_header(bench: str, schema: int, quick: bool) -> dict[str, Any]:
     """The header every ``BENCH_*.json`` record starts with: which bench
-    and schema produced it, on what host, and at which commit (``git_sha``
-    is None outside a git checkout)."""
+    and schema produced it, on what host, and at which commit. ``dirty``
+    says whether ``git status --porcelain`` listed uncommitted changes, so
+    a record taken from an edited tree is not mistaken for the commit's;
+    ``git_sha`` and ``dirty`` are None outside a git checkout."""
     # imported here: ``repro.harness`` is loaded by every run, and the
     # subprocess machinery would cost each of them import time and RSS
     import subprocess
 
-    try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=30,
-        )
-        sha = proc.stdout.strip() or None
-    except (OSError, subprocess.TimeoutExpired):
-        sha = None
+    def git(*args: str) -> Optional[str]:
+        try:
+            proc = subprocess.run(
+                ["git", *args],
+                cwd=Path(__file__).resolve().parent,
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return proc.stdout if proc.returncode == 0 else None
+
+    sha = (git("rev-parse", "HEAD") or "").strip() or None
+    status = git("status", "--porcelain") if sha is not None else None
     return {
         "bench": bench,
         "schema": schema,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "git_sha": sha,
+        "dirty": None if status is None else bool(status.strip()),
         "quick": quick,
     }
 

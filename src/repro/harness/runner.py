@@ -25,7 +25,6 @@ from ..faults import FaultInjector, FaultPlan
 from ..marcel.scheduler import MarcelScheduler
 from ..marcel.thread import MarcelThread, Priority, ThreadContext
 from ..network.fabric import Fabric
-from ..network.interconnect import Topology, make_topology, topology_from_config
 from ..network.nic import Nic
 from ..network.shm import ShmChannel
 from ..nmad.core import NmSession
@@ -103,7 +102,7 @@ class ClusterRuntime:
         self.tracer = tracer
         self.rng = rng
         self.engine_kind = engine_kind
-        #: every fabric (one per rail); each owns an interconnect model
+        #: every fabric (one per rail)
         self.fabrics: list[Fabric] = []
         #: shared fault injector when the platform was built with a plan
         self.fault_injector: Optional[FaultInjector] = None
@@ -134,7 +133,6 @@ class ClusterRuntime:
         seed: int = 0,
         offload_policy: Optional[str] = None,
         ingress_contention: bool = False,
-        topology: "str | Topology | None" = None,
         faults: Optional[FaultPlan] = None,
         recover: bool = True,
         metrics: Optional[bool] = None,
@@ -166,16 +164,10 @@ class ClusterRuntime:
         chunked/striped rendezvous data phase (see
         :class:`repro.config.RdvConfig` and ``docs/rdv.md``).
 
-        ``topology`` selects the interconnect model per fabric (see
-        :mod:`repro.network.interconnect` and ``docs/topology.md``): a
-        spec string (``"direct"``, ``"fattree:4"``, ``"dragonfly:4,2,2"``)
-        builds one fresh model per rail from ``timing.interconnect``'s
-        parameters, while a :class:`~repro.network.interconnect.Topology`
-        instance is used directly (single-rail only — a model carries
-        per-fabric link-cursor state). ``None`` follows
-        ``timing.interconnect.topology`` (default ``"direct"``, the seed
-        behaviour). ``ingress_contention=True`` forces the model's
-        per-link contention on, whatever the topology.
+        ``ingress_contention=True`` serializes arrivals per destination
+        node at wire rate on every fabric (the switch egress-port rule, see
+        :class:`repro.network.fabric.Fabric`); off, the wire is the paper's
+        contention-free point-to-point link.
         """
         EngineKind.validate(engine)
         if rails < 1:
@@ -205,41 +197,11 @@ class ClusterRuntime:
         else:
             nic_model = tcp_nic_model()
         timing = timing.replace(nic=nic_model)
-        if isinstance(topology, Topology):
-            if rails > 1:
-                raise HarnessError(
-                    "a Topology instance carries per-fabric link state and "
-                    f"cannot be shared across {rails} rails; pass a spec "
-                    "string (e.g. 'fattree:4') to build one model per rail"
-                )
-            models = [topology]
-        elif topology is None:
-            models = [
-                topology_from_config(timing.interconnect, force_contention=False)
-                for _ in range(rails)
-            ]
-        else:
-            icfg = timing.interconnect
-            models = [
-                make_topology(
-                    topology,
-                    fattree_k=icfg.fattree_k,
-                    dragonfly_a=icfg.dragonfly_a,
-                    dragonfly_p=icfg.dragonfly_p,
-                    dragonfly_h=icfg.dragonfly_h,
-                    hop_latency_us=icfg.hop_latency_us,
-                    global_latency_us=icfg.global_latency_us,
-                    link_bw=icfg.link_bw or None,
-                    contention=icfg.contention,
-                )
-                for _ in range(rails)
-            ]
         fabrics = [
             Fabric(
                 sim,
                 name=f"{interconnect}{r}",
                 ingress_contention=ingress_contention,
-                topology=models[r],
             )
             for r in range(rails)
         ]
@@ -330,8 +292,8 @@ class ClusterRuntime:
         )
         if self.fault_injector is not None:
             reg.register_collector("faults", self.fault_injector.stats)
-        # per-fabric interconnect lane: carried totals plus the per-link
-        # sub-lane (fabric.<name>.link.<link>.{frames,bytes,queued_us,util})
+        # per-fabric lane: carried totals plus the per-port link sub-lane
+        # (fabric.<name>.link.fabric>h<node>.{frames,bytes,queued_us,busy_us,util})
         for fabric in self.fabrics:
             reg.register_collector(f"fabric.{fabric.name}", fabric.metrics)
         rel_keys = frozenset(ReliabilityLayer.STAT_KEYS)

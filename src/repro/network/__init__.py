@@ -1,23 +1,15 @@
-"""Network substrate: packets, NICs, the interconnect fabric, and the
+"""Network substrate: packets, NICs, the point-to-point fabric, and the
 intra-node shared-memory channel.
 
 The substrate is deliberately *below* protocol level: a NIC moves opaque
 packets with realistic timing (PIO vs. DMA, TX serialization, wire
-latency/bandwidth) and exposes a completion queue plus activity listeners.
+latency/bandwidth, optional per-destination egress-port contention) and
+exposes a completion queue plus activity listeners.
 Protocol logic — eager vs. rendezvous, matching, unexpected messages —
 belongs to :mod:`repro.nmad`.
 """
 
 from .fabric import Fabric
-from .interconnect import (
-    Direct,
-    Dragonfly,
-    FatTree,
-    Link,
-    Topology,
-    make_topology,
-    topology_from_config,
-)
 from .message import CompletionRecord, Packet, PacketKind
 from .nic import Nic
 from .registration import MemoryRegistry
@@ -29,13 +21,6 @@ __all__ = [
     "CompletionRecord",
     "Nic",
     "Fabric",
-    "Topology",
-    "Link",
-    "Direct",
-    "FatTree",
-    "Dragonfly",
-    "make_topology",
-    "topology_from_config",
     "ShmChannel",
     "MemoryRegistry",
 ]

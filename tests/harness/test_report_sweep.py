@@ -121,3 +121,31 @@ class TestResultSerialization:
         d = fig.to_dict()
         assert d["x_values"] == fig.x_values
         assert d["compute_us"] == 20.0
+
+
+def test_bench_header_records_dirty_tree():
+    """``dirty`` agrees with ``git status --porcelain`` of this checkout
+    (None, like ``git_sha``, outside one)."""
+    import subprocess
+    from pathlib import Path
+
+    import repro
+    from repro.harness.report import bench_header
+
+    header = bench_header("t", 1, quick=True)
+    assert "dirty" in header
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain"],
+            cwd=Path(repro.__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+    except OSError:
+        proc = None
+    if proc is None or proc.returncode != 0:
+        assert header["git_sha"] is None and header["dirty"] is None
+    else:
+        assert header["git_sha"] is not None
+        assert header["dirty"] is bool(proc.stdout.strip())

@@ -71,7 +71,6 @@ def trace_digest(
     compute_us: float = 20.0,
     waitany: bool = False,
     categories: "tuple[str, ...] | None" = None,
-    topology: "str | None" = None,
     by_step: bool = False,
 ) -> str:
     """Digest of one fig5/fig6-shaped seeded run.
@@ -91,7 +90,6 @@ def trace_digest(
         engine=engine,
         tracer=tracer,
         seed=seed,
-        topology=topology,
         faults=_fault_plan(seed) if faults else None,
     )
 
@@ -196,20 +194,6 @@ TABLE1_GOLDEN = "3c880114ced062e0987f4e4ceb74cc98300b40fb22f0a58140fd18cfc964f79
 
 def test_table1_digest_matches_golden() -> None:
     assert table1_digest() == TABLE1_GOLDEN
-
-
-@pytest.mark.topo
-@pytest.mark.parametrize("engine,seed,faults", _CASES)
-def test_explicit_direct_topology_matches_golden(
-    engine: str, seed: int, faults: bool
-) -> None:
-    """``topology="direct"`` must reproduce the goldens byte-for-byte: the
-    pluggable interconnect layer's default model prices delivery with the
-    exact pre-refactor floating-point operation order (including the
-    fault-injected duplicate trailing rule), so extracting the model is
-    invisible across the whole trace suite."""
-    digest = trace_digest(engine, seed, faults, topology="direct")
-    assert digest == GOLDEN[(engine, seed, faults)]
 
 
 @settings(max_examples=10, deadline=None)
