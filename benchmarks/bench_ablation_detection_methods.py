@@ -19,8 +19,7 @@ import dataclasses
 import pytest
 
 from repro.config import EngineKind, PiomanConfig, TimingModel
-from repro.harness.executors import ExecutionConfig
-from repro.harness.parallel import run_grid
+from repro.harness.executors import ExecutionConfig, run_grid
 from repro.harness.runner import ClusterRuntime
 from repro.harness.report import format_table
 from repro.units import KiB

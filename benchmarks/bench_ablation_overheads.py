@@ -17,9 +17,8 @@ import dataclasses
 import pytest
 
 from repro.config import TimingModel
-from repro.harness.executors import ExecutionConfig
+from repro.harness.executors import ExecutionConfig, run_grid
 from repro.harness.experiments import experiment_fig5
-from repro.harness.parallel import run_grid
 from repro.harness.report import format_table
 from repro.units import KiB
 

@@ -16,9 +16,8 @@ import pytest
 
 from repro.apps.overlap import OverlapConfig, run_overlap
 from repro.config import EngineKind, TimingModel
-from repro.harness.executors import ExecutionConfig
+from repro.harness.executors import ExecutionConfig, sweep
 from repro.harness.report import format_table
-from repro.harness.sweep import sweep
 from repro.units import KiB, fmt_size
 
 SIZES = (KiB(4), KiB(16), KiB(32), KiB(64), KiB(128))

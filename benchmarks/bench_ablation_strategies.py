@@ -17,8 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import EngineKind
-from repro.harness.executors import ExecutionConfig
-from repro.harness.parallel import run_grid
+from repro.harness.executors import ExecutionConfig, run_grid
 from repro.harness.report import format_table
 from repro.harness.runner import ClusterRuntime
 from repro.units import KiB

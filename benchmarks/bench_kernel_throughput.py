@@ -47,9 +47,8 @@ from typing import Any, Callable
 import pytest
 
 from repro.errors import SimulationError
-from repro.harness.executors import ExecutionConfig
+from repro.harness.executors import ExecutionConfig, sweep
 from repro.harness.report import bench_header
-from repro.harness.sweep import sweep
 from repro.sim.events import Priority, _noop
 from repro.sim.kernel import Simulator
 

@@ -16,8 +16,7 @@ import pytest
 
 from repro.apps.overlap import OverlapConfig, run_overlap
 from repro.config import EngineKind, TimingModel
-from repro.harness.executors import ExecutionConfig
-from repro.harness.parallel import run_grid
+from repro.harness.executors import ExecutionConfig, run_grid
 from repro.harness.report import format_table
 from repro.units import GiB_per_s, KiB
 

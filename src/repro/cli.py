@@ -24,13 +24,10 @@ __all__ = ["main"]
 
 
 def _execution_from_args(args: argparse.Namespace):
-    """``--workers N`` → a pool config; absent → honour $REPRO_BENCH_WORKERS."""
+    """``--workers N`` → N workers; absent → honour $REPRO_BENCH_WORKERS."""
     from .harness.executors import ExecutionConfig
 
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        return ExecutionConfig.pool(workers)
-    return ExecutionConfig.from_env()
+    return ExecutionConfig(workers=getattr(args, "workers", None))
 
 
 def _print_fig5(result, args: argparse.Namespace) -> None:

@@ -6,28 +6,25 @@
 * :mod:`repro.harness.experiments` — the paper's experiments (Fig. 5,
   Fig. 6, Table 1) as parameterized functions returning structured results.
 * :mod:`repro.harness.report` — table/series formatting and ASCII plots.
-* :mod:`repro.harness.sweep` — generic parameter sweeps for ablations.
-* :mod:`repro.harness.parallel` — multicore fan-out for sweeps and
-  replications (``run_grid``/``run_many``, ``REPRO_BENCH_WORKERS``).
-* :mod:`repro.harness.executors` — the unified execution surface:
-  :class:`~repro.harness.executors.ExecutionConfig` and the
-  :class:`~repro.harness.executors.Executor` protocol behind every entry
-  point's ``execution=`` keyword (serial / pool).
+* :mod:`repro.harness.executors` — serial or multicore execution of
+  independent tasks (``run_grid``/``run_many``/``sweep``) on a
+  process-wide pool, chosen by one
+  :class:`~repro.harness.executors.ExecutionConfig` (a worker count) or
+  ``REPRO_BENCH_WORKERS``.
 """
 
 from .executors import (
-    EXECUTION_MODES,
     ExecutionConfig,
-    Executor,
-    PoolExecutor,
-    SerialExecutor,
-    make_executor,
+    SweepResult,
+    derive_task_seeds,
+    resolve_workers,
+    run_grid,
+    run_many,
+    sweep,
 )
-from .parallel import derive_task_seeds, resolve_workers, run_grid, run_many
 from .report import ascii_plot, format_series_table, format_table
 from .runner import ClusterRuntime, NodeRuntime
 from .stats import LatencyCollector, LatencySummary
-from .sweep import SweepResult, sweep
 from .timeline import UtilizationReport, node_utilization, overlap_ratio, render_gantt
 from .traceviz import chrome_trace_events, export_chrome_trace
 
@@ -71,11 +68,6 @@ __all__ = [
     "run_grid",
     "run_many",
     "ExecutionConfig",
-    "Executor",
-    "SerialExecutor",
-    "PoolExecutor",
-    "make_executor",
-    "EXECUTION_MODES",
     "resolve_workers",
     "derive_task_seeds",
     "LatencyCollector",

@@ -1,217 +1,325 @@
-"""The execution surface: one config, one protocol, two engines.
+"""Execution of independent simulation tasks: serially or over a process pool.
 
-The harness runs independent simulation tasks (grid points, seeds) and
-has exactly one way to say how:
+The paper hands independent work to idle cores; the harness does the same
+for its own sweeps. Every grid point of a sweep or replication study
+builds its own :class:`~repro.harness.runner.ClusterRuntime` and returns
+scalars, so :func:`run_grid`, :func:`run_many` and :func:`sweep` can map
+them over worker processes with the exact semantics of the serial loop.
 
-* :class:`ExecutionConfig` — a frozen, typed description of *how* to
-  execute: ``serial`` (in-process loop) or ``pool`` (process-pool
-  fan-out across tasks). Accepted by :func:`repro.harness.parallel.run_grid`,
-  :func:`repro.harness.parallel.run_many`, :func:`repro.harness.sweep.sweep`
-  and the ``experiment_*`` functions as the ``execution=`` keyword.
-* :class:`Executor` — the tiny order-preserving protocol those entry
-  points run on (:meth:`Executor.map_tasks`). Pass a long-lived instance
-  (e.g. a :class:`PoolExecutor`) as ``execution=`` to amortize pool
-  start-up across many calls.
-* :func:`make_executor` — config → executor, where the resolution rules
-  live.
+How to execute is one knob, :class:`ExecutionConfig` (a worker count),
+taken as ``execution=`` by every entry point here and by the
+``experiment_*`` functions; ``None`` reads ``REPRO_BENCH_WORKERS``.
 
-The ``workers=1`` rule (the one place it is defined)
-----------------------------------------------------
-An early ``BENCH_kernel.json`` recorded a 1-CPU pool *losing* to serial
-(0.745×): a pool of one pays interpreter spawn and pickling for zero
-concurrency.
-So worker counts resolve — explicit argument beats ``REPRO_BENCH_WORKERS``
-beats 1, and ``0`` means one worker per CPU — and then:
-
-* a resolved count of **1 never creates a pool**, whether it came from an
-  explicit ``workers=1``, ``REPRO_BENCH_WORKERS=1``, or the default; it
-  runs serial, in-process, with zero pickling;
-* a pool is created **lazily**, only when a call actually has more than
-  one task to fan out — a one-task grid stays in-process at any worker
-  count.
+* **The workers=1 rule.** A call whose count resolves to 1, or that has
+  at most one task, runs as an in-process loop and never creates a pool
+  (an early ``BENCH_kernel.json`` recorded a 1-CPU pool at 0.745× serial).
+* **The process-wide pool.** Otherwise the tasks go to a spawn-context
+  pool kept per worker count for the life of the process: the first call
+  at a count pays the worker start-up, later calls reuse the workers, and
+  the pool is shut down at exit. When a worker dies the call raises
+  ``BrokenProcessPool`` and the cached pools are dropped, so the next
+  call starts fresh workers.
+* **Determinism.** Results come back in task order, and per-task seeds
+  are derived from the root seed and the task index, so a pool of any
+  size returns byte-identical results to the serial loop.
+* **Spawn safety.** Spawn workers import the task function by reference,
+  so it must be a module-level function; a lambda or closure is rejected
+  with a :class:`~repro.errors.HarnessError` before any pickling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+import atexit
+import functools
+import inspect
+import itertools
+import os
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any
 
 from ..errors import HarnessError
+from ..sim.rng import RngStreams
+from .report import format_table
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 __all__ = [
-    "EXECUTION_MODES",
+    "WORKERS_ENV",
     "ExecutionConfig",
-    "Executor",
-    "SerialExecutor",
-    "PoolExecutor",
-    "make_executor",
+    "SweepResult",
+    "derive_task_seeds",
+    "resolve_workers",
+    "run_grid",
+    "run_many",
+    "sweep",
 ]
 
-#: execution modes understood by :class:`ExecutionConfig`
-EXECUTION_MODES = ("serial", "pool")
+#: environment variable consulted when ``workers=None`` — lets CI and the
+#: benchmark suite switch every sweep to multicore without touching code
+WORKERS_ENV = "REPRO_BENCH_WORKERS"
 
 
 @dataclass(frozen=True)
 class ExecutionConfig:
-    """How to execute: the one typed knob shared by every entry point.
+    """How many worker processes to map tasks over.
 
-    ``mode``
-        ``"serial"`` — in-process loop; ``"pool"`` — spawn-context process
-        pool across independent tasks.
-    ``workers``
-        Pool-size request for ``pool`` mode; resolves through
-        :func:`repro.harness.parallel.resolve_workers` (``None`` → env →
-        1, ``0`` → all CPUs) at use time.
+    ``workers`` resolves through :func:`resolve_workers` at use time:
+    ``None`` → ``REPRO_BENCH_WORKERS`` → 1, and ``0`` → one per usable CPU.
     """
 
-    mode: str = "serial"
-    workers: Optional[int] = None
+    workers: int | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in EXECUTION_MODES:
-            raise HarnessError(
-                f"unknown execution mode {self.mode!r}; expected one of "
-                f"{EXECUTION_MODES}"
-            )
         if self.workers is not None and self.workers < 0:
             raise HarnessError(
                 f"workers must be >= 0 (0 = all CPUs), got {self.workers}"
             )
 
-    # -- constructors --------------------------------------------------------
-
     @classmethod
-    def serial(cls) -> "ExecutionConfig":
+    def serial(cls) -> ExecutionConfig:
         """Plain in-process execution."""
-        return cls(mode="serial")
+        return cls(workers=1)
 
     @classmethod
-    def pool(cls, workers: int = 0) -> "ExecutionConfig":
-        """Process-pool fan-out (``workers=0`` = one per CPU)."""
-        return cls(mode="pool", workers=workers)
+    def pool(cls, workers: int = 0) -> ExecutionConfig:
+        """Process-pool fan-out (``workers=0`` = one per usable CPU)."""
+        return cls(workers=workers)
 
     @classmethod
-    def from_env(cls) -> "ExecutionConfig":
-        """Honour ``REPRO_BENCH_WORKERS``: pool mode resolving through the
-        environment (which still collapses to serial when it resolves
-        to 1 — the ``workers=1`` rule)."""
-        return cls(mode="pool", workers=None)
-
-    # -- resolution ----------------------------------------------------------
-
-    def resolved_workers(self) -> int:
-        """The effective pool size (explicit > env > 1; 0 = all CPUs)."""
-        from .parallel import resolve_workers
-
-        return resolve_workers(self.workers)
+    def from_env(cls) -> ExecutionConfig:
+        """Honour ``REPRO_BENCH_WORKERS`` (unset → serial)."""
+        return cls(workers=None)
 
 
-# ---------------------------------------------------------------------------
-# the protocol and its two engines
+def resolve_workers(workers: int | None = None) -> int:
+    """Resolve a worker count: explicit arg > ``REPRO_BENCH_WORKERS`` > 1.
 
-
-class Executor:
-    """Order-preserving task mapper — the protocol behind every entry point.
-
-    ``map_tasks(invoke, fn, tasks)`` returns ``[invoke(fn, t) for t in
-    tasks]`` in task order, however it chooses to schedule them.
-    Executors are context managers; :meth:`close` is idempotent and a
-    no-op for stateless engines.
+    ``0`` (from either source) means one worker per CPU this process may
+    run on — its affinity mask where the platform has one.
     """
+    source = "workers"
+    if workers is None:
+        raw = os.environ.get(WORKERS_ENV, "").strip()
+        if not raw:
+            return 1
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise HarnessError(
+                f"{WORKERS_ENV} must be an integer, got {raw!r}"
+            ) from None
+        source = WORKERS_ENV
+    if workers == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise HarnessError(f"{source} must be >= 1 (or 0 = all CPUs), got {workers}")
+    return workers
 
-    def map_tasks(
-        self,
-        invoke: Callable[[Callable[..., Any], Any], Any],
-        fn: Callable[..., Any],
-        tasks: Sequence[Any],
-    ) -> list[Any]:
-        raise NotImplementedError
 
-    def close(self) -> None:
-        """Release any held resources (idempotent)."""
+def derive_task_seeds(root_seed: int, n: int, name: str = "task") -> list[int]:
+    """``n`` independent per-task seeds derived from ``root_seed``.
 
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
+    Uses the same BLAKE2 derivation as :class:`~repro.sim.rng.RngStreams`
+    substreams, keyed by task index — so seeds depend only on
+    ``(root_seed, index)``, never on worker count or scheduling order, and
+    adding tasks at the end never perturbs earlier ones.
+    """
+    if n < 0:
+        raise HarnessError(f"need n >= 0 seeds, got {n}")
+    rng = RngStreams(root_seed)
+    # % 2**63 keeps each value usable as another RngStreams root (>= 0)
+    return [rng.derive_seed(f"{name}:{i}") % (2**63) for i in range(n)]
 
 
-class SerialExecutor(Executor):
-    """The in-process loop — zero overhead, the reference semantics."""
+def _check_spawnable(fn: Callable[..., Any]) -> None:
+    """Reject callables that cannot be pickled by reference under spawn."""
+    qualname = getattr(fn, "__qualname__", None)
+    if qualname is None or getattr(fn, "__module__", None) is None or "<" in qualname:
+        raise HarnessError(
+            f"task function {qualname or repr(fn)} is not spawn-safe: parallel "
+            "workers import it by module path, so it must be a top-level "
+            "function of an importable module (not a lambda, closure, or "
+            "locally defined function). Define it at module level, or run serially."
+        )
 
-    def map_tasks(
-        self,
-        invoke: Callable[[Callable[..., Any], Any], Any],
-        fn: Callable[..., Any],
-        tasks: Sequence[Any],
-    ) -> list[Any]:
+
+@functools.cache
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process-wide spawn pool of ``workers`` workers, shut down at exit."""
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+    atexit.register(pool.shutdown)
+    return pool
+
+
+def _map(
+    invoke: Callable[[Callable[..., Any], Any], Any],
+    fn: Callable[..., Any],
+    tasks: Sequence[Any],
+    execution: ExecutionConfig | None,
+) -> list[Any]:
+    """``[invoke(fn, task) for task in tasks]``, in task order, serially or
+    on the process-wide pool."""
+    if execution is None:
+        execution = ExecutionConfig.from_env()
+    elif not isinstance(execution, ExecutionConfig):
+        raise HarnessError(
+            "execution= must be an ExecutionConfig or None, got "
+            f"{type(execution).__name__}"
+        )
+    workers = resolve_workers(execution.workers)
+    if workers == 1 or len(tasks) <= 1:
         return [invoke(fn, task) for task in tasks]
+    _check_spawnable(fn)
+    from concurrent.futures.process import BrokenProcessPool
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "SerialExecutor()"
+    try:
+        return list(_pool(workers).map(functools.partial(invoke, fn), tasks))
+    except BrokenProcessPool:
+        _pool.cache_clear()
+        raise
 
 
-class PoolExecutor(Executor):
-    """Spawn-context process pool, created lazily per the ``workers=1`` rule.
+def _invoke_kwargs(fn: Callable[..., Any], kwargs: dict[str, Any]) -> Any:
+    """Worker-side trampoline for :func:`run_grid` (must be top-level)."""
+    return fn(**kwargs)
 
-    The underlying ``ProcessPoolExecutor`` is built on the first
-    :meth:`map_tasks` call that actually needs it (resolved workers > 1
-    *and* more than one task) and is then reused until :meth:`close` —
-    so a long-lived instance amortizes interpreter start-up across many
-    grids.
+
+def _invoke_config_seed(
+    fn: Callable[..., Any], task: tuple[Any, int, bool]
+) -> Any:
+    """Worker-side trampoline for :func:`run_many` (must be top-level)."""
+    config, seed, pass_seed = task
+    if pass_seed:
+        return fn(config, seed=seed)
+    return fn(config)
+
+
+def run_grid(
+    fn: Callable[..., Any],
+    tasks: Sequence[Mapping[str, Any]],
+    *,
+    execution: ExecutionConfig | None = None,
+) -> list[Any]:
+    """Run ``fn(**task)`` for every kwargs-mapping in ``tasks``.
+
+    Returns one result per task, **in task order**, at any worker count.
+    ``execution=None`` means ``REPRO_BENCH_WORKERS``, else serial.
     """
+    return _map(_invoke_kwargs, fn, [dict(t) for t in tasks], execution)
 
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = workers
-        self._pool: Any = None
 
-    def map_tasks(
-        self,
-        invoke: Callable[[Callable[..., Any], Any], Any],
-        fn: Callable[..., Any],
-        tasks: Sequence[Any],
-    ) -> list[Any]:
-        from .parallel import _check_spawnable, resolve_workers
+def run_many(
+    fn: Callable[..., Any],
+    configs: Iterable[Any],
+    *,
+    seeds: Sequence[int] | None = None,
+    seed: int = 0,
+    execution: ExecutionConfig | None = None,
+) -> list[Any]:
+    """Run ``fn(config)`` (or ``fn(config, seed=...)``) per config.
 
-        n_workers = resolve_workers(self.workers)
-        if n_workers == 1 or len(tasks) <= 1:
-            # the workers=1 rule: never pay spawn cost for zero concurrency
-            return [invoke(fn, task) for task in tasks]
-        _check_spawnable(fn)
-        pool = self._ensure_pool(n_workers)
-        futures = [pool.submit(invoke, fn, task) for task in tasks]
-        # collect in submission order — identical row order to the serial loop
-        return [f.result() for f in futures]
-
-    def _ensure_pool(self, n_workers: int) -> Any:
-        if self._pool is None:
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            self._pool = ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=get_context("spawn")
+    The replication counterpart of :func:`run_grid`. When ``fn`` accepts a
+    ``seed`` keyword it receives ``seeds[i]``, or else a seed derived from
+    ``seed`` (the root) and the task index via :func:`derive_task_seeds` —
+    the same wherever the task runs. Results come back in config order.
+    """
+    config_list = list(configs)
+    if seeds is None:
+        seed_list = derive_task_seeds(seed, len(config_list), name="run_many")
+    else:
+        seed_list = [int(s) for s in seeds]
+        if len(seed_list) != len(config_list):
+            raise HarnessError(
+                f"run_many got {len(config_list)} configs but {len(seed_list)} seeds"
             )
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "live" if self._pool is not None else "lazy"
-        return f"PoolExecutor(workers={self.workers!r}, {state})"
+    pass_seed = _accepts_seed(fn)
+    tasks = [
+        (config, task_seed, pass_seed)
+        for config, task_seed in zip(config_list, seed_list, strict=True)
+    ]
+    return _map(_invoke_config_seed, fn, tasks, execution)
 
 
-def make_executor(execution: Optional[ExecutionConfig] = None) -> Executor:
-    """Resolve an :class:`ExecutionConfig` into a live :class:`Executor`.
+def _accepts_seed(fn: Callable[..., Any]) -> bool:
+    """True when ``fn`` can be called with a ``seed`` keyword."""
+    try:
+        sig = inspect.signature(fn)
+    except (TypeError, ValueError):  # builtins without introspectable signatures
+        return False
+    for param in sig.parameters.values():
+        if param.kind is inspect.Parameter.VAR_KEYWORD or param.name == "seed":
+            return True
+    return False
 
-    ``None`` behaves like :meth:`ExecutionConfig.from_env`. Pool mode
-    collapses to :class:`SerialExecutor` when the resolved worker count
-    is 1 — the ``workers=1`` rule, applied in exactly one place.
+
+@dataclass
+class SweepResult:
+    """Rows of (params, metrics) produced by :func:`sweep`."""
+
+    param_names: list[str]
+    metric_names: list[str]
+    rows: list[dict[str, Any]] = field(default_factory=list)
+
+    def column(self, name: str) -> list[Any]:
+        if name not in self.param_names and name not in self.metric_names:
+            raise HarnessError(f"unknown column {name!r}")
+        return [row[name] for row in self.rows]
+
+    def best(self, metric: str, minimize: bool = True) -> dict[str, Any]:
+        if not self.rows:
+            raise HarnessError("empty sweep")
+        if minimize:
+            return min(self.rows, key=lambda r: r[metric])
+        return max(self.rows, key=lambda r: r[metric])
+
+    def format(self, title: str = "") -> str:
+        headers = self.param_names + self.metric_names
+        body = [
+            [f"{row[h]:.2f}" if isinstance(row[h], float) else str(row[h]) for h in headers]
+            for row in self.rows
+        ]
+        return format_table(headers, body, title=title)
+
+
+def sweep(
+    fn: Callable[..., Mapping[str, Any]],
+    grid: Mapping[str, Sequence[Any]],
+    *,
+    execution: ExecutionConfig | None = None,
+) -> SweepResult:
+    """Run ``fn(**params)`` for every combination in ``grid``.
+
+    ``fn`` returns a mapping of scalar metrics; the result holds one row
+    per combination, parameters and metrics merged, in Cartesian-product
+    order at any worker count. A combination that drops or invents a
+    metric key raises :class:`HarnessError` naming it.
     """
-    cfg = execution if execution is not None else ExecutionConfig.from_env()
-    if cfg.mode == "serial" or cfg.resolved_workers() == 1:
-        return SerialExecutor()
-    return PoolExecutor(cfg.workers)
+    if not grid:
+        raise HarnessError("sweep needs at least one parameter")
+    names = list(grid.keys())
+    combos = [
+        dict(zip(names, values, strict=True))
+        for values in itertools.product(*(grid[n] for n in names))
+    ]
+    metric_rows = run_grid(fn, combos, execution=execution)
+    result: SweepResult | None = None
+    for params, metrics in zip(combos, metric_rows, strict=True):
+        metrics = dict(metrics)
+        if result is None:
+            result = SweepResult(param_names=names, metric_names=list(metrics.keys()))
+        elif set(metrics.keys()) != set(result.metric_names):
+            raise HarnessError(
+                f"sweep metrics mismatch at {params}: got {sorted(metrics)}, "
+                f"expected {sorted(result.metric_names)} (every grid point "
+                "must return the same metric keys)"
+            )
+        result.rows.append({**params, **metrics})
+    assert result is not None
+    return result

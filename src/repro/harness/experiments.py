@@ -19,8 +19,7 @@ from ..apps.convolution import ConvolutionConfig, run_convolution
 from ..apps.overlap import OverlapConfig, run_overlap
 from ..config import EngineKind, TimingModel
 from ..units import KiB
-from .executors import ExecutionConfig, make_executor
-from .parallel import ExecutionLike, run_grid
+from .executors import ExecutionConfig, run_grid
 from .report import ascii_plot, format_series_table, format_table
 
 __all__ = [
@@ -136,7 +135,7 @@ def _overlap_series(
     compute_us: float,
     iterations: int,
     timing: Optional[TimingModel],
-    execution: ExecutionLike,
+    execution: Optional[ExecutionConfig],
 ) -> tuple[list[float], list[float], list[float]]:
     tasks = [
         dict(engine=engine, size=size, compute_us=c, iterations=iterations, timing=timing)
@@ -157,7 +156,7 @@ def experiment_fig5(
     compute_us: float = 20.0,
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    execution: ExecutionLike = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> FigureResult:
     """§4.1 / Fig. 5 — small-message submission offloading.
 
@@ -165,7 +164,7 @@ def experiment_fig5(
     baseline), *copy offloading* (PIOMan). Expected shapes: baseline =
     reference + compute; PIOMan = max(reference, compute) (+≈2 µs at the
     crossover). ``execution`` may run the grid points on a process pool
-    (results identical to serial — see :mod:`repro.harness.parallel`).
+    (results identical to serial — see :mod:`repro.harness.executors`).
     """
     ref, base, piom = _overlap_series(sizes, compute_us, iterations, timing, execution)
     return FigureResult(
@@ -186,7 +185,7 @@ def experiment_fig6(
     compute_us: float = 100.0,
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    execution: ExecutionLike = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> FigureResult:
     """§4.2 / Fig. 6 — rendezvous handshake progression.
 
@@ -237,7 +236,7 @@ def experiment_table1(
     configs=TABLE1_CONFIGS,
     iterations: int = 1,
     timing: Optional[TimingModel] = None,
-    execution: ExecutionLike = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> Table1Result:
     """§4.3 / Table 1 — convolution meta-application, offloading on/off."""
     engines = (EngineKind.SEQUENTIAL, EngineKind.PIOMAN)
@@ -269,24 +268,17 @@ def experiment_table1(
 def run_all_experiments(
     iterations: int = 20,
     timing: Optional[TimingModel] = None,
-    execution: ExecutionLike = None,
+    execution: Optional[ExecutionConfig] = None,
 ) -> dict[str, "FigureResult | Table1Result"]:
     """Run the paper's full evaluation; returns results keyed by name.
 
-    ``execution`` selects the engine for every sub-experiment. A config
-    is turned into one executor shared by all three, so a pool is
-    spawned at most once."""
-    owned = execution is None or isinstance(execution, ExecutionConfig)
-    exe = make_executor(execution) if owned else execution
-    try:
-        return {
-            "fig5": experiment_fig5(iterations=iterations, timing=timing, execution=exe),
-            "fig6": experiment_fig6(iterations=iterations, timing=timing, execution=exe),
-            "table1": experiment_table1(timing=timing, execution=exe),
-        }
-    finally:
-        if owned:
-            exe.close()
+    ``execution`` applies to every sub-experiment; they share the
+    process-wide pool, so a pool is spawned at most once."""
+    return {
+        "fig5": experiment_fig5(iterations=iterations, timing=timing, execution=execution),
+        "fig6": experiment_fig6(iterations=iterations, timing=timing, execution=execution),
+        "table1": experiment_table1(timing=timing, execution=execution),
+    }
 
 
 def save_results_json(results: dict, path: str) -> None:

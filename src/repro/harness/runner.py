@@ -45,10 +45,8 @@ from ..sim.tracing import Tracer
 from ..topology.builder import build_cluster
 from ..topology.machine import Cluster
 from ..topology.numa import NumaModel
-from .parallel import run_many  # noqa: F401  (re-export: runner.run_many)
 
-
-__all__ = ["NodeRuntime", "ClusterRuntime", "run_many"]
+__all__ = ["NodeRuntime", "ClusterRuntime"]
 
 
 def _make_offload_policy(name: Optional[str]):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import HarnessError
 from repro.harness.report import ascii_plot, format_series_table, format_table
-from repro.harness.sweep import sweep
+from repro.harness.executors import sweep
 
 
 class TestFormatTable:

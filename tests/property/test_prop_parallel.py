@@ -1,11 +1,10 @@
 """Property tests: parallel execution is invisible in the results.
 
-The determinism contract of ``repro.harness.parallel`` — a pool engine
-produces byte-identical results to the serial one — checked with
+The determinism contract of ``repro.harness.executors`` — a pool
+produces byte-identical results to the serial loop — checked with
 hypothesis-generated grids, replication sets, and traced per-seed
-workloads, through the unified ``execution=`` surface. One reusable
-:class:`~repro.harness.executors.PoolExecutor` is shared across the
-module (worker start-up would otherwise dominate every example).
+workloads, through the ``execution=`` keyword. Every example maps over
+the same process-wide 4-worker pool, so worker start-up is paid once.
 """
 
 from __future__ import annotations
@@ -13,33 +12,24 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.workloads import irregular_phases
 from repro.config import EngineKind
-from repro.harness.executors import ExecutionConfig, PoolExecutor
-from repro.harness.parallel import run_many
+from repro.harness.executors import ExecutionConfig, run_many, sweep
 from repro.harness.runner import ClusterRuntime
-from repro.harness.sweep import sweep
 from repro.sim.tracing import Tracer
 from repro.units import KiB
 
 pytestmark = pytest.mark.perf
 
-# shared across all examples: the pool is stateless between tasks, so reuse
-# cannot leak information from one example into the next
-_EXECUTOR_SETTINGS = settings(
-    max_examples=8,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+_EXECUTOR_SETTINGS = settings(max_examples=8, deadline=None)
 
-
-@pytest.fixture(scope="module")
-def pool():
-    with PoolExecutor(workers=4) as executor:
-        yield executor
+# the pool is stateless between tasks, so sharing it cannot leak
+# information from one example into the next
+POOL = ExecutionConfig.pool(4)
+SERIAL = ExecutionConfig.serial()
 
 
 # -- task functions (top-level: spawn workers import them by reference) --------
@@ -99,9 +89,9 @@ def _traced_phase_digest(n_phases: int, seed: int = 0) -> str:
     a_vals=st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True),
     b_vals=st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True),
 )
-def test_sweep_rows_identical_serial_vs_parallel(pool, a_vals, b_vals):
-    serial = sweep(_grid_point, {"a": a_vals, "b": b_vals}, execution=ExecutionConfig.serial())
-    parallel = sweep(_grid_point, {"a": a_vals, "b": b_vals}, execution=pool)
+def test_sweep_rows_identical_serial_vs_parallel(a_vals, b_vals):
+    serial = sweep(_grid_point, {"a": a_vals, "b": b_vals}, execution=SERIAL)
+    parallel = sweep(_grid_point, {"a": a_vals, "b": b_vals}, execution=POOL)
     assert serial.rows == parallel.rows
     assert serial.param_names == parallel.param_names
     assert serial.metric_names == parallel.metric_names
@@ -115,11 +105,11 @@ def test_sweep_rows_identical_serial_vs_parallel(pool, a_vals, b_vals):
     ),
     compute=st.sampled_from([0.0, 15.0, 45.0]),
 )
-def test_simulation_sweep_rows_identical(pool, sizes, compute):
+def test_simulation_sweep_rows_identical(sizes, compute):
     """Same property on real simulator workloads instead of arithmetic."""
     grid = {"size": sizes, "compute_us": [compute]}
-    serial = sweep(_overlap_metric, grid, execution=ExecutionConfig.serial())
-    parallel = sweep(_overlap_metric, grid, execution=pool)
+    serial = sweep(_overlap_metric, grid, execution=SERIAL)
+    parallel = sweep(_overlap_metric, grid, execution=POOL)
     assert serial.rows == parallel.rows
 
 
@@ -128,25 +118,25 @@ def test_simulation_sweep_rows_identical(pool, sizes, compute):
     configs=st.lists(st.integers(2, 6), min_size=1, max_size=4),
     root_seed=st.integers(0, 2**32 - 1),
 )
-def test_run_many_metrics_identical_serial_vs_parallel(pool, configs, root_seed):
+def test_run_many_metrics_identical_serial_vs_parallel(configs, root_seed):
     serial = run_many(
-        _traced_phase_digest, configs, seed=root_seed, execution=ExecutionConfig.serial()
+        _traced_phase_digest, configs, seed=root_seed, execution=SERIAL
     )
-    parallel = run_many(_traced_phase_digest, configs, seed=root_seed, execution=pool)
+    parallel = run_many(_traced_phase_digest, configs, seed=root_seed, execution=POOL)
     assert serial == parallel
 
 
 @_EXECUTOR_SETTINGS
 @given(seeds=st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3, unique=True))
-def test_per_seed_traces_identical_serial_vs_parallel(pool, seeds):
+def test_per_seed_traces_identical_serial_vs_parallel(seeds):
     """Explicit per-seed replication: the full trace digest of each seeded
     workload must not depend on where the task ran."""
     serial = run_many(
         _traced_phase_digest, [3] * len(seeds), seeds=seeds,
-        execution=ExecutionConfig.serial(),
+        execution=SERIAL,
     )
     parallel = run_many(
-        _traced_phase_digest, [3] * len(seeds), seeds=seeds, execution=pool
+        _traced_phase_digest, [3] * len(seeds), seeds=seeds, execution=POOL
     )
     assert serial == parallel
 
