@@ -286,6 +286,7 @@ class ClusterRuntime:
                 "time_us": sim.now,
                 "events_fired": sim.events_fired,
                 "chain_boundaries": sim.chain_boundaries,
+                "chain_batches": sim.chain_batches,
             },
         )
         if self.fault_injector is not None:

@@ -37,17 +37,30 @@ work, but most of them find none. A core is *quiet* while its runqueue is
 empty, no tasklet is pending for it, its thread runs above LOW priority
 and every tick hook's ``wants`` predicate is false. A quiet core's slice
 ends become one kernel tick chain (:meth:`Simulator.start_chain`) instead
-of an event per tick: each boundary runs the slice-end arithmetic of a
-tick that does nothing, with the same float operations in the same order,
-and takes the same sequence number. Whatever can end quietness re-arms
-the core first — a thread woken or spawned onto it, a tasklet it could
-run, :meth:`MarcelScheduler.resume_ticks` (PIOMan's hardware-activity
+of an event per tick, and the kernel hands the chain its slice ends in
+batches (see "Tick chains" in :mod:`repro.sim.kernel`). One function,
+:meth:`MarcelScheduler._quiet_ticks`, passes a batch in one local loop:
+each slice end runs the arithmetic of a tick that does nothing, with the
+same float operations in the same order, written back once per batch.
+A batch stops at the kernel's bound — the next event, the ``until``
+horizon, or half a tick before the end of any chained compute (its start
+plus its length, fixed when the chain starts, less half a tick for
+rounding), since a compute's end can wake threads and re-arm ticking on
+any core — and at (or within rounding of) another chain's pending slice
+end, so that cores ticking in phase keep their order. The compute's last
+two slice ends come first in a batch: the end, which goes through the
+ordinary :meth:`MarcelScheduler._slice_end`, and the slice end before
+it, whose pass takes the end's seq — so a tie at the compute's end
+orders as the ticks before it did, as with one event per tick. Whatever can end quietness re-arms the core first — a
+thread woken or spawned onto it, a tasklet it could run,
+:meth:`MarcelScheduler.resume_ticks` (PIOMan's hardware-activity
 notice), a hook registered without a predicate — by materializing the
 pending boundary into the ordinary slice-end event with the same key.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..config import MarcelConfig, TimingModel
@@ -517,7 +530,10 @@ class MarcelScheduler:
         if thread.compute_remaining - slice_len > _EPS and self._quiet(core, thread):
             # the slice ends on a tick that will do nothing: chain it
             core.chain_len = slice_len
-            core.chain = self.sim.start_chain(now + slice_len, self._quiet_tick, core, thread)
+            core.chain = self.sim.start_chain(
+                now + slice_len, self._quiet_ticks, core, thread,
+                end=now + thread.compute_remaining - 0.5 * self.cfg.timer_tick_us,
+            )
             return
         self.sim.schedule(slice_len, self._slice_end, core, thread, slice_len, priority=EventPriority.NORMAL, label=f"{core.name}.slice")
 
@@ -535,31 +551,94 @@ class MarcelScheduler:
                 return False
         return True
 
-    def _quiet_tick(self, core: CoreRuntime, thread: MarcelThread) -> Optional[float]:
-        """Chain boundary: the slice end at ``now``. A tick that does
-        nothing runs ``_slice_end``'s and ``_start_slice``'s arithmetic
-        and returns the next slice end; the end of the compute goes
-        through the ordinary ``_slice_end`` and ends the chain."""
+    def _quiet_ticks(
+        self, core: CoreRuntime, thread: MarcelThread, stop: float
+    ) -> tuple[int, Optional[float]]:
+        """Chain batch: the slice end at ``now`` and the later ones before
+        ``stop`` and before another chain's pending slice end (see
+        "Tickless compute"). A tick that does nothing runs
+        ``_slice_end``'s and ``_start_slice``'s arithmetic; the compute's
+        last two slice ends come first in a batch, and the last goes
+        through the ordinary ``_slice_end`` and ends the chain. Returns
+        ``(boundaries passed, next slice end or None)``.
+
+        ``max(0.0, r)`` and ``min(r, gap)`` of the ordinary path are
+        written as comparisons: ``r`` is past ``_EPS`` wherever it is
+        used, and a comparison picks the same float."""
         slice_len = core.chain_len
-        remaining = max(0.0, thread.compute_remaining - slice_len)
+        remaining = thread.compute_remaining - slice_len
         if remaining <= _EPS:
             core.chain = None
             self._slice_end(core, thread, slice_len)
-            return None
-        thread.compute_remaining = remaining
+            return 1, None
         now = self.sim.now
         tick = self.cfg.timer_tick_us
-        if now + _EPS >= core.next_tick:
-            core.ticks += 1
-            while core.next_tick <= now + _EPS:
-                core.next_tick += tick
-        # next_tick is past now here, so _start_slice's re-phase never applies
-        slice_len = min(remaining, core.next_tick - now)
-        core.timeline.add(now, now + slice_len, thread.compute_kind)
-        thread.cpu_us += slice_len
-        core.quantum_used += slice_len
+        next_tick = core.next_tick
+        ticks = core.ticks
+        cpu_us = thread.cpu_us
+        quantum_used = core.quantum_used
+        timeline = core.timeline
+        kind = thread.compute_kind
+        # the timeline sum the slices add to, one span at a time
+        spent = timeline.busy_us if kind == "busy" else timeline.service_us
+        # a slice is at most a tick; the half tick absorbs rounding
+        tail = 1.5 * tick
+        # other chains' pending times, read once the batch goes past its
+        # first slice end: ``tie`` is the next one, less ``near``
+        pending: Optional[list[float]] = None
+        n = 0
+        while True:
+            n += 1
+            if now + _EPS >= next_tick:
+                ticks += 1
+                while next_tick <= now + _EPS:
+                    next_tick += tick
+            # next_tick is past now here, so _start_slice's re-phase never applies
+            slice_len = next_tick - now
+            if remaining < slice_len:
+                slice_len = remaining
+            end = now + slice_len
+            spent += end - now
+            cpu_us += slice_len
+            quantum_used += slice_len
+            now = end
+            if now >= stop:
+                break
+            left = remaining - slice_len
+            if left <= tail:
+                # the compute's last two slice ends come first in a batch:
+                # the last acts, and passing the one before takes its seq
+                break
+            if pending is None:
+                pending = self.sim.chain_times()
+                # how far apart two tick grids can be and still meet before
+                # this compute ends: they close in by an ulp a tick at most
+                near = (left / tick + 2) * math.ulp(now + left)
+                tie = -math.inf
+                at = 0
+            if now >= tie:
+                while at < len(pending) and pending[at] + near < now:
+                    at += 1
+                if at < len(pending) and pending[at] - near <= now:
+                    break  # another chain's pending slice end: let it pass first
+                tie = pending[at] - near if at < len(pending) else math.inf
+            remaining = left
+        thread.compute_remaining = remaining
+        core.next_tick = next_tick
+        core.ticks = ticks
+        thread.cpu_us = cpu_us
+        core.quantum_used = quantum_used
+        if kind == "busy":
+            timeline.busy_us = spent
+        else:
+            timeline.service_us = spent
+        # the core's last interval is the compute's, ending where the batch
+        # began (only the chain adds to a chained core's timeline): the
+        # spans extend it, as ``CoreTimeline.add`` would
+        intervals = timeline.intervals
+        intervals[-1] = (intervals[-1][0], now, kind)
         core.chain_len = slice_len
-        return now + slice_len
+        return n, now
 
     def _materialize(self, core: CoreRuntime) -> None:
         """Re-arm ticking on ``core``: its chain's pending boundary becomes

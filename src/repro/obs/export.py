@@ -81,8 +81,8 @@ def timeseries_to_csv(sampler: TimeSeriesSampler, *, keys: list[str] | None = No
 def build_run_report(runtime: "ClusterRuntime") -> dict[str, Any]:
     """Merge everything a run produced into one JSON-serialisable dict.
 
-    Sections: ``meta`` (virtual time, events fired, tick-chain boundaries,
-    node count),
+    Sections: ``meta`` (virtual time, events fired, tick-chain boundaries
+    and batches, node count),
     ``metrics`` (registry snapshot), ``timeseries`` (sampler samples, when
     a sampler is attached), and ``trace`` (chrome-trace events from
     ``harness/traceviz``, when tracing was enabled).
@@ -94,6 +94,7 @@ def build_run_report(runtime: "ClusterRuntime") -> dict[str, Any]:
             "time_us": runtime.sim.now,
             "events_fired": runtime.sim.events_fired,
             "chain_boundaries": runtime.sim.chain_boundaries,
+            "chain_batches": runtime.sim.chain_batches,
             "nodes": len(runtime.nodes),
         },
         "metrics": runtime.metrics(),

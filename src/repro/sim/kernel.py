@@ -29,23 +29,61 @@ Tick chains
 A *tick chain* (:meth:`Simulator.start_chain`) is a run of boundaries a
 layer would otherwise schedule as one event each, every one rescheduling
 the next: Marcel's timer-tick slice ends on a core that computes with
-nothing to react to. Its entry ``[time, priority, seq, fn, args]`` sits
-in a small heap beside the event queue and the run loop merges the two
-in key order. Passing a boundary calls ``fn(*args)``, which returns the
-time of the next boundary (or None to end the chain); the kernel then
-takes the one sequence number that boundary's event would have taken
-and re-keys the entry in place — no :class:`EventHandle`, no queue
-traffic. :meth:`Simulator.materialize` turns the pending boundary into a
-real event with the identical key, so a chain is indistinguishable from
-the events it stands for. ``events_fired`` counts real events only;
-``chain_boundaries`` counts the boundaries passed; ``max_events``,
-:meth:`step`, :meth:`peek_time`, :meth:`pending_count` and the liveness
-check see both.
+nothing to react to. Its entry ``[time, priority, seq, batch, end]``
+sits in a small heap beside the event queue and the run loop merges the
+two in key order. ``end`` is a lower bound, fixed when the chain starts,
+on the time of its last boundary (Marcel's: a compute's end, which acts
+beyond the chain).
+
+The kernel hands a due chain a *batch*: ``batch(stop)`` passes the
+pending boundary, with the clock on it, then following boundaries
+earlier than ``stop``, and returns ``(n, next)`` — the boundaries passed
+and the time of the next pending one, or None when the chain ended. A
+batch's boundaries after its first act only on the chain's own state
+(the clock stays on the first). A boundary that acts beyond the chain,
+and the one before it, whose pass takes the acting one's seq, come
+first in a batch; so a chain ends only on a batch's first boundary, and
+a run that ends with the chain ends on its last boundary. ``stop`` is
+the earliest of
+
+* the event queue's top key: an event at time ``t`` bounds at ``t``,
+  or just past ``t`` when its priority is later than NORMAL — a
+  boundary's seq is taken when the boundary before it is passed, after
+  every queued event's, so a same-instant boundary precedes only a LOW
+  (or later) event. A cancelled top bounds too;
+* the ``until`` horizon (boundaries at the horizon pass);
+* every live chain's ``end``: a last boundary can act on anything —
+  Marcel's can wake threads and re-arm ticking on any core — so no
+  chain may run past another's.
+
+A batch also stops at (or within rounding of) the pending time of
+another chain (:meth:`Simulator.chain_times`). Boundaries of two chains
+that fall on the same instants (two cores ticking in phase) order by
+seq; the kernel takes a batch's seqs when the batch returns, so a chain
+that passed a boundary at another's pending instant would take its seqs
+first and reverse that order from then on. Two series of instants a few
+ulps apart can merge by rounding and then order as their earlier
+instants did, which the same stop keeps.
+
+The kernel then takes the n sequence numbers those boundaries' events
+would have taken, in one step, and re-keys the entry in place — no
+:class:`EventHandle`, no queue traffic. :meth:`step`, a registered
+observer and ``max_events`` make every batch one boundary long (``stop``
+is ``-inf``), so each of them still sees every boundary.
+:meth:`Simulator.materialize` turns the pending boundary into a real
+event with the identical key, so a chain is indistinguishable from the
+events it stands for. ``events_fired`` counts real events only;
+``chain_boundaries`` counts the boundaries passed and ``chain_batches``
+the batches that passed them; ``max_events``, :meth:`step`,
+:meth:`peek_time`, :meth:`pending_count` and the liveness check see
+every boundary.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
+from functools import partial
 from heapq import heapify, heappop, heappush, heapreplace
 from typing import Any, Callable, Iterable
 
@@ -87,10 +125,15 @@ class Simulator:
         self.events_fired: int = 0
         #: tick-chain boundaries passed (see "Tick chains" above)
         self.chain_boundaries: int = 0
-        #: heap of live tick-chain entries ``[time, priority, seq, fn, args]``;
-        #: an entry leaves it (and its ``fn`` becomes None) when the chain
-        #: ends or is materialized
+        #: tick-chain batches, one call of a chain's function each
+        self.chain_batches: int = 0
+        #: heap of live tick-chain entries ``[time, priority, seq, batch, end]``
+        #: (``batch`` is ``fn`` with its ``args`` bound); an entry leaves it
+        #: (and its ``batch`` becomes None) when the chain ends or is
+        #: materialized
         self._chains: list[list[Any]] = []
+        #: the live chains' ``end`` bounds, sorted
+        self._chain_ends: list[float] = []
         #: callbacks fired after every event with the current time; observers
         #: must not schedule events (they exist so samplers can piggyback on
         #: the loop without perturbing it — see ``repro.obs.sampler``).
@@ -162,12 +205,15 @@ class Simulator:
 
     # -- tick chains -----------------------------------------------------------
 
-    def start_chain(self, time: float, fn: Callable[..., Any], *args: Any) -> list[Any]:
+    def start_chain(
+        self, time: float, fn: Callable[..., Any], *args: Any, end: float
+    ) -> list[Any]:
         """Start a tick chain whose first boundary is at ``time``.
 
-        At each boundary ``fn(*args)`` runs with the clock on it and
-        returns the next boundary's time, or None to end the chain. The
-        first boundary takes its sequence number now, exactly as
+        ``fn(*args, stop)`` passes a batch of boundaries (see "Tick
+        chains" above); ``end`` is no later than the first boundary that
+        acts beyond the chain, and every chain's batches stop before it.
+        The first boundary takes its sequence number now, exactly as
         ``schedule_at(time, …)`` would. Returns the chain's heap entry,
         the handle :meth:`materialize` takes.
         """
@@ -177,9 +223,15 @@ class Simulator:
             )
         seq = self._seq + 1
         self._seq = seq
-        entry = [time, Priority.NORMAL, seq, fn, args]
+        entry = [time, Priority.NORMAL, seq, partial(fn, *args), end]
         heappush(self._chains, entry)
+        insort(self._chain_ends, end)
         return entry
+
+    def chain_times(self) -> list[float]:
+        """The times of the live chains' pending boundaries, sorted; a
+        batch stops at them (see "Tick chains" above)."""
+        return sorted([entry[0] for entry in self._chains])
 
     def materialize(
         self, entry: list[Any], fn: Callable[..., Any], *args: Any, label: str = ""
@@ -193,27 +245,33 @@ class Simulator:
         chains[i] = chains[-1]
         chains.pop()
         heapify(chains)  # a heap of one entry per computing core
+        self._chain_ends.remove(entry[4])
         entry[3] = None
         handle = EventHandle(entry[0], entry[1], entry[2], fn, args, label)
         self._queue.push(handle)
         return handle
 
-    def _pass_boundary(self, entry: list[Any]) -> None:
-        """Pass ``entry``'s boundary, the top of the chain heap; the clock
-        is already on it. Entries pushed by ``fn`` have later keys, so
-        ``entry`` is still the top when ``fn`` returns."""
-        nxt = entry[3](*entry[4])
-        self.chain_boundaries += 1
-        chains = self._chains
+    def _pass_batch(self, entry: list[Any], stop: float) -> None:
+        """Pass a batch of ``entry``'s boundaries, the top of the chain
+        heap, before ``stop``; the clock is on the first. Entries pushed
+        by the batch have later keys, so ``entry`` is still the top when
+        it returns. :meth:`run` inlines this body: keep the two in
+        lockstep."""
+        n, nxt = entry[3](stop)
+        self.chain_boundaries += n
+        self.chain_batches += 1
         if nxt is None:
-            heappop(chains)
+            if n != 1:
+                raise self._ended_mid_batch(n)
+            heappop(self._chains)
+            self._chain_ends.remove(entry[4])
             entry[3] = None
             return
-        seq = self._seq + 1
+        seq = self._seq + n
         self._seq = seq
         entry[0] = nxt
         entry[2] = seq
-        heapreplace(chains, entry)
+        heapreplace(self._chains, entry)
 
     # -- liveness ------------------------------------------------------------
 
@@ -295,7 +353,7 @@ class Simulator:
         entry = self._due_chain()
         if entry is not None:
             self._now = entry[0]
-            self._pass_boundary(entry)
+            self._pass_batch(entry, -math.inf)
         else:
             handle = self._queue.pop_next()
             if handle is None:
@@ -327,10 +385,12 @@ class Simulator:
         * A :meth:`stop` requested before the call fires zero events.
 
         The loop pops the heap and fires inline, merged with the chain
-        heap in key order. It fires exactly what driving the simulation
-        through :meth:`step` would — ``tests/sim/test_kernel_fastpath``
-        and ``tests/property/test_prop_queues`` pin that equivalence.
-        ``events_fired`` is flushed lazily: it is exact whenever an
+        heap in key order, and passes chain boundaries in batches (see
+        "Tick chains" above). It fires exactly what driving the simulation
+        through :meth:`step` would — ``tests/sim/test_kernel_fastpath``,
+        ``tests/sim/test_chains`` and ``tests/property/test_prop_queues``
+        pin that equivalence. ``events_fired``, ``chain_boundaries`` and
+        ``chain_batches`` are flushed lazily: they are exact whenever an
         observer runs and when the run returns (or raises), which is every
         point an outside reader can observe mid-run.
         """
@@ -343,21 +403,32 @@ class Simulator:
         queue = self._queue
         heap = self._heap
         chains = self._chains
+        ends = self._chain_ends
         # the observer list is only ever mutated in place, so the alias
         # tracks add_observer/remove_observer across the whole run
         observers = self._observers
-        horizon = math.inf if until is None else until
+        inf = math.inf
+        nextafter = math.nextafter
+        normal = Priority.NORMAL
+        horizon = inf if until is None else until
+        # a batch passes the boundaries before ``stop``: those at the
+        # horizon too
+        horizon_stop = nextafter(horizon, inf)
         # ``ef`` counts events and chain boundaries (both count towards
-        # ``max_events``) and climbs by one per step, so it meets ``last``
-        # exactly
-        ef = self.events_fired + self.chain_boundaries
+        # ``max_events``); it meets ``last`` exactly because a run with
+        # ``max_events`` passes one boundary per batch
+        passed = self.chain_boundaries
+        batches = self.chain_batches
+        ef = self.events_fired + passed
         last = -1 if max_events is None else ef + max(max_events, 0)
+        one_by_one = last >= 0
         try:
             while not self._stopped:
                 if chains:
-                    # a live chain: pass its boundary if it precedes the
-                    # next heap entry (a cancelled one included: the
-                    # boundary precedes whatever follows it too)
+                    # a live chain: pass a batch of its boundaries if it
+                    # precedes the next heap entry (a cancelled one
+                    # included: the boundary precedes whatever follows it
+                    # too). This is _pass_batch's body, inlined.
                     entry = chains[0]
                     if not heap or (entry[0], entry[1], entry[2]) < heap[0]:
                         time = entry[0]
@@ -368,10 +439,38 @@ class Simulator:
                         if ef == last:
                             raise self._runaway(max_events)
                         self._now = time
-                        self._pass_boundary(entry)
-                        ef += 1
+                        if observers or one_by_one:
+                            stop = -inf
+                        else:
+                            # the three bounds of "Tick chains" above
+                            stop = horizon_stop
+                            if heap:
+                                top = heap[0]
+                                bound = top[0] if top[1] <= normal else nextafter(top[0], inf)
+                                if bound < stop:
+                                    stop = bound
+                            if ends[0] < stop:
+                                stop = ends[0]
+                        n, nxt = entry[3](stop)
+                        passed += n
+                        batches += 1
+                        ef += n
+                        if nxt is None:
+                            if n != 1:
+                                raise self._ended_mid_batch(n)
+                            heappop(chains)
+                            ends.remove(entry[4])
+                            entry[3] = None
+                        else:
+                            seq = self._seq + n
+                            self._seq = seq
+                            entry[0] = nxt
+                            entry[2] = seq
+                            heapreplace(chains, entry)
                         if observers:
-                            self.events_fired = ef - self.chain_boundaries
+                            self.chain_boundaries = passed
+                            self.chain_batches = batches
+                            self.events_fired = ef - passed
                             for ob in tuple(observers):
                                 ob(self._now)
                         continue
@@ -401,13 +500,17 @@ class Simulator:
                 handle._args = ()
                 ef += 1
                 if observers:
-                    self.events_fired = ef - self.chain_boundaries
+                    self.chain_boundaries = passed
+                    self.chain_batches = batches
+                    self.events_fired = ef - passed
                     # observers may detach themselves mid-run: iterate a
                     # snapshot, paid for only when any exist
                     for ob in tuple(observers):
                         ob(self._now)
         finally:
-            self.events_fired = ef - self.chain_boundaries
+            self.chain_boundaries = passed
+            self.chain_batches = batches
+            self.events_fired = ef - passed
             self._running = False
             self._stopped = False
         return self._now
@@ -417,6 +520,12 @@ class Simulator:
             self._check_liveness()
         elif until > self._now:
             self._now = until
+
+    def _ended_mid_batch(self, n: int) -> SimulationError:
+        return SimulationError(
+            f"a tick chain ended after {n} boundaries of one batch at "
+            f"t={self._now:.3f}µs; a chain ends only first in a batch"
+        )
 
     def _runaway(self, max_events: int) -> SimulationError:
         return SimulationError(

@@ -160,6 +160,7 @@ class TestRuntimeWiring:
         assert m["n1.latency.recv_us.count"] == 3
         assert m["sim.events_fired"] > 0
         assert m["sim.chain_boundaries"] == rt.sim.chain_boundaries
+        assert m["sim.chain_batches"] == rt.sim.chain_batches
         rt.close()
 
     def test_per_core_scheduler_series(self):
@@ -312,6 +313,7 @@ class TestExporters:
         report = build_run_report(rt)
         assert report["meta"]["nodes"] == 2
         assert report["meta"]["time_us"] == rt.sim.now
+        assert report["meta"]["chain_batches"] == rt.sim.chain_batches
         assert report["metrics"] == rt.metrics()
         assert report["timeseries"]["interval_us"] == 5.0
         assert len(report["timeseries"]["samples"]) == len(rt.sampler.samples)

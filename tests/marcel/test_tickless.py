@@ -13,6 +13,7 @@ from unittest import mock
 from repro.marcel.scheduler import MarcelScheduler
 from repro.marcel.tasklet import Tasklet
 from repro.marcel.thread import Priority
+from repro.sim.events import Priority as EventPriority
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import Tracer
 from repro.topology.builder import build_node
@@ -167,3 +168,74 @@ def test_tasklets_rearm_their_core_and_shared_ones_every_core():
     out = _agree(scenario)
     assert [core for core, _ in out["log"]] == [0, 1]
     assert out["stats"]["tasklets_run"] == 2
+
+
+def _compute_after(start: float, us: float, log: list):
+    def body(ctx):
+        yield ctx.sleep(start)
+        yield ctx.compute(us)
+        log.append((ctx.name, ctx.now))
+
+    return body
+
+
+def test_in_phase_cores_keep_their_order():
+    """Two cores tick in phase, core 0 first; an event between their
+    first ticks lets core 0 pass its tick at 10 alone. Core 1's batch
+    must not run ahead of core 0's pending tick, or the computes' ends at
+    400 swap."""
+
+    def scenario(sim, sched, log):
+        sched.spawn(_compute(400.0, log), name="a", core_index=0, migratable=False)
+        # dispatched between the two: its event at 10 falls between the
+        # two chains' first boundaries
+        sim.call_soon(sim.schedule_at, 10.0, lambda: None, priority=EventPriority.TASKLET)
+        sched.spawn(_compute(400.0, log), name="b", core_index=1, migratable=False)
+
+    out = _agree(scenario)
+    assert out["log"] == [("done", 400.0), ("done", 400.0)]
+    assert [name for _t, cat, _where, name in out["trace"] if cat == "marcel.exit"] == ["a", "b"]
+
+
+def test_tick_grids_that_merge_by_rounding_keep_their_order():
+    """Core 0's ticks fall an ulp before core 1's (19.999999999999996 vs
+    20) until rounding past 32 merges them at 40. Tie order then follows
+    the earlier, different, instants: core 0 first. Core 1, a tick behind
+    after the event at 20, must stop its batch near core 0's pending tick
+    instead of running past it and ending first."""
+
+    def scenario(sim, sched, log):
+        start = 9.999999999999996
+        sim.schedule_at(20.0, lambda: None)
+        sched.spawn(_compute_after(start, 100.0 - start, log), name="a", core_index=0, migratable=False)
+        sched.spawn(_compute_after(10.0, 90.0, log), name="b", core_index=1, migratable=False)
+
+    out = _agree(scenario)
+    assert out["log"] == [("a", 100.0), ("b", 100.0)]
+
+
+def test_a_compute_end_off_the_tick_orders_by_the_ticks_before():
+    """Core 0 ticks at 5 mod 10 and its compute ends at 103; core 1 ticks
+    at 3 mod 10 and ticks at 103 too. Core 1's tick before (93) precedes
+    core 0's last (95), so core 1 passes 103 before core 0's compute ends
+    and spawns a HIGH thread onto it: the preemption waits for 113. After
+    the event at 84 core 0 is due first (at 85); the order holds only if
+    core 0 then passes 95 first in a batch, after core 1's 93."""
+
+    def scenario(sim, sched, log):
+        def urgent(ctx):
+            log.append(("urgent", ctx.now))
+            yield ctx.compute(1.0)
+
+        def spawner(ctx):
+            yield ctx.sleep(5.0)
+            yield ctx.compute(98.0)
+            sched.spawn(urgent, name="h", core_index=1, priority=Priority.HIGH, migratable=False)
+
+        sim.schedule_at(84.0, lambda: None)
+        sched.spawn(spawner, name="a", core_index=0, migratable=False)
+        sched.spawn(_compute_after(3.0, 200.0, log), name="b", core_index=1, migratable=False)
+
+    out = _agree(scenario)
+    # preempted at the tick at 113, plus the context switch
+    assert out["log"][0][0] == "urgent" and 113.0 < out["log"][0][1] < 114.0

@@ -4,12 +4,19 @@ tick chains equals the same run ticking every 10 µs slice as an event.
 The ticking oracle patches :meth:`MarcelScheduler._quiet` to always answer
 False, so every slice end is an ordinary kernel event. Hypothesis draws
 oversubscribed symmetric two-node workloads — priorities, pinning, sleeps,
-compute lengths on 10/5/2.5 µs grids (same-phase tick ties across cores),
+short and long compute lengths on 10/5/2.5 µs grids (same-phase tick ties
+across cores),
 eager and rendezvous exchanges, the aggregation strategy, a lossy wire —
 and both runs must agree on the end time, the full trace, every
 scheduler's statistics and the sampled metric series. The kernel work must
 also add up: every real event or chain boundary of the tickless run is one
 event of the ticking run.
+
+The sampler is a kernel observer, which keeps tick chains at one boundary
+per batch. A third run, tickless with no observer, reaches the batched
+path: it must equal the ticking run on the end time, the trace, the
+statistics, every core's timeline and every thread's CPU time, and pass
+as many chain boundaries as the sampled tickless run.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ from repro.units import KiB
 pytestmark = pytest.mark.tickless
 
 #: sampler lanes that count kernel work, which tickless runs do differently
-_KERNEL_WORK = ("sim.events_fired", "sim.chain_boundaries")
+_KERNEL_WORK = ("sim.events_fired", "sim.chain_boundaries", "sim.chain_batches")
 
 grids = st.sampled_from((10.0, 5.0, 2.5))
 steps = st.one_of(
     st.tuples(st.just("compute"), grids, st.integers(min_value=1, max_value=12)),
+    # long enough for quiet cores to pass many ticks between events
+    st.tuples(st.just("compute"), grids, st.integers(min_value=40, max_value=120)),
     st.tuples(st.just("sleep"), grids, st.integers(min_value=1, max_value=4)),
     st.tuples(st.just("xchg"), st.sampled_from((64, KiB(1), KiB(4), KiB(40))), st.integers(0, 6)),
 )
@@ -76,15 +85,15 @@ def _body(index: int, program):
     return body
 
 
-def _run(cfg):
-    # request ids come from a process-wide counter: restart it so the two
-    # runs label their requests alike and the full traces compare
+def _run(cfg, sampled: bool = True):
+    # request ids come from a process-wide counter: restart it so the runs
+    # label their requests alike and the full traces compare
     with mock.patch("repro.nmad.request._req_ids", itertools.count(1)):
-        return _run_once(cfg)
+        return _run_once(cfg, sampled)
 
 
-def _run_once(cfg):
-    timing = TimingModel(obs=ObsConfig(sample_interval_us=25.0))
+def _run_once(cfg, sampled: bool):
+    timing = TimingModel(obs=ObsConfig(sample_interval_us=25.0) if sampled else ObsConfig())
     tracer = Tracer()
     rt = ClusterRuntime.build(
         engine=cfg["engine"],
@@ -111,23 +120,32 @@ def _run_once(cfg):
         # the sequential engine may give up on a lossy wire (docs/faults.md):
         # a stuck run must be stuck alike in both modes
         end = str(exc)
-    assert rt.sampler is not None
-    samples = [
-        (t, {k: v for k, v in snap.items() if k not in _KERNEL_WORK}) for t, snap in rt.sampler.samples
-    ]
-    work = [
-        (t, snap["sim.events_fired"], snap["sim.chain_boundaries"])
-        for t, snap in rt.sampler.samples
-    ]
-    return {
+    cores = [core for nrt in rt.nodes for core in nrt.scheduler.cores]
+    out = {
         "end": end,
         "trace": tracer.signature(),
         "stats": [nrt.scheduler.stats() for nrt in rt.nodes],
-        "samples": samples,
+        "timelines": [
+            (c.timeline.intervals, c.timeline.busy_us, c.timeline.service_us, c.timeline.idle_us)
+            for c in cores
+        ],
+        "cpu_us": [t.cpu_us for nrt in rt.nodes for t in nrt.scheduler.threads],
         "events": rt.sim.events_fired,
         "boundaries": rt.sim.chain_boundaries,
-        "work": work,
+        "batches": rt.sim.chain_batches,
     }
+    if not sampled:
+        assert rt.sampler is None
+        return out
+    assert rt.sampler is not None
+    out["samples"] = [
+        (t, {k: v for k, v in snap.items() if k not in _KERNEL_WORK}) for t, snap in rt.sampler.samples
+    ]
+    out["work"] = [
+        (t, snap["sim.events_fired"], snap["sim.chain_boundaries"])
+        for t, snap in rt.sampler.samples
+    ]
+    return out
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,5 +159,15 @@ def test_tick_chains_equal_ticking(cfg):
     assert tickless["trace"] == ticking["trace"]
     assert tickless["stats"] == ticking["stats"]
     assert tickless["samples"] == ticking["samples"]
+    assert tickless["timelines"] == ticking["timelines"]
+    assert tickless["cpu_us"] == ticking["cpu_us"]
     assert tickless["events"] + tickless["boundaries"] == ticking["events"]
     assert [(t, e + b) for t, e, b in tickless["work"]] == [(t, e) for t, e, _ in ticking["work"]]
+    # an observer passes one boundary per batch
+    assert tickless["batches"] == tickless["boundaries"]
+    batched = _run(cfg, sampled=False)
+    for key in ("end", "trace", "stats", "timelines", "cpu_us"):
+        assert batched[key] == ticking[key], key
+    assert batched["boundaries"] == tickless["boundaries"]
+    assert batched["events"] == tickless["events"]
+    assert batched["batches"] <= batched["boundaries"]
