@@ -2,14 +2,18 @@
 
 PIOMan chooses between *active polling* (cheap, needs an idle core) and a
 *blocking call on a kernel thread* (adds interrupt latency, but works when
-every core computes). This bench occupies a varying number of cores with
-computation while one thread waits for a rendezvous transfer, and compares
-``allow_blocking_calls`` on/off:
+every core computes). This bench pins computing threads to a varying
+number of cores on both nodes while one thread waits for a rendezvous
+transfer, and compares ``allow_blocking_calls`` on/off:
 
-* with idle cores, both configurations poll — identical times;
-* with every core busy, disabling the blocking method leaves only the
-  timer-tick trigger (detection granularity = the 10 µs tick), while the
-  blocking method reacts after ``interrupt_us`` = 6 µs.
+* with idle cores, both configurations poll — identical times
+  (362.3 µs at 0 and 4 busy cores);
+* with all 8 cores busy, the receiver's wait arms a blocking watch when
+  blocking calls are allowed (one blocking wait; none without). Both
+  columns still read 400.6 µs: with no idle core, the shared detection
+  tasklet runs at the next timer tick, and the tick trigger has already
+  polled the completion there. The blocking method neither speeds up
+  nor delays the receive here.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ MSG = KiB(256)
 BUSY_COMPUTE_US = 3000.0
 
 
-def _run(busy_threads: int, allow_blocking: bool) -> float:
+def _run(busy_threads: int, allow_blocking: bool) -> tuple[float, int]:
+    """Receive completion time and the receiving engine's blocking waits."""
     timing = TimingModel().replace(
         pioman=dataclasses.replace(PiomanConfig(), allow_blocking_calls=allow_blocking)
     )
@@ -49,17 +54,18 @@ def _run(busy_threads: int, allow_blocking: bool) -> float:
     def busy(ctx):
         yield ctx.compute(BUSY_COMPUTE_US)
 
-    # keep the receiver's node crowded: `busy_threads` computing threads
+    # keep both nodes crowded: `busy_threads` computing threads pinned to
+    # cores 0.., so at 8 the receiver's own core stays busy once it blocks
     for i in range(busy_threads):
-        rt.spawn(1, busy, name=f"busy{i}", core_index=i)
-        rt.spawn(0, busy, name=f"busy0_{i}", core_index=i)
-    rt.spawn(1, receiver, name="recv", core_index=7)
-    rt.spawn(0, sender, name="send", core_index=7)
+        rt.spawn(1, busy, name=f"busy{i}", core_index=i, migratable=False)
+        rt.spawn(0, busy, name=f"busy0_{i}", core_index=i, migratable=False)
+    rt.spawn(1, receiver, name="recv", core_index=7, migratable=False)
+    rt.spawn(0, sender, name="send", core_index=7, migratable=False)
     rt.run()
-    return done["recv_at"]
+    return done["recv_at"], rt.node(1).engine.blocking_waits
 
 
-BUSY_LEVELS = (0, 4, 7)
+BUSY_LEVELS = (0, 4, 8)
 
 
 @pytest.fixture(scope="module")
@@ -70,37 +76,38 @@ def detection_table():
         for busy in BUSY_LEVELS
         for blocking in (True, False)
     ]
-    times = run_grid(_run, tasks, execution=ExecutionConfig.from_env())
+    runs = run_grid(_run, tasks, execution=ExecutionConfig.from_env())
     return [
-        (busy, times[2 * i], times[2 * i + 1]) for i, busy in enumerate(BUSY_LEVELS)
+        (busy, runs[2 * i], runs[2 * i + 1]) for i, busy in enumerate(BUSY_LEVELS)
     ]
 
 
 def test_detection_methods_report(detection_table, print_report):
     body = format_table(
         ["busy cores", "blocking allowed (µs)", "polling only (µs)"],
-        [(b, f"{w:.1f}", f"{wo:.1f}") for b, w, wo in detection_table],
+        [(b, f"{w:.1f}", f"{wo:.1f}") for b, (w, _), (wo, _) in detection_table],
         title="Detection-method ablation: RDV recv completion time",
     )
     print_report("Ablation: polling vs blocking detection", body)
 
 
 def test_idle_cores_make_methods_equivalent(detection_table):
-    busy, with_block, without = detection_table[0]
-    assert busy == 0
+    busy, (with_block, waits), (without, _) = detection_table[0]
+    assert busy == 0 and waits == 0
     assert with_block == pytest.approx(without, rel=0.02), (
         "with idle cores both configurations should actively poll"
     )
 
 
-def test_blocking_helps_when_all_cores_busy(detection_table):
-    busy, with_block, without = detection_table[-1]
-    assert busy == 7
+def test_blocking_path_taken_when_all_cores_busy(detection_table):
+    busy, (with_block, waits), (without, no_waits) = detection_table[-1]
+    assert busy == 8
+    assert waits >= 1 and no_waits == 0
     # the blocking method must not be slower than tick-only detection
     assert with_block <= without + 0.5, (
-        f"blocking ({with_block:.1f}) should beat tick-polling ({without:.1f})"
+        f"blocking ({with_block:.1f}) slower than tick-polling ({without:.1f})"
     )
 
 
 def test_bench_detection(benchmark):
-    benchmark(_run, 7, True)
+    benchmark(_run, 8, True)

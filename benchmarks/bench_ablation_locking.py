@@ -2,7 +2,7 @@
 
 The baseline's handicap has *two* components: inline processing (no
 offload) and one big lock serializing every thread's library calls. The
-``NeverOffload`` policy isolates them — it submits inline like the
+``"never"`` offload mode isolates them — it submits inline like the
 baseline but under PIOMan's event-granular locking:
 
 * `sequential`            = big lock + inline      (the paper's baseline)

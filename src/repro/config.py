@@ -256,23 +256,14 @@ class MarcelConfig:
 class PiomanConfig:
     """PIOMan event-manager configuration."""
 
-    #: Period at which busy cores still give PIOMan a chance (via the Marcel
-    #: timer trigger).
-    timer_trigger: bool = True
-    #: Run PIOMan at context-switch points.
-    ctx_switch_trigger: bool = True
-    #: Use the blocking (kernel-thread) detection method when no core idles.
+    #: Use the blocking (kernel-thread) detection method when no core will
+    #: idle once the waiting thread blocks (§3.2).
     allow_blocking_calls: bool = True
-    #: Below this many idle cores the blocking method is preferred for
-    #: long-lived waits (rendezvous data).
-    blocking_idle_core_threshold: int = 1
     #: Maximum number of events processed per tasklet activation (bounds the
     #: time spent at one safe point).
     max_events_per_activation: int = 8
 
     def __post_init__(self) -> None:
-        if self.blocking_idle_core_threshold < 0:
-            raise ConfigError("blocking_idle_core_threshold must be >= 0")
         if self.max_events_per_activation <= 0:
             raise ConfigError("max_events_per_activation must be > 0")
 

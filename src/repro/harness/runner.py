@@ -49,22 +49,6 @@ from ..topology.numa import NumaModel
 __all__ = ["NodeRuntime", "ClusterRuntime"]
 
 
-def _make_offload_policy(name: Optional[str]):
-    """Resolve an offload-policy name ("always"/"never"/"adaptive")."""
-    from ..pioman.adaptive import AdaptiveOffload, AlwaysOffload, NeverOffload
-
-    if name is None:
-        return None
-    table = {"always": AlwaysOffload, "never": NeverOffload, "adaptive": AdaptiveOffload}
-    try:
-        cls = table[name]
-    except KeyError:
-        raise HarnessError(
-            f"unknown offload policy {name!r}; expected one of {sorted(table)}"
-        ) from None
-    return cls()
-
-
 @dataclass
 class NodeRuntime:
     """Everything attached to one node."""
@@ -172,6 +156,14 @@ class ClusterRuntime:
             raise HarnessError(f"rails must be >= 1, got {rails}")
         if interconnect not in ("mx", "ib", "tcp"):
             raise HarnessError(f"interconnect must be mx, ib or tcp, got {interconnect!r}")
+        if offload_policy is not None:
+            if engine != EngineKind.PIOMAN:
+                raise HarnessError("offload_policy only applies to the pioman engine")
+            modes = ("adaptive", "always", "never")
+            if offload_policy not in modes:
+                raise HarnessError(
+                    f"unknown offload policy {offload_policy!r}; expected one of {list(modes)}"
+                )
         timing = timing or TimingModel()
         if rdv is not None:
             timing = timing.replace(rdv=rdv)
@@ -228,10 +220,8 @@ class ClusterRuntime:
             shm = ShmChannel(sim, node.index, timing.shm)
             shm_driver = ShmDriver(shm, timing.host)
             if engine == EngineKind.PIOMAN:
-                eng: Any = PiomanEngine(session, offload_policy=_make_offload_policy(offload_policy))
+                eng: Any = PiomanEngine(session, offload_policy or "always")
             else:
-                if offload_policy is not None:
-                    raise HarnessError("offload_policy only applies to the pioman engine")
                 eng = SequentialEngine(session)
             skw = dict(strategy_kwargs or {})
             for peer in range(nodes):

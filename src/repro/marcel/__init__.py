@@ -12,13 +12,14 @@ paper) on the discrete-event substrate:
   scheduler safe points (dispatch, timer ticks, idle), with the Linux
   serialization guarantees (a tasklet never runs concurrently with itself,
   re-schedule while running re-queues it);
-* **scheduling triggers** — hook points for PIOMan: core idleness, timer
-  interrupts, and context switches, exactly the trigger list of §3.1.
+* **scheduling triggers** — the scheduler calls its PIOMan engine on core
+  idleness, timer interrupts and context switches, exactly the trigger
+  list of §3.1.
 """
 
 from .effects import Compute, Sleep, WaitFlag, WaitTEvent, YieldNow
 from .scheduler import CoreRuntime, MarcelScheduler
-from .sync import ThreadBarrier, ThreadEvent, ThreadFlag, ThreadMutex, ThreadSemaphore
+from .sync import ThreadBarrier, ThreadEvent, ThreadFlag, ThreadMutex
 from .tasklet import Tasklet, TaskletContext, TaskletScheduler
 from .thread import MarcelThread, ThreadState
 
@@ -38,6 +39,5 @@ __all__ = [
     "ThreadEvent",
     "ThreadFlag",
     "ThreadMutex",
-    "ThreadSemaphore",
     "ThreadBarrier",
 ]

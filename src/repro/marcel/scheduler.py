@@ -5,19 +5,20 @@ core runs at most one thread at a time; the scheduler multiplexes threads
 over cores with per-core runqueues, priorities, preemptive round-robin at
 timer ticks, and idle-time work stealing.
 
-PIOMan integration happens through three **trigger hook families** —
-exactly the trigger list of §3.1 of the paper ("CPU idleness, context
-switches, timer interrupts"):
+PIOMan is wired straight in: the scheduler holds one ``pioman`` engine
+reference (None without a PIOMan engine) and calls it at exactly the
+trigger list of §3.1 of the paper ("CPU idleness, context switches, timer
+interrupts"):
 
-* *idle hooks* — run when a core has no runnable thread; they may perform
-  arbitrary communication work (request submission, polling). The hook
-  returns ``(cpu_us, repoll_delay)``: CPU consumed now, and an optional
-  delay after which the core should call again even without a wake.
-* *tick hooks* — run at timer-interrupt boundaries while a thread computes;
-  intended for cheap completion detection only. A hook may come with a
-  ``wants(core)`` predicate saying whether a tick on that core would do
-  anything for it.
-* *switch hooks* — run at context-switch points.
+* ``on_idle(core)`` — when a core has no runnable thread; it may perform
+  arbitrary communication work (request submission, polling) and returns
+  ``(cpu_us, repoll_delay)``: CPU consumed now, and an optional delay
+  after which the core should call again even without a wake.
+* ``on_tick(core)`` — at timer-interrupt boundaries while a thread
+  computes; cheap completion detection, returns the CPU consumed.
+  ``tick_wants(core)`` says whether a tick on that core would do
+  anything for the engine.
+* ``on_switch(core)`` — at context-switch points, returns the CPU consumed.
 
 Tasklets are drained at every safe point (dispatch, tick, idle) before any
 thread runs, reflecting their "very high priority".
@@ -35,10 +36,11 @@ Tickless compute
 Timer ticks stay the safe points at which a computing core notices new
 work, but most of them find none. A core is *quiet* while its runqueue is
 empty, no tasklet is pending for it, its thread runs above LOW priority
-and every tick hook's ``wants`` predicate is false. A quiet core's slice
-ends become one kernel tick chain (:meth:`Simulator.start_chain`) instead
-of an event per tick, and the kernel hands the chain its slice ends in
-batches (see "Tick chains" in :mod:`repro.sim.kernel`). One function,
+and the engine's ``tick_wants`` is false (or there is no engine). A quiet
+core's slice ends become one kernel tick chain
+(:meth:`Simulator.start_chain`) instead of an event per tick, and the
+kernel hands the chain its slice ends in batches (see "Tick chains" in
+:mod:`repro.sim.kernel`). One function,
 :meth:`MarcelScheduler._quiet_ticks`, passes a batch in one local loop:
 each slice end runs the arithmetic of a tick that does nothing, with the
 same float operations in the same order, written back once per batch.
@@ -54,14 +56,14 @@ it, whose pass takes the end's seq — so a tie at the compute's end
 orders as the ticks before it did, as with one event per tick. Whatever can end quietness re-arms the core first — a
 thread woken or spawned onto it, a tasklet it could run,
 :meth:`MarcelScheduler.resume_ticks` (PIOMan's hardware-activity
-notice), a hook registered without a predicate — by materializing the
-pending boundary into the ordinary slice-end event with the same key.
+notice) — by materializing the pending boundary into the ordinary
+slice-end event with the same key.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from ..config import MarcelConfig, TimingModel
 from ..errors import SchedulerError, ThreadStateError
@@ -74,6 +76,9 @@ from .runqueue import RunQueue
 from .sync import ThreadEvent
 from .tasklet import TaskletScheduler
 from .thread import MarcelThread, Priority, ThreadContext, ThreadState
+
+if TYPE_CHECKING:  # pragma: no cover - pioman is built on top of marcel
+    from ..pioman.engine import PiomanEngine
 
 __all__ = ["CoreRuntime", "MarcelScheduler"]
 
@@ -150,65 +155,13 @@ class MarcelScheduler:
         self.tasklets = TaskletScheduler(sim, len(self.cores))
         self.tasklets.on_enqueue = self._on_tasklet_enqueued
         self.threads: list[MarcelThread] = []
-        self.idle_hooks: list[Callable[[CoreRuntime], tuple[float, Optional[float]]]] = []
-        self.tick_hooks: list[Callable[[CoreRuntime], float]] = []
-        #: ``wants(core)`` predicate per tick hook; None keeps cores ticking
-        self._tick_wants: dict[Any, Optional[Callable[[CoreRuntime], bool]]] = {}
-        self.switch_hooks: list[Callable[[CoreRuntime], float]] = []
+        #: the PIOMan engine the triggers call; set by the engine itself
+        self.pioman: Optional["PiomanEngine"] = None
         #: thread whose generator is currently being advanced (for
         #: primitives needing the caller's identity)
         self._executing: Optional[MarcelThread] = None
         self._spawn_rr = 0  # round-robin core assignment cursor
         sim.add_liveness_probe(self._liveness_probe)
-
-    # ------------------------------------------------------------------ hooks
-
-    def register_idle_hook(self, hook: Callable[[CoreRuntime], tuple[float, Optional[float]]]) -> None:
-        self.idle_hooks.append(hook)
-
-    def register_tick_hook(
-        self,
-        hook: Callable[[CoreRuntime], float],
-        wants: Optional[Callable[[CoreRuntime], bool]] = None,
-    ) -> None:
-        """Run ``hook(core)`` at every timer tick of a computing core.
-
-        ``wants(core)`` tells whether a tick on ``core`` would do anything
-        for the hook right now. While it is false (and nothing else needs
-        the tick) the core computes tickless; whoever makes it true must
-        call :meth:`resume_ticks`. Without a predicate the hook keeps every
-        core ticking.
-        """
-        self.tick_hooks.append(hook)
-        self._tick_wants[hook] = wants
-        if wants is None:
-            self.resume_ticks()
-
-    def register_switch_hook(self, hook: Callable[[CoreRuntime], float]) -> None:
-        self.switch_hooks.append(hook)
-
-    def unregister_idle_hook(self, hook: Callable[[CoreRuntime], tuple[float, Optional[float]]]) -> None:
-        """Remove a previously registered idle hook (no-op if absent), so a
-        torn-down engine stops being activated by the scheduler."""
-        try:
-            self.idle_hooks.remove(hook)
-        except ValueError:
-            pass
-
-    def unregister_tick_hook(self, hook: Callable[[CoreRuntime], float]) -> None:
-        try:
-            self.tick_hooks.remove(hook)
-        except ValueError:
-            pass
-        else:
-            if hook not in self.tick_hooks:
-                del self._tick_wants[hook]
-
-    def unregister_switch_hook(self, hook: Callable[[CoreRuntime], float]) -> None:
-        try:
-            self.switch_hooks.remove(hook)
-        except ValueError:
-            pass
 
     # -------------------------------------------------------------- spawning
 
@@ -253,11 +206,11 @@ class MarcelScheduler:
         self.threads.append(thread)
         thread.transition(ThreadState.READY)
         home = self.cores[core_index]
-        if migratable and (home.current is not None or len(home.runqueue) > 0):
+        if migratable and (home.current is not None or home.runqueue):
             # same placement rule as wake(): don't queue a migratable
             # thread behind running work while other cores are free
             for cand in self.cores:
-                if cand.current is None and len(cand.runqueue) == 0:
+                if cand.current is None and not cand.runqueue:
                     thread.core_index = cand.index
                     core_index = cand.index
                     break
@@ -286,13 +239,13 @@ class MarcelScheduler:
         thread.wait_us += self.sim.now - thread._blocked_since
         thread.transition(ThreadState.READY)
         core = self.cores[thread.core_index]
-        if thread.migratable and (core.current is not None or len(core.runqueue) > 0):
+        if thread.migratable and (core.current is not None or core.runqueue):
             # home core is occupied: place the thread on a free core instead
             # of queueing behind other work (Marcel's reactivity guarantee —
             # "communicating threads are ensured to be scheduled as soon as
             # the communication event is detected", §3.2)
             for cand in self.cores:
-                if cand.current is None and len(cand.runqueue) == 0:
+                if cand.current is None and not cand.runqueue:
                     thread.core_index = cand.index
                     core = cand
                     break
@@ -313,14 +266,14 @@ class MarcelScheduler:
         return [
             c.index
             for c in self.cores
-            if c.current is None and len(c.runqueue) == 0
+            if c.current is None and not c.runqueue
         ]
 
     def busy_core_count(self) -> int:
-        return sum(1 for c in self.cores if c.current is not None or len(c.runqueue) > 0)
+        return sum(1 for c in self.cores if c.current is not None or c.runqueue)
 
     def kick_idle(self) -> bool:
-        """Wake one parked/idle-waiting core so its idle hooks run.
+        """Wake one parked/idle-waiting core so its idle trigger runs.
 
         Used by PIOMan to steer a freshly generated event to an idle CPU.
         Returns False when every core is actively executing.
@@ -393,8 +346,8 @@ class MarcelScheduler:
         switch_cost = 0.0
         if thread is not core.last_thread and core.last_thread is not None:
             switch_cost += self.timing.host.context_switch_us
-        for hook in self.switch_hooks:
-            switch_cost += hook(core)
+        if self.pioman is not None:
+            switch_cost += self.pioman.on_switch(core)
         thread.transition(ThreadState.RUNNING)
         core.current = thread
         core.last_thread = thread
@@ -542,14 +495,11 @@ class MarcelScheduler:
         nothing (see "Tickless compute" in the module docstring)."""
         if (
             thread.priority >= Priority.LOW
-            or len(core.runqueue)
+            or core.runqueue
             or self.tasklets.pending_for(core.index)
         ):
             return False
-        for wants in self._tick_wants.values():
-            if wants is None or wants(core):
-                return False
-        return True
+        return self.pioman is None or not self.pioman.tick_wants(core)
 
     def _quiet_ticks(
         self, core: CoreRuntime, thread: MarcelThread, stop: float
@@ -650,8 +600,8 @@ class MarcelScheduler:
         core.chain = None
 
     def resume_ticks(self) -> None:
-        """Re-arm ticking on every core computing tickless. Call it when a
-        tick hook's ``wants`` predicate may have turned true."""
+        """Re-arm ticking on every core computing tickless. Call it when the
+        engine's ``tick_wants`` may have turned true."""
         for core in self.cores:
             if core.chain is not None:
                 self._materialize(core)
@@ -664,9 +614,7 @@ class MarcelScheduler:
             core.ticks += 1
             while core.next_tick <= now + _EPS:
                 core.next_tick += self.cfg.timer_tick_us
-            cost = 0.0
-            for hook in self.tick_hooks:
-                cost += hook(core)
+            cost = 0.0 if self.pioman is None else self.pioman.on_tick(core)
             if self.tasklets.pending_for(core.index) > 0:
                 cost += self.tasklets.run_batch(
                     core.index,
@@ -707,13 +655,7 @@ class MarcelScheduler:
     # ------------------------------------------------------------------- idle
 
     def _enter_idle(self, core: CoreRuntime) -> None:
-        total = 0.0
-        repoll: Optional[float] = None
-        for hook in self.idle_hooks:
-            cpu, delay = hook(core)
-            total += cpu
-            if delay is not None:
-                repoll = delay if repoll is None else min(repoll, delay)
+        total, repoll = (0.0, None) if self.pioman is None else self.pioman.on_idle(core)
         if total > 0:
             self._account(core, total, "service")
             self.sim.schedule(total, self._dispatch, core, priority=EventPriority.NORMAL, label=f"{core.name}.idlework")

@@ -7,9 +7,8 @@ core, and a wake re-enqueues the thread on its affinity core's runqueue.
   notifications: request done, thread join).
 * :class:`ThreadFlag` — level-triggered flag (NIC activity signalling for
   poll loops: ``clear → poll → wait``).
-* :class:`ThreadMutex`, :class:`ThreadSemaphore`, :class:`ThreadBarrier`,
-  :class:`ThreadCondition` — classic primitives used by the example
-  applications and the MPI layer.
+* :class:`ThreadMutex` (the sequential engine's library-wide lock) and
+  :class:`ThreadBarrier` — classic primitives.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ __all__ = [
     "ThreadEvent",
     "ThreadFlag",
     "ThreadMutex",
-    "ThreadSemaphore",
     "ThreadBarrier",
-    "ThreadCondition",
 ]
 
 
@@ -159,35 +156,6 @@ class ThreadMutex:
             self.owner = None
 
 
-class ThreadSemaphore:
-    """Counting semaphore for Marcel threads (FIFO)."""
-
-    def __init__(self, scheduler: "MarcelScheduler", value: int = 0, name: str = "tsem") -> None:
-        if value < 0:
-            raise SchedulerError(f"negative semaphore value: {value}")
-        self.scheduler = scheduler
-        self.name = name
-        self.value = value
-        self._queue: deque[ThreadEvent] = deque()
-
-    def post(self, count: int = 1) -> None:
-        if count <= 0:
-            raise SchedulerError(f"post count must be > 0, got {count}")
-        for _ in range(count):
-            if self._queue:
-                self._queue.popleft().trigger(None)
-            else:
-                self.value += 1
-
-    def wait(self) -> Generator[Any, Any, None]:
-        if self.value > 0:
-            self.value -= 1
-            return
-        gate = ThreadEvent(self.scheduler, name=f"{self.name}.gate")
-        self._queue.append(gate)
-        yield WaitTEvent(gate)
-
-
 class ThreadBarrier:
     """Reusable barrier for a fixed party count."""
 
@@ -215,28 +183,3 @@ class ThreadBarrier:
         gate = self._gate
         yield WaitTEvent(gate)
         return gen_index
-
-
-class ThreadCondition:
-    """Condition variable bound to a :class:`ThreadMutex`."""
-
-    def __init__(self, mutex: ThreadMutex, name: str = "tcond") -> None:
-        self.mutex = mutex
-        self.scheduler = mutex.scheduler
-        self.name = name
-        self._waiters: deque[ThreadEvent] = deque()
-
-    def wait(self) -> Generator[Any, Any, None]:
-        """Atomically release the mutex and block; reacquire before return."""
-        gate = ThreadEvent(self.scheduler, name=f"{self.name}.gate")
-        self._waiters.append(gate)
-        self.mutex.release()
-        yield WaitTEvent(gate)
-        yield from self.mutex.acquire()
-
-    def notify(self, count: int = 1) -> None:
-        for _ in range(min(count, len(self._waiters))):
-            self._waiters.popleft().trigger(None)
-
-    def notify_all(self) -> None:
-        self.notify(len(self._waiters))

@@ -150,13 +150,6 @@ class Nic:
         """
         self._activity_listeners.append(cb)
 
-    def remove_activity_listener(self, cb: Callable[[], None]) -> None:
-        """Deregister a listener; no-op if it is not registered."""
-        try:
-            self._activity_listeners.remove(cb)
-        except ValueError:
-            pass
-
     def _notify(self) -> None:
         for cb in self._activity_listeners:
             cb()

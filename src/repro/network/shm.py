@@ -87,11 +87,5 @@ class ShmChannel:
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self._activity_listeners.append(cb)
 
-    def remove_activity_listener(self, cb: Callable[[], None]) -> None:
-        try:
-            self._activity_listeners.remove(cb)
-        except ValueError:
-            pass
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ShmChannel {self.name} cq={len(self._cq)}>"

@@ -165,11 +165,6 @@ class Driver:
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         raise NotImplementedError
 
-    def remove_activity_listener(self, cb: Callable[[], None]) -> None:
-        """Deregister ``cb``; a no-op if it was never (or already) removed,
-        so teardown paths can call it unconditionally."""
-        raise NotImplementedError
-
     # -- receive-side costs -----------------------------------------------------------
 
     def rx_consume_us(self) -> float:

@@ -67,9 +67,6 @@ class ShmDriver(Driver):
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.channel.add_activity_listener(cb)
 
-    def remove_activity_listener(self, cb: Callable[[], None]) -> None:
-        self.channel.remove_activity_listener(cb)
-
     def rx_consume_us(self) -> float:
         return self.model.ring_op_us
 

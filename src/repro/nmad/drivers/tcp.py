@@ -99,9 +99,6 @@ class TcpDriver(Driver):
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.nic.add_activity_listener(cb)
 
-    def remove_activity_listener(self, cb: Callable[[], None]) -> None:
-        self.nic.remove_activity_listener(cb)
-
     def rx_consume_us(self) -> float:
         return self.model.rx_consume_us + self.host.syscall_us
 

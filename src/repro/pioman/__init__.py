@@ -16,19 +16,10 @@ scheduler safe points, on whatever core is available:
 * **event-granular locking** (§2.1) — instead of the baseline's
   library-wide mutex, each event executes under a light spinlock
   (``spinlock_us`` charged per activation).
+
+All of it lives in :class:`PiomanEngine`.
 """
 
-from .adaptive import AdaptiveOffload, AlwaysOffload, NeverOffload, OffloadPolicy
 from .engine import PiomanEngine
-from .policy import DetectionPolicy
-from .server import EventServer
 
-__all__ = [
-    "PiomanEngine",
-    "DetectionPolicy",
-    "EventServer",
-    "OffloadPolicy",
-    "AlwaysOffload",
-    "NeverOffload",
-    "AdaptiveOffload",
-]
+__all__ = ["PiomanEngine"]

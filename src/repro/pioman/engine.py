@@ -4,30 +4,44 @@ This class is the paper's contribution wired together:
 
 * ``isend``/``irecv`` only *register* the request and generate an event
   (Fig. 1, right side) — they return in sub-microsecond time;
-* Marcel **triggers** drive progression: the *idle* trigger runs full
-  progression (submissions + handshakes + completion polling) on cores
-  with nothing better to do; the *timer-tick* and *context-switch*
-  triggers run cheap completion detection so busy nodes stay reactive
-  (§3.1: "CPU idleness, context switches, timer interrupts");
+* Marcel **triggers** drive progression: the scheduler holds one
+  ``pioman`` reference and calls the engine directly (§3.1: "CPU
+  idleness, context switches, timer interrupts"). The *idle* trigger
+  (:meth:`PiomanEngine.on_idle`) runs full progression (submissions +
+  handshakes + completion polling) on cores with nothing better to do;
+  the *timer-tick* (:meth:`PiomanEngine.on_tick`) and *context-switch*
+  (:meth:`PiomanEngine.on_switch`) triggers run cheap completion
+  detection so busy nodes stay reactive;
 * waking an idle core to execute an offloaded event costs
   ``tasklet_remote_us`` (the ≈2 µs inter-CPU overhead measured in §4.1);
 * ``wait`` first drives any immediately-available work inline ("the
   message is sent inside the wait function" when every core was busy),
-  then blocks on the request's completion event; the detection-method
-  policy decides whether active polling (idle cores) or the blocking
-  kernel-thread call (no idle cores) guards the wait (§2.3).
+  then blocks on the request's completion event. The detection method
+  is chosen there (§3.2): "if a CPU is idle … PIOMAN can actively poll
+  the network … When no CPU is idle, PIOMAN is obviously less intrusive
+  and uses a blocking call on a specialized kernel thread". A blocking
+  watch is woken by the NIC interrupt ``interrupt_us`` after the
+  hardware event, and the detection then runs at the next scheduler safe
+  point (a shared tasklet). Requests detected by polling never arm one;
+* the offload mode (§5 future work: "an adaptive strategy to choose
+  whether to offload communication or not") decides per ``isend``:
+  ``"always"`` is the paper's evaluated behaviour, ``"never"`` submits
+  inline on the sending thread (event-granular locking retained, so this
+  is *not* the sequential baseline), and ``"adaptive"`` offloads only
+  when an idle core exists now and the copy costs at least the
+  inter-CPU dispatch it would pay for. ``benchmarks/bench_ablation_adaptive.py``
+  compares the three across message sizes.
 """
 
 from __future__ import annotations
 
 from ..marcel.effects import Compute, WaitTEvent
 from ..marcel.scheduler import CoreRuntime, MarcelScheduler
+from ..marcel.tasklet import Tasklet, TaskletContext
 from ..marcel.thread import Priority
 from ..nmad.core import NmSession
 from ..nmad.progress import EngineBase
-from .adaptive import AlwaysOffload, OffloadPolicy
-from .policy import DetectionPolicy
-from .server import EventServer
+from ..nmad.request import NmRequest
 
 __all__ = ["PiomanEngine"]
 
@@ -37,21 +51,22 @@ class PiomanEngine(EngineBase):
 
     name = "pioman"
 
-    def __init__(self, session: NmSession, offload_policy: OffloadPolicy | None = None) -> None:
+    def __init__(self, session: NmSession, offload_policy: str = "always") -> None:
         super().__init__(session)
         self.scheduler: MarcelScheduler = session.scheduler
         self.cfg = self.timing.pioman
-        self.policy = DetectionPolicy(self.cfg)
-        #: §5 future work: adaptive choice of whether to offload at all
-        self.offload_policy = offload_policy or AlwaysOffload()
+        #: §5 future work: "always", "never" or "adaptive"
+        self.offload_policy = offload_policy
         self._kick_enabled = True
-        self.server = EventServer(session, self.scheduler, self.timing, self._kernel_progress)
-        # Marcel triggers (§3.1)
-        self.scheduler.register_idle_hook(self._idle_hook)
-        if self.cfg.timer_trigger:
-            self.scheduler.register_tick_hook(self._tick_hook, wants=self._tick_wants)
-        if self.cfg.ctx_switch_trigger:
-            self.scheduler.register_switch_hook(self._switch_hook)
+        #: request ids watched by the blocking detection method
+        self._armed: set[int] = set()
+        self._interrupt_scheduled = False
+        #: the "kernel detection" work, run as a shared tasklet at the next
+        #: safe point of any core
+        self._detect_tasklet = Tasklet(self._run_detection, name="piom.kdetect")
+        session.on_request_complete.append(self._on_complete)
+        # Marcel triggers (§3.1): the newest engine replaces any earlier one
+        self.scheduler.pioman = self
         #: per-core virtual time at which a paid tasklet dispatch lands
         self._dispatch_due: dict[int, float | None] = {
             c.index: None for c in self.scheduler.cores
@@ -68,6 +83,12 @@ class PiomanEngine(EngineBase):
         self.switch_activations = 0
         self.kicks = 0
         self.offloaded_ops = 0
+        self.offloads = 0
+        self.inlines = 0
+        self.poll_choices = 0
+        self.block_choices = 0
+        self.blocking_waits = 0
+        self.interrupts_taken = 0
 
     # ------------------------------------------------------------------ events
 
@@ -88,7 +109,7 @@ class PiomanEngine(EngineBase):
         if not self.scheduler.kick_idle():
             # every core is busy: the blocking method (if armed) takes over;
             # otherwise the timer-tick trigger will detect the completion.
-            self.server.on_hw_activity()
+            self._interrupt()
 
     def register_progress_hook(self, hook) -> None:
         """Register a progression hook: ``hook(ctx) -> bool``.
@@ -113,19 +134,25 @@ class PiomanEngine(EngineBase):
         return False
 
     def close(self) -> None:
-        """Deregister the Marcel triggers and the event server's completion
-        listener (idempotent)."""
+        """Detach from the scheduler (if it still points here) and drop the
+        completion listener; armed watches are abandoned (idempotent)."""
         super().close()
         self._progress_hooks.clear()
-        self.scheduler.unregister_idle_hook(self._idle_hook)
-        self.scheduler.unregister_tick_hook(self._tick_hook)
-        self.scheduler.unregister_switch_hook(self._switch_hook)
-        self.server.close()
+        if self.scheduler.pioman is self:
+            self.scheduler.pioman = None
+        try:
+            self.session.on_request_complete.remove(self._on_complete)
+        except ValueError:
+            pass
+        self._armed.clear()
 
     # ------------------------------------------------------------------ triggers
 
-    def _idle_hook(self, core: CoreRuntime) -> tuple[float, float | None]:
+    def on_idle(self, core: CoreRuntime) -> tuple[float, float | None]:
         """Full progression on an idle core (the offloading path, §2.2).
+        Returns ``(cpu_us, repoll_delay)``: CPU consumed now, and an
+        optional delay after which the core should call again even
+        without a wake.
 
         Executing a steered event on another CPU first pays the inter-CPU
         signalling + tasklet dispatch (§4.1's measured ≈2 µs): the first
@@ -163,8 +190,8 @@ class PiomanEngine(EngineBase):
         repoll = 0.0 if self.session.has_work() else None
         return ctx.cpu_us, repoll
 
-    def _tick_hook(self, core: CoreRuntime) -> float:
-        """Timer-interrupt trigger.
+    def on_tick(self, core: CoreRuntime) -> float:
+        """Timer-interrupt trigger; returns the CPU it consumed.
 
         On cores running normal application threads this is cheap
         completion detection only. §2.2 additionally allows full event
@@ -191,15 +218,16 @@ class PiomanEngine(EngineBase):
             cost += ctx.cpu_us
         return cost
 
-    def _tick_wants(self, core: CoreRuntime) -> bool:
+    def tick_wants(self, core: CoreRuntime) -> bool:
         """Whether a tick on ``core`` would find anything to do. Only
         completions matter: LOW-priority threads, whose ticks also run
         deferred ops, never compute tickless. A completion surfaces through
         :meth:`notify_activity`, which re-arms the ticks."""
         return self.session.has_completions()
 
-    def _switch_hook(self, core: CoreRuntime) -> float:
-        """Cheap completion detection at context switches."""
+    def on_switch(self, core: CoreRuntime) -> float:
+        """Cheap completion detection at context switches; returns the CPU
+        it consumed."""
         if not self.session.has_completions():
             return 0.0
         self.switch_activations += 1
@@ -208,16 +236,66 @@ class PiomanEngine(EngineBase):
         self.session.poll_completions(ctx)
         return ctx.cpu_us
 
-    def _core_ctx(self, core_index: int):
-        from ..marcel.tasklet import TaskletContext
-
+    def _core_ctx(self, core_index: int) -> TaskletContext:
         return TaskletContext(self.sim, core_index, self.sim.now)
 
-    def _kernel_progress(self, ctx) -> None:
-        """Detection executed on behalf of the blocking kernel thread."""
+    # ------------------------------------------------------- blocking detection
+
+    def _blocks(self, idle_after: int) -> bool:
+        """The detection rule (§3.2): block iff blocking calls are allowed
+        and no core will idle once the caller blocks (``idle_after`` is
+        the idle-core count then). Counts the choice."""
+        if self.cfg.allow_blocking_calls and idle_after == 0:
+            self.block_choices += 1
+            return True
+        self.poll_choices += 1
+        return False
+
+    def _arm(self, req: NmRequest) -> None:
+        """Watch ``req`` with the blocking method until it completes."""
+        if req.req_id not in self._armed:
+            self._armed.add(req.req_id)
+            req.blocking_watch = True
+            self.blocking_waits += 1
+
+    def _on_complete(self, req: NmRequest) -> None:
+        self._armed.discard(req.req_id)
+        req.blocking_watch = False
+
+    def _interrupt(self) -> None:
+        """Hardware produced a completion while every core is busy: if
+        blocking watches are armed, the kernel thread unblocks after the
+        interrupt cost, then schedules the detection at a safe point."""
+        if not self._armed or self._interrupt_scheduled:
+            return
+        self._interrupt_scheduled = True
+        self.interrupts_taken += 1
+        self.sim.schedule(self.timing.nic.interrupt_us, self._fire_detection, label="piom.interrupt")
+
+    def _fire_detection(self) -> None:
+        self._interrupt_scheduled = False
+        self.scheduler.tasklets.schedule(self._detect_tasklet, core_index=None)
+
+    def _run_detection(self, ctx: TaskletContext) -> None:
+        """Tasklet body: consume completions on behalf of blocked waiters."""
+        ctx.charge(self.timing.host.syscall_us)
         self.session.progress(ctx, max_ops=self.cfg.max_events_per_activation)
 
     # ------------------------------------------------------------------ API
+
+    def _offload(self, size: int) -> bool:
+        """Whether an ``isend`` of ``size`` bytes defers its submission to
+        an idle core, by the offload mode (see the module docstring)."""
+        if self.offload_policy == "always":
+            return True
+        if self.offload_policy == "never":
+            return False
+        # adaptive: never defer when every core is busy (the submission
+        # would only run inside ``wait`` anyway), nor when the copy is
+        # cheaper than the dispatch
+        return bool(self.scheduler.idle_core_indices()) and (
+            self.timing.host.memcpy_us(size) >= self.timing.host.tasklet_remote_us
+        )
 
     def isend(self, tctx, peer, tag, size, payload=None, buffer_id=None):
         """Register the request and generate an event — nothing else.
@@ -225,19 +303,19 @@ class PiomanEngine(EngineBase):
         Fig. 1 (right): "(a) request registration, (b) event creation";
         the network submission "(b')" happens wherever PIOMan places it.
 
-        With a non-default offload policy (§5 future work), a submission
-        judged not worth the inter-CPU dispatch runs inline right here —
-        still under event-granular locking, never under a big lock.
+        Outside the ``"always"`` mode, a submission judged not worth the
+        inter-CPU dispatch runs inline right here — still under
+        event-granular locking, never under a big lock.
         """
         yield Compute(self.timing.host.request_post_us, kind="service", label="piom.post_send")
         req = self.session.make_send(
             peer, tag, size, payload, buffer_id, producer_core=tctx.thread.core_index
         )
-        submit_cost = self.timing.host.memcpy_us(size)
-        idle = len(self.scheduler.idle_core_indices())
-        if self.offload_policy.decide(size, submit_cost, idle):
+        if self._offload(size):
+            self.offloads += 1
             self.session.post_send(req)
             return req
+        self.inlines += 1
         # inline submission: suppress the idle-core kick, then drain the
         # freshly queued op(s) on this thread
         self._kick_enabled = False
@@ -286,8 +364,7 @@ class PiomanEngine(EngineBase):
             idle_after = len(self.scheduler.idle_core_indices())
             if my_core.current is tctx.thread and len(my_core.runqueue) == 0:
                 idle_after += 1
-            method = self.policy.select(idle_after)
-            if method == DetectionPolicy.BLOCK:
-                self.server.arm(req)
+            if self._blocks(idle_after):
+                self._arm(req)
             yield WaitTEvent(event)
         return req

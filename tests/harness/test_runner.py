@@ -50,11 +50,11 @@ class TestBuild:
         nrt = rt.node(0)
         cost = nrt.session.registry.register("buf", 4096)
         assert cost == pytest.approx(nic_model.registration_us(4096))
-        server = nrt.engine.server
+        engine = nrt.engine
         fired = []
-        server._fire_detection = lambda: fired.append(rt.sim.now)
-        server.arm(nrt.session.make_recv(1, 0, 16))
-        server.on_hw_activity()
+        engine._fire_detection = lambda: fired.append(rt.sim.now)
+        engine._arm(nrt.session.make_recv(1, 0, 16))
+        engine._interrupt()
         rt.run(until=100.0)
         assert fired == [pytest.approx(nic_model.interrupt_us)]
 

@@ -9,6 +9,8 @@ from repro.marcel.effects import Compute, Sleep, YieldNow
 from repro.marcel.scheduler import CoreRuntime, MarcelScheduler
 from repro.marcel.thread import Priority, ThreadState
 
+from .stub_engine import stub_engine
+
 
 def test_single_thread_computes(sim, scheduler):
     done = []
@@ -262,14 +264,14 @@ def test_idle_hook_runs_when_core_idle(sim, scheduler):
         calls.append((core.index, sim.now))
         return (0.0, None)
 
-    scheduler.register_idle_hook(hook)
+    stub_engine(scheduler, idle=hook)
 
     def body(ctx):
         yield ctx.compute(5.0)
 
     scheduler.spawn(body, name="t", core_index=0)
     sim.run()
-    assert calls, "idle hook should run when cores have nothing to do"
+    assert calls, "idle trigger should run when cores have nothing to do"
 
 
 def test_idle_hook_work_is_accounted_as_service(sim, scheduler):
@@ -284,7 +286,7 @@ def test_idle_hook_work_is_accounted_as_service(sim, scheduler):
             return (7.0, None)
         return (0.0, None)
 
-    scheduler.register_idle_hook(hook)
+    stub_engine(scheduler, idle=hook)
 
     def body(ctx):
         yield ctx.compute(1.0)
@@ -301,7 +303,7 @@ def test_tick_hook_charges_busy_core(sim, scheduler):
         ticks.append(sim.now)
         return 0.5
 
-    scheduler.register_tick_hook(hook)
+    stub_engine(scheduler, tick=hook)
 
     def body(ctx):
         yield ctx.compute(35.0)
@@ -320,7 +322,7 @@ def test_kick_idle_wakes_parked_core(sim, scheduler):
         woken.append(core.index)
         return (0.0, None)
 
-    scheduler.register_idle_hook(hook)
+    stub_engine(scheduler, idle=hook)
 
     def kicker():
         assert scheduler.kick_idle()

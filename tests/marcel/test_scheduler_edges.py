@@ -9,6 +9,8 @@ from repro.marcel.scheduler import CoreRuntime, MarcelScheduler
 from repro.marcel.tasklet import Tasklet
 from repro.marcel.thread import Priority
 
+from .stub_engine import stub_engine
+
 
 class TestWorkStealing:
     def test_queued_thread_stolen_from_busy_core(self, sim, scheduler):
@@ -130,14 +132,6 @@ class TestTaskletIntegration:
 
 
 class TestHookInteractions:
-    def test_multiple_idle_hooks_all_consulted(self, sim, scheduler):
-        seen = []
-        scheduler.register_idle_hook(lambda core: (seen.append("h1"), (0.0, None))[1])
-        scheduler.register_idle_hook(lambda core: (seen.append("h2"), (0.0, None))[1])
-        scheduler.kick_idle()
-        sim.run()
-        assert "h1" in seen and "h2" in seen
-
     def test_repoll_delay_respected(self, sim, scheduler):
         calls = []
         state = {"count": 0}
@@ -149,14 +143,14 @@ class TestHookInteractions:
                 return (0.0, 7.0)  # ask to be re-polled in 7µs
             return (0.0, None)
 
-        scheduler.register_idle_hook(hook)
+        stub_engine(scheduler, idle=hook)
         scheduler.kick_idle()
         sim.run()
         assert calls == [pytest.approx(0.0), pytest.approx(7.0), pytest.approx(14.0)]
 
     def test_switch_hook_fires_on_thread_change(self, sim, scheduler):
         switches = []
-        scheduler.register_switch_hook(lambda core: (switches.append(sim.now), 0.0)[1])
+        stub_engine(scheduler, switch=lambda core: (switches.append(sim.now), 0.0)[1])
 
         def body(ctx):
             yield ctx.compute(5.0)

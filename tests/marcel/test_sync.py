@@ -5,14 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SchedulerError
-from repro.marcel.sync import (
-    ThreadBarrier,
-    ThreadCondition,
-    ThreadEvent,
-    ThreadFlag,
-    ThreadMutex,
-    ThreadSemaphore,
-)
+from repro.marcel.sync import ThreadBarrier, ThreadEvent, ThreadFlag, ThreadMutex
 
 
 class TestThreadEvent:
@@ -178,47 +171,6 @@ class TestThreadMutex:
         assert order == list("abcd")
 
 
-class TestThreadSemaphore:
-    def test_producer_consumer(self, sim, scheduler):
-        sem = ThreadSemaphore(scheduler)
-        got = []
-
-        def consumer(ctx):
-            for _ in range(3):
-                yield from sem.wait()
-                got.append(sim.now)
-
-        def producer(ctx):
-            for _ in range(3):
-                yield ctx.compute(10.0)
-                sem.post()
-
-        scheduler.spawn(consumer, name="c", core_index=0)
-        scheduler.spawn(producer, name="p", core_index=1)
-        sim.run()
-        assert len(got) == 3
-        assert got == sorted(got)
-
-    def test_initial_value(self, sim, scheduler):
-        sem = ThreadSemaphore(scheduler, value=2)
-        got = []
-
-        def body(ctx):
-            yield from sem.wait()
-            yield from sem.wait()
-            got.append(sim.now)
-
-        scheduler.spawn(body, name="t")
-        sim.run()
-        assert got == [0.0]
-
-    def test_validation(self, sim, scheduler):
-        with pytest.raises(SchedulerError):
-            ThreadSemaphore(scheduler, value=-1)
-        with pytest.raises(SchedulerError):
-            ThreadSemaphore(scheduler).post(0)
-
-
 class TestThreadBarrier:
     def test_all_parties_released_together(self, sim, scheduler):
         bar = ThreadBarrier(scheduler, parties=3)
@@ -254,53 +206,3 @@ class TestThreadBarrier:
     def test_validation(self, sim, scheduler):
         with pytest.raises(SchedulerError):
             ThreadBarrier(scheduler, parties=0)
-
-
-class TestThreadCondition:
-    def test_wait_notify(self, sim, scheduler):
-        m = ThreadMutex(scheduler)
-        cond = ThreadCondition(m)
-        state = {"ready": False}
-        got = []
-
-        def waiter(ctx):
-            yield from m.acquire()
-            while not state["ready"]:
-                yield from cond.wait()
-            got.append(sim.now)
-            m.release()
-
-        def notifier(ctx):
-            yield ctx.compute(12.0)
-            yield from m.acquire()
-            state["ready"] = True
-            cond.notify()
-            m.release()
-
-        scheduler.spawn(waiter, name="w", core_index=0)
-        scheduler.spawn(notifier, name="n", core_index=1)
-        sim.run()
-        assert len(got) == 1 and got[0] >= 12.0
-
-    def test_notify_all(self, sim, scheduler):
-        m = ThreadMutex(scheduler)
-        cond = ThreadCondition(m)
-        got = []
-
-        def waiter(ctx, name):
-            yield from m.acquire()
-            yield from cond.wait()
-            got.append(name)
-            m.release()
-
-        def broadcaster(ctx):
-            yield ctx.compute(5.0)
-            yield from m.acquire()
-            cond.notify_all()
-            m.release()
-
-        scheduler.spawn(lambda c: waiter(c, "a"), name="a", core_index=0)
-        scheduler.spawn(lambda c: waiter(c, "b"), name="b", core_index=1)
-        scheduler.spawn(broadcaster, name="bc", core_index=2)
-        sim.run()
-        assert sorted(got) == ["a", "b"]

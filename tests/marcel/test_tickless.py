@@ -18,6 +18,8 @@ from repro.sim.kernel import Simulator
 from repro.sim.tracing import Tracer
 from repro.topology.builder import build_node
 
+from .stub_engine import stub_engine
+
 
 def _run(scenario, ticking: bool, until: float | None = None):
     sim = Simulator()
@@ -86,7 +88,7 @@ def test_low_priority_threads_keep_ticking():
 
 def test_hook_without_predicate_keeps_ticking():
     def scenario(sim, sched, log):
-        sched.register_tick_hook(lambda core: log.append(sim.now) or 0.0)
+        stub_engine(sched, tick=lambda core: log.append(sim.now) or 0.0)
         sched.spawn(_compute(50.0), name="t", core_index=0)
 
     out = _agree(scenario)
@@ -95,7 +97,7 @@ def test_hook_without_predicate_keeps_ticking():
 
 def test_hook_whose_predicate_is_false_goes_tickless():
     def scenario(sim, sched, log):
-        sched.register_tick_hook(lambda core: 0.0, wants=lambda core: False)
+        stub_engine(sched, tick=lambda core: 0.0, wants=lambda core: False)
         sched.spawn(_compute(50.0), name="t", core_index=0)
 
     out = _agree(scenario)
@@ -108,7 +110,12 @@ def test_registering_a_plain_hook_mid_compute_rearms():
             log.append(sim.now)
             return 0.5
 
-        sim.schedule(25.0, sched.register_tick_hook, hook)
+        def attach():
+            # an engine that wants every tick, attached mid-compute
+            stub_engine(sched, tick=hook)
+            sched.resume_ticks()
+
+        sim.schedule(25.0, attach)
         sched.spawn(_compute(60.0), name="t", core_index=0)
 
     out = _agree(scenario)
@@ -130,7 +137,7 @@ def test_resume_ticks_rearms_a_wanted_tick():
             wanted.append(True)
             sched.resume_ticks()
 
-        sched.register_tick_hook(hook, wants=lambda core: bool(wanted))
+        stub_engine(sched, tick=hook, wants=lambda core: bool(wanted))
         sim.schedule(42.0, arrive)
         sched.spawn(_compute(100.0), name="t", core_index=0)
 

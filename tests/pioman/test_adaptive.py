@@ -1,67 +1,95 @@
-"""Unit tests for the adaptive offload policies (§5 future work)."""
+"""The engine's offload modes (§5 future work): always, never, adaptive."""
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
-from repro.errors import ConfigError
-from repro.pioman.adaptive import AdaptiveOffload, AlwaysOffload, NeverOffload
+from repro.config import EngineKind
+from repro.errors import HarnessError
+from repro.harness.runner import ClusterRuntime
+from repro.sim.tracing import Tracer
+from repro.units import KiB
+
+
+def _engine(mode: str, busy_cores: int = 0):
+    """Node 0's engine in ``mode``, with ``busy_cores`` cores given a thread."""
+    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy=mode)
+
+    def body(ctx):
+        yield ctx.compute(1.0)
+
+    for i in range(busy_cores):
+        rt.spawn(0, body, core_index=i, migratable=False)
+    return rt.node(0).engine
+
+
+def _send_sizes(mode: str, sizes) -> ClusterRuntime:
+    """Node 0 isends ``sizes`` back to back, then waits for them all."""
+    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy=mode)
+
+    def sender(ctx):
+        nm = ctx.env["nm"]
+        reqs = []
+        for tag, size in enumerate(sizes):
+            r = yield from nm.isend(ctx, 1, tag, size)
+            reqs.append(r)
+        yield from nm.wait_all(ctx, reqs)
+
+    def receiver(ctx):
+        nm = ctx.env["nm"]
+        for tag, size in enumerate(sizes):
+            yield from nm.recv(ctx, 0, tag, size)
+
+    rt.spawn(0, sender)
+    rt.spawn(1, receiver)
+    rt.run()
+    return rt
 
 
 class TestAlways:
     def test_always_true(self):
-        pol = AlwaysOffload()
-        assert pol.decide(1, 0.1, 0)
-        assert pol.decide(1 << 20, 1000.0, 8)
-        assert pol.offloads == 2
+        assert _engine("always")._offload(1)
+        assert _engine("always", busy_cores=8)._offload(1 << 20)
+        eng = _send_sizes("always", (256, KiB(32))).node(0).engine
+        assert (eng.offloads, eng.inlines) == (2, 0)
 
 
 class TestNever:
     def test_always_false(self):
-        pol = NeverOffload()
-        assert not pol.decide(1 << 20, 1000.0, 8)
-        assert pol.inlines == 1
+        assert not _engine("never")._offload(1 << 20)
+        eng = _send_sizes("never", (KiB(32),)).node(0).engine
+        assert (eng.offloads, eng.inlines) == (0, 1)
 
 
 class TestAdaptive:
     def test_requires_idle_core(self):
-        pol = AdaptiveOffload()
-        assert not pol.decide(1 << 20, 1000.0, idle_cores=0)
-        assert pol.decide(1 << 20, 1000.0, idle_cores=1)
+        assert not _engine("adaptive", busy_cores=8)._offload(1 << 20)
+        assert _engine("adaptive", busy_cores=7)._offload(1 << 20)
 
     def test_tiny_copies_inline(self):
-        pol = AdaptiveOffload(dispatch_cost_us=2.0)
-        assert not pol.decide(256, 0.6, idle_cores=4)
-        assert pol.decide(32768, 42.0, idle_cores=4)
-
-    def test_margin_raises_the_bar(self):
-        strict = AdaptiveOffload(dispatch_cost_us=2.0, margin=3.0)
-        assert not strict.decide(4096, 5.0, idle_cores=4)  # 5 < 2*3
-        assert strict.decide(32768, 42.0, idle_cores=4)
-
-    def test_idle_requirement_can_be_disabled(self):
-        pol = AdaptiveOffload(require_idle_core=False)
-        assert pol.decide(32768, 42.0, idle_cores=0)
+        """A copy cheaper than the inter-CPU dispatch (§4.1's 2 µs) runs
+        in place; one that costs at least as much is offloaded."""
+        eng = _engine("adaptive")
+        host = eng.timing.host
+        assert host.memcpy_us(256) < host.tasklet_remote_us
+        assert not eng._offload(256)
+        assert eng._offload(KiB(32))
 
     def test_statistics(self):
-        pol = AdaptiveOffload()
-        pol.decide(256, 0.5, 4)
-        pol.decide(32768, 42.0, 4)
-        assert pol.inlines == 1 and pol.offloads == 1
+        eng = _send_sizes("adaptive", (256, KiB(32))).node(0).engine
+        assert (eng.offloads, eng.inlines) == (1, 1)
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            AdaptiveOffload(dispatch_cost_us=-1)
-        with pytest.raises(ConfigError):
-            AdaptiveOffload(margin=0)
+        with pytest.raises(HarnessError, match="unknown offload policy"):
+            ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy="psychic")
+        with pytest.raises(HarnessError, match="only applies"):
+            ClusterRuntime.build(engine=EngineKind.SEQUENTIAL, offload_policy="never")
 
 
 class TestEngineIntegration:
     def test_never_policy_submits_inline(self):
-        from repro.config import EngineKind
-        from repro.harness.runner import ClusterRuntime
-        from repro.units import KiB
-
         rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy="never")
         out = {}
 
@@ -84,10 +112,6 @@ class TestEngineIntegration:
         assert out["isend_us"] >= rt.timing.host.memcpy_us(KiB(16)) * 0.9
 
     def test_always_policy_defers(self):
-        from repro.config import EngineKind
-        from repro.harness.runner import ClusterRuntime
-        from repro.units import KiB
-
         rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy="always")
         out = {}
 
@@ -108,9 +132,6 @@ class TestEngineIntegration:
         assert out["isend_us"] < 1.0
 
     def test_payloads_identical_across_policies(self):
-        from repro.config import EngineKind
-        from repro.harness.runner import ClusterRuntime
-
         for policy in ("always", "never", "adaptive"):
             rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy=policy)
             got = []
@@ -133,3 +154,43 @@ class TestEngineIntegration:
             rt.spawn(1, receiver)
             rt.run()
             assert got == [0, 1, 2, 3, 4], policy
+
+
+#: (size, mode) -> (end time, trace digest) of the Fig. 4 loop: 12 rounds
+#: of isend, 20 µs of compute and swait against a receiver doing the same.
+#: At 256 B adaptive submits inline like never; at 32 KiB it offloads like
+#: always. Captured before the offload policies were folded into the engine.
+FIG4_PINS = {
+    (256, "always"): (242.39999999999998, "3e1421aa28fd009943201806c763b4b8"),
+    (256, "never"): (261.69469726562494, "b110f2ee34cf306d1e1e8c955bf518af"),
+    (256, "adaptive"): (261.69469726562494, "b110f2ee34cf306d1e1e8c955bf518af"),
+    (KiB(32), "always"): (564.1360810279846, "6b16de1c5bede5c4c81cba3346747232"),
+    (KiB(32), "never"): (759.6560810279848, "e3906e3dcaf003215f8469e31deb77dc"),
+    (KiB(32), "adaptive"): (564.1360810279846, "6b16de1c5bede5c4c81cba3346747232"),
+}
+
+
+@pytest.mark.parametrize("size,mode", sorted(FIG4_PINS))
+def test_fig4_loop_is_pinned(size, mode, fresh_ids):
+    tracer = Tracer()
+    rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy=mode, tracer=tracer)
+
+    def sender(ctx):
+        nm = ctx.env["nm"]
+        for i in range(12):
+            req = yield from nm.isend(ctx, 1, 0, size, payload=i, buffer_id="b")
+            yield ctx.compute(20.0)
+            yield from nm.swait(ctx, req)
+
+    def receiver(ctx):
+        nm = ctx.env["nm"]
+        for _ in range(12):
+            req = yield from nm.irecv(ctx, 0, 0, size, buffer_id="r")
+            yield ctx.compute(20.0)
+            yield from nm.rwait(ctx, req)
+
+    rt.spawn(0, sender, name="S")
+    rt.spawn(1, receiver, name="R")
+    end = rt.run()
+    digest = hashlib.blake2b(repr((end, tracer.signature())).encode(), digest_size=16)
+    assert (end, digest.hexdigest()) == FIG4_PINS[(size, mode)]

@@ -7,24 +7,19 @@ of communication events."
 
 from __future__ import annotations
 
-import dataclasses
+import hashlib
 
 import pytest
 
 from repro.config import EngineKind, PiomanConfig, TimingModel
 from repro.harness.runner import ClusterRuntime
+from repro.sim.tracing import Tracer
 from repro.units import KiB
 
 
-def _build(allow_blocking=True, timer_trigger=True, ctx_switch_trigger=True):
-    timing = TimingModel().replace(
-        pioman=PiomanConfig(
-            allow_blocking_calls=allow_blocking,
-            timer_trigger=timer_trigger,
-            ctx_switch_trigger=ctx_switch_trigger,
-        )
-    )
-    return ClusterRuntime.build(engine=EngineKind.PIOMAN, timing=timing)
+def _build(allow_blocking=True, tracer=None):
+    timing = TimingModel().replace(pioman=PiomanConfig(allow_blocking_calls=allow_blocking))
+    return ClusterRuntime.build(engine=EngineKind.PIOMAN, timing=timing, tracer=tracer)
 
 
 def _sendrecv_with_busy_receiver(rt, size=KiB(8), busy_cores=8):
@@ -66,23 +61,16 @@ def test_blocking_watch_detects_on_busy_node():
     rt = _build(allow_blocking=True)
     t = _sendrecv_with_busy_receiver(rt)
     assert t < 1200.0
-    server = rt.node(1).engine.server
-    assert server.blocking_waits >= 1
+    assert rt.node(1).engine.blocking_waits >= 1
 
 
 def test_idle_trigger_is_fastest():
     """An idle node detects far faster than tick-only detection."""
     rt_idle = _build(allow_blocking=False)
     t_idle = _sendrecv_with_busy_receiver(rt_idle, busy_cores=0)
-    rt_busy = _build(allow_blocking=False, ctx_switch_trigger=False)
+    rt_busy = _build(allow_blocking=False)
     t_busy = _sendrecv_with_busy_receiver(rt_busy, busy_cores=8)
     assert t_idle < t_busy
-
-
-def test_engine_without_timer_trigger_still_works():
-    rt = _build(timer_trigger=False)
-    t = _sendrecv_with_busy_receiver(rt)
-    assert t < 1500.0
 
 
 def test_blocking_adds_interrupt_latency():
@@ -161,3 +149,25 @@ def test_normal_priority_threads_not_preempted_for_submission():
     rt.run()
     # nobody offloaded it: the submission waited for the sender's swait
     assert out["state_after_compute"] == "queued"
+
+
+#: allow_blocking -> (end time, trace digest) of the busy-receiver run:
+#: every core of node 1 computes, so the receiver's wait arms the blocking
+#: watch only when blocking calls are allowed. The receive itself
+#: completes at 50.6 µs either way; the watch's kernel-thread detection
+#: shows in the receiving node's trace and end time. Captured before the
+#: detection policy and the event server were folded into the engine.
+BUSY_RECEIVE_PINS = {
+    True: (1002.89, "9026169c15358e0c77c5089bc4c1a98d"),
+    False: (1002.6, "7fec98177bd07edbb52742ffcfe84ba7"),
+}
+
+
+@pytest.mark.parametrize("allow_blocking", [True, False], ids=["block", "poll"])
+def test_busy_receiver_detection_is_pinned(allow_blocking, fresh_ids):
+    tracer = Tracer()
+    rt = _build(allow_blocking=allow_blocking, tracer=tracer)
+    assert _sendrecv_with_busy_receiver(rt) == 50.6
+    end = rt.sim.now
+    digest = hashlib.blake2b(repr((end, tracer.signature())).encode(), digest_size=16)
+    assert (end, digest.hexdigest()) == BUSY_RECEIVE_PINS[allow_blocking]

@@ -3,9 +3,10 @@
 Engines used to register scheduler/session/driver hooks they never
 removed, so rebuilding an engine on live objects left the stale one
 reacting to every event (duplicate kicks, double polling). The session
-now holds one ``engine`` reference: constructing an engine points the
-session at it, and ``close()`` detaches the Marcel triggers and the event
-server's completion listener.
+and the Marcel scheduler now each hold one engine reference
+(``session.engine``, ``scheduler.pioman``): constructing an engine points
+both at it, and ``close()`` clears whichever still points at it and drops
+the engine's completion listener.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from repro.pioman.engine import PiomanEngine
 def _hook_counts(nrt):
     sched, sess = nrt.scheduler, nrt.session
     return {
-        "idle": len(sched.idle_hooks),
-        "tick": len(sched.tick_hooks),
-        "switch": len(sched.switch_hooks),
+        "marcel": sched.pioman is not None,
         "request_complete": len(sess.on_request_complete),
         "nic_listeners": [len(nic._activity_listeners) for nic in nrt.nics],
     }
@@ -47,13 +46,11 @@ def test_close_deregisters_every_hook():
     before = _hook_counts(nrt)
     # request_complete: the engine's hook + the runtime's metrics-latency
     # hook (removed by rt.close(), not by engine.close())
-    assert before["idle"] == 1 and before["request_complete"] == 2
-    assert nrt.session.engine is nrt.engine
+    assert before["request_complete"] == 2
+    assert nrt.session.engine is nrt.scheduler.pioman is nrt.engine
     nrt.engine.close()
     after = _hook_counts(nrt)
-    assert after["idle"] == 0
-    assert after["tick"] == 0
-    assert after["switch"] == 0
+    assert not after["marcel"]
     assert after["request_complete"] == 1  # only the metrics hook remains
     assert nrt.session.engine is None
     rt.close()
@@ -78,6 +75,7 @@ def test_rebuild_after_close_does_not_accumulate_hooks():
     nrt.engine.close()
     replacement = PiomanEngine(nrt.session)
     assert _hook_counts(nrt) == baseline
+    assert nrt.scheduler.pioman is replacement
     replacement.close()
 
 
@@ -93,7 +91,7 @@ def test_replacement_engine_alone_receives_session_events():
     old = nrt.engine
     old.close()
     new = PiomanEngine(session)
-    assert session.engine is new
+    assert session.engine is nrt.scheduler.pioman is new
     old_activity, new_activity = _record_activity(old), _record_activity(new)
 
     # an enqueued op
@@ -119,16 +117,16 @@ def test_replacement_engine_alone_receives_session_events():
     new.close()
     new.close()  # idempotent
     old.close()  # closing the replaced engine again leaves the session alone
-    assert session.engine is None
+    assert session.engine is None and nrt.scheduler.pioman is None
 
 
 def test_closing_a_replaced_engine_keeps_the_new_one_attached():
     rt = ClusterRuntime.build(engine=EngineKind.PIOMAN)
-    session = rt.node(0).session
+    session, scheduler = rt.node(0).session, rt.node(0).scheduler
     old = rt.node(0).engine
     new = PiomanEngine(session)
     old.close()
-    assert session.engine is new
+    assert session.engine is scheduler.pioman is new
     new.close()
 
 
@@ -136,7 +134,7 @@ def test_runtime_close_tears_down_all_nodes():
     rt = ClusterRuntime.build(engine=EngineKind.PIOMAN)
     rt.close()
     for nrt in rt.nodes:
-        assert not nrt.scheduler.idle_hooks
+        assert nrt.scheduler.pioman is None
         assert not nrt.session.on_request_complete
         assert nrt.session.engine is None
 
@@ -145,5 +143,6 @@ def test_sequential_engine_close_is_safe():
     """The baseline engine registers nothing; close() must still exist and
     be callable through the same teardown path."""
     rt = ClusterRuntime.build(engine=EngineKind.SEQUENTIAL)
+    assert all(nrt.scheduler.pioman is None for nrt in rt.nodes)
     rt.close()
     rt.close()

@@ -1,38 +1,38 @@
-"""Unit tests for the detection-method policy."""
+"""Unit tests for the engine's detection rule (§3.2): poll while a core
+will idle, block on a kernel thread when none will."""
 
 from __future__ import annotations
 
-from repro.config import PiomanConfig
-from repro.pioman.policy import DetectionPolicy
+from repro.config import EngineKind, PiomanConfig, TimingModel
+from repro.harness.runner import ClusterRuntime
+
+
+def _engine(allow_blocking: bool = True):
+    timing = TimingModel().replace(pioman=PiomanConfig(allow_blocking_calls=allow_blocking))
+    return ClusterRuntime.build(engine=EngineKind.PIOMAN, timing=timing).node(0).engine
 
 
 def test_idle_cores_poll():
-    policy = DetectionPolicy(PiomanConfig())
-    assert policy.select(idle_cores=3) == DetectionPolicy.POLL
-    assert policy.poll_choices == 1
+    engine = _engine()
+    assert not engine._blocks(idle_after=3)
+    assert engine.poll_choices == 1
 
 
 def test_no_idle_cores_block():
-    policy = DetectionPolicy(PiomanConfig())
-    assert policy.select(idle_cores=0) == DetectionPolicy.BLOCK
-    assert policy.block_choices == 1
-
-
-def test_threshold_respected():
-    policy = DetectionPolicy(PiomanConfig(blocking_idle_core_threshold=3))
-    assert policy.select(idle_cores=2) == DetectionPolicy.BLOCK
-    assert policy.select(idle_cores=3) == DetectionPolicy.POLL
+    engine = _engine()
+    assert engine._blocks(idle_after=0)
+    assert engine.block_choices == 1
 
 
 def test_blocking_disabled_always_polls():
-    policy = DetectionPolicy(PiomanConfig(allow_blocking_calls=False))
-    assert policy.select(idle_cores=0) == DetectionPolicy.POLL
-    assert policy.block_choices == 0
+    engine = _engine(allow_blocking=False)
+    assert not engine._blocks(idle_after=0)
+    assert engine.block_choices == 0
 
 
 def test_statistics_accumulate():
-    policy = DetectionPolicy(PiomanConfig())
+    engine = _engine()
     for idle in (0, 0, 5, 1):
-        policy.select(idle)
-    assert policy.block_choices == 2
-    assert policy.poll_choices == 2
+        engine._blocks(idle)
+    assert engine.block_choices == 2
+    assert engine.poll_choices == 2

@@ -1,4 +1,5 @@
-"""Unit tests for the PIOMan event server (blocking-watch machinery)."""
+"""Unit tests for the engine's blocking-detection machinery (§2.3): the
+watches a blocked wait arms and the interrupt that wakes them."""
 
 from __future__ import annotations
 
@@ -7,77 +8,84 @@ import pytest
 from repro.config import TimingModel
 from repro.marcel.scheduler import MarcelScheduler
 from repro.nmad.core import NmSession
-from repro.pioman.server import EventServer
+from repro.pioman.engine import PiomanEngine
 
 
 @pytest.fixture
 def setup(sim, node8):
     scheduler = MarcelScheduler(sim, node8)
     session = NmSession(sim, scheduler, node8)
+    engine = PiomanEngine(session)
     calls = []
-    server = EventServer(session, scheduler, TimingModel(), lambda ctx: calls.append(sim.now))
-    return sim, scheduler, session, server, calls
+    progress = session.progress
+
+    def recording_progress(ctx, **kwargs):
+        calls.append(sim.now)
+        return progress(ctx, **kwargs)
+
+    session.progress = recording_progress
+    return sim, scheduler, session, engine, calls
 
 
 def test_arm_and_disarm_on_completion(setup):
-    sim, _sched, session, server, _calls = setup
+    sim, _sched, session, engine, _calls = setup
     req = session.make_recv(0, 0, 10)
-    server.arm(req)
-    assert server.armed_count() == 1
+    engine._arm(req)
+    assert len(engine._armed) == 1
     assert req.blocking_watch
     session._complete_req(req)
-    assert server.armed_count() == 0
+    assert len(engine._armed) == 0
     assert not req.blocking_watch
 
 
 def test_arm_idempotent(setup):
-    _sim, _sched, session, server, _calls = setup
+    _sim, _sched, session, engine, _calls = setup
     req = session.make_recv(0, 0, 10)
-    server.arm(req)
-    server.arm(req)
-    assert server.armed_count() == 1
-    assert server.blocking_waits == 1
+    engine._arm(req)
+    engine._arm(req)
+    assert len(engine._armed) == 1
+    assert engine.blocking_waits == 1
 
 
 def test_activity_without_watch_is_ignored(setup):
-    sim, _sched, _session, server, calls = setup
-    server.on_hw_activity()
+    sim, _sched, _session, engine, calls = setup
+    engine._interrupt()
     sim.run()
     assert calls == []
-    assert server.interrupts_taken == 0
+    assert engine.interrupts_taken == 0
 
 
 def test_activity_with_watch_schedules_delayed_detection(setup):
-    sim, _sched, session, server, calls = setup
+    sim, _sched, session, engine, calls = setup
     req = session.make_recv(0, 0, 10)
-    server.arm(req)
-    server.on_hw_activity()
+    engine._arm(req)
+    engine._interrupt()
     sim.run()
     # detection fires interrupt_us later, as a tasklet at a safe point
     assert len(calls) == 1
     assert calls[0] >= TimingModel().nic.interrupt_us
-    assert server.interrupts_taken == 1
+    assert engine.interrupts_taken == 1
 
 
 def test_interrupt_coalescing(setup):
     """Back-to-back hardware activity while an interrupt is in flight must
     not stack detections."""
-    sim, _sched, session, server, calls = setup
+    sim, _sched, session, engine, calls = setup
     req = session.make_recv(0, 0, 10)
-    server.arm(req)
-    server.on_hw_activity()
-    server.on_hw_activity()
-    server.on_hw_activity()
+    engine._arm(req)
+    engine._interrupt()
+    engine._interrupt()
+    engine._interrupt()
     sim.run()
-    assert server.interrupts_taken == 1
+    assert engine.interrupts_taken == 1
     assert len(calls) == 1
 
 
 def test_detection_charges_syscall(setup):
-    sim, sched, session, server, _calls = setup
+    sim, sched, session, engine, _calls = setup
     req = session.make_recv(0, 0, 10)
-    server.arm(req)
-    server.on_hw_activity()
+    engine._arm(req)
+    engine._interrupt()
     sim.run()
     service = sum(c.timeline.service_us for c in sched.cores)
     assert service >= TimingModel().host.syscall_us

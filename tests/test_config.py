@@ -112,16 +112,11 @@ class TestMarcelConfig:
 class TestPiomanConfig:
     def test_defaults(self):
         c = PiomanConfig()
-        assert c.timer_trigger and c.ctx_switch_trigger and c.allow_blocking_calls
+        assert c.allow_blocking_calls and c.max_events_per_activation == 8
 
     def test_bad_batch_rejected(self):
         with pytest.raises(ConfigError):
             PiomanConfig(max_events_per_activation=0)
-
-    def test_bad_threshold_rejected(self):
-        with pytest.raises(ConfigError):
-            PiomanConfig(blocking_idle_core_threshold=-1)
-
 
 class TestTimingModel:
     def test_default_sections(self):
