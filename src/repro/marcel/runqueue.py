@@ -13,19 +13,29 @@ from typing import Iterator, Optional
 from ..errors import SchedulerError
 from .thread import MarcelThread, Priority, ThreadState
 
-__all__ = ["RunQueue"]
+__all__ = ["QueuedCount", "RunQueue"]
+
+
+class QueuedCount:
+    """Threads queued over one node's runqueues (a steal scan needs one)."""
+
+    __slots__ = ("n",)
+
+    def __init__(self) -> None:
+        self.n = 0
 
 
 class RunQueue:
-    """FIFO-per-priority ready queue for one core."""
+    """FIFO-per-priority ready queue for one core; ``total`` is the node's."""
 
-    def __init__(self, core_name: str) -> None:
+    def __init__(self, core_name: str, total: QueuedCount | None = None) -> None:
         self.core_name = core_name
         self._levels: tuple[deque[MarcelThread], ...] = tuple(
             deque() for _ in range(Priority.LEVELS)
         )
         #: threads queued over all levels (``len`` is on the hot path)
         self._count = 0
+        self.total = QueuedCount() if total is None else total
 
     def push(self, thread: MarcelThread) -> None:
         if thread.state != ThreadState.READY:
@@ -34,6 +44,7 @@ class RunQueue:
             )
         self._levels[thread.priority].append(thread)
         self._count += 1
+        self.total.n += 1
 
     def push_front(self, thread: MarcelThread) -> None:
         """Re-queue a preempted thread at the head of its level (it keeps
@@ -44,17 +55,21 @@ class RunQueue:
             )
         self._levels[thread.priority].appendleft(thread)
         self._count += 1
+        self.total.n += 1
 
     def pop(self) -> Optional[MarcelThread]:
         """Take the highest-priority ready thread, or None."""
         for level in self._levels:
             if level:
                 self._count -= 1
+                self.total.n -= 1
                 return level.popleft()
         return None
 
     def peek_priority(self) -> Optional[int]:
         """Priority of the best ready thread, or None if empty."""
+        if not self._count:
+            return None
         for prio, level in enumerate(self._levels):
             if level:
                 return prio
@@ -72,6 +87,7 @@ class RunQueue:
                     thread = level[i]
                     del level[i]
                     self._count -= 1
+                    self.total.n -= 1
                     return thread
         return None
 
@@ -83,6 +99,7 @@ class RunQueue:
         except ValueError:
             return False
         self._count -= 1
+        self.total.n -= 1
         return True
 
     def __len__(self) -> int:

@@ -23,6 +23,13 @@ interrupts"):
 Tasklets are drained at every safe point (dispatch, tick, idle) before any
 thread runs, reflecting their "very high priority".
 
+Per-event cost
+--------------
+Untraced runs make no trace call: every trace site tests ``tracer is not
+None`` first. While nothing is queued, a safe point's tasklet check is one
+read of ``tasklets.queued``, and an idle core skips the steal scan of the
+other runqueues while the node's ``queued.n`` is 0.
+
 Control-token discipline
 ------------------------
 Exactly one control activity exists per core at any instant: either a
@@ -72,7 +79,7 @@ from ..sim.kernel import Simulator
 from ..sim.tracing import CoreTimeline, Tracer
 from ..topology.machine import Node
 from .effects import Compute, Sleep, WaitFlag, WaitTEvent, YieldNow
-from .runqueue import RunQueue
+from .runqueue import QueuedCount, RunQueue
 from .sync import ThreadEvent
 from .tasklet import TaskletScheduler
 from .thread import MarcelThread, Priority, ThreadContext, ThreadState
@@ -84,10 +91,6 @@ __all__ = ["CoreRuntime", "MarcelScheduler"]
 
 _EPS = 1e-9
 
-
-def _trace_noop(category: str, where: str, label: str, **data: Any) -> None:
-    """Instance-level `_trace` replacement for untraced schedulers."""
-    return None
 
 #: guard against threads that yield an infinite stream of zero-duration
 #: effects — after this many instantaneous steps without consuming virtual
@@ -103,10 +106,10 @@ class CoreRuntime:
     PARKED = "parked"  # no runnable work, no scheduled event; woken explicitly
     IDLE_WAIT = "idle_wait"  # idle, but a repoll event is scheduled
 
-    def __init__(self, index: int, name: str) -> None:
+    def __init__(self, index: int, name: str, queued: QueuedCount) -> None:
         self.index = index
         self.name = name
-        self.runqueue = RunQueue(name)
+        self.runqueue = RunQueue(name, queued)
         self.current: Optional[MarcelThread] = None
         self.last_thread: Optional[MarcelThread] = None
         self.control = CoreRuntime.PARKED
@@ -145,12 +148,10 @@ class MarcelScheduler:
         self.timing = timing or TimingModel()
         self.cfg: MarcelConfig = self.timing.marcel
         self.tracer = tracer
-        if tracer is None:
-            # hoist the `tracer is None` branch out of the per-event path:
-            # untraced runs dispatch straight to a no-op
-            self._trace = _trace_noop  # type: ignore[method-assign]
+        #: threads queued over every core's runqueue
+        self.queued = QueuedCount()
         self.cores: list[CoreRuntime] = [
-            CoreRuntime(core.core_index, core.name) for core in node.cores
+            CoreRuntime(core.core_index, core.name, self.queued) for core in node.cores
         ]
         self.tasklets = TaskletScheduler(sim, len(self.cores))
         self.tasklets.on_enqueue = self._on_tasklet_enqueued
@@ -205,21 +206,7 @@ class MarcelScheduler:
         thread.context = ctx  # type: ignore[attr-defined]
         self.threads.append(thread)
         thread.transition(ThreadState.READY)
-        home = self.cores[core_index]
-        if migratable and (home.current is not None or home.runqueue):
-            # same placement rule as wake(): don't queue a migratable
-            # thread behind running work while other cores are free
-            for cand in self.cores:
-                if cand.current is None and not cand.runqueue:
-                    thread.core_index = cand.index
-                    core_index = cand.index
-                    break
-        core = self.cores[core_index]
-        core.runqueue.push(thread)
-        if core.chain is not None:
-            self._materialize(core)
-        self._trace("marcel.spawn", core.name, thread.name)
-        self._wake_core(core)
+        self._enqueue(thread, "marcel.spawn")
         return thread
 
     def done_event_of(self, thread: MarcelThread) -> ThreadEvent:
@@ -238,12 +225,17 @@ class MarcelScheduler:
         thread.pending_value = value
         thread.wait_us += self.sim.now - thread._blocked_since
         thread.transition(ThreadState.READY)
+        self._enqueue(thread, "marcel.wake")
+
+    def _enqueue(self, thread: MarcelThread, category: str) -> None:
+        """Queue a READY thread (spawned or woken) and wake its core.
+
+        A migratable thread whose home core is occupied goes to a free core
+        instead of queueing behind other work (Marcel's reactivity
+        guarantee — "communicating threads are ensured to be scheduled as
+        soon as the communication event is detected", §3.2)."""
         core = self.cores[thread.core_index]
         if thread.migratable and (core.current is not None or core.runqueue):
-            # home core is occupied: place the thread on a free core instead
-            # of queueing behind other work (Marcel's reactivity guarantee —
-            # "communicating threads are ensured to be scheduled as soon as
-            # the communication event is detected", §3.2)
             for cand in self.cores:
                 if cand.current is None and not cand.runqueue:
                     thread.core_index = cand.index
@@ -252,7 +244,8 @@ class MarcelScheduler:
         core.runqueue.push(thread)
         if core.chain is not None:
             self._materialize(core)
-        self._trace("marcel.wake", core.name, thread.name)
+        if self.tracer is not None:
+            self._trace(category, core.name, thread.name)
         self._wake_core(core)
 
     def current_thread_required(self) -> MarcelThread:
@@ -260,17 +253,15 @@ class MarcelScheduler:
             raise SchedulerError("no thread is currently executing")
         return self._executing
 
-    def idle_core_indices(self) -> list[int]:
+    def idle_core_count(self, leaving: Optional[MarcelThread] = None) -> int:
         """Cores with no current thread and an empty runqueue (PIOMan's
-        notion of an exploitable idle core)."""
-        return [
-            c.index
-            for c in self.cores
-            if c.current is None and not c.runqueue
-        ]
-
-    def busy_core_count(self) -> int:
-        return sum(1 for c in self.cores if c.current is not None or c.runqueue)
+        notion of an exploitable idle core), once ``leaving``, if it runs,
+        has left its core."""
+        count = 0
+        for c in self.cores:
+            if (c.current is None or c.current is leaving) and not c.runqueue:
+                count += 1
+        return count
 
     def kick_idle(self) -> bool:
         """Wake one parked/idle-waiting core so its idle trigger runs.
@@ -292,9 +283,10 @@ class MarcelScheduler:
         if core.control == CoreRuntime.IDLE_WAIT and core.repoll_handle is not None:
             core.repoll_handle.cancel()
             core.repoll_handle = None
-        self._account_idle_end(core)
+        if core.idle_since is not None:
+            self._account_idle_end(core)
         core.control = CoreRuntime.ACTIVE
-        self.sim.call_soon(self._dispatch, core, priority=EventPriority.TASKLET, label=f"{core.name}.dispatch")
+        self.sim.call_soon(self._dispatch, core, priority=EventPriority.TASKLET)
 
     def _on_tasklet_enqueued(self, core_index: Optional[int]) -> None:
         if core_index is not None:
@@ -303,19 +295,16 @@ class MarcelScheduler:
                 self._materialize(core)
             self._wake_core(core)
             return
-        # shared tasklet: any core's next tick may run it
+        # shared tasklet: any core's next tick may run it, and the first
+        # non-active core, if any, wakes for it
         self.resume_ticks()
-        # wake the first non-active core, if any
-        for core in self.cores:
-            if core.control != CoreRuntime.ACTIVE:
-                self._wake_core(core)
-                return
+        self.kick_idle()
 
     def _account_idle_end(self, core: CoreRuntime) -> None:
-        if core.idle_since is not None:
-            if self.sim.now > core.idle_since + _EPS:
-                core.timeline.add(core.idle_since, self.sim.now, "idle")
-            core.idle_since = None
+        # callers test `core.idle_since is not None` first
+        if self.sim.now > core.idle_since + _EPS:
+            core.timeline.add(core.idle_since, self.sim.now, "idle")
+        core.idle_since = None
 
     # -------------------------------------------------------------- dispatch
 
@@ -323,9 +312,10 @@ class MarcelScheduler:
         """Core safe point: tasklets, then thread selection, then idle."""
         core.control = CoreRuntime.ACTIVE
         core.repoll_handle = None
-        self._account_idle_end(core)
+        if core.idle_since is not None:
+            self._account_idle_end(core)
         # 1. tasklets (very high priority)
-        if self.tasklets.pending_for(core.index) > 0:
+        if self.tasklets.queued and self.tasklets.pending_for(core.index):
             cost = self.tasklets.run_batch(
                 core.index,
                 self.timing.pioman.max_events_per_activation,
@@ -333,11 +323,12 @@ class MarcelScheduler:
             )
             if cost > 0:
                 self._account(core, cost, "service")
-                self.sim.schedule(cost, self._dispatch, core, priority=EventPriority.TASKLET, label=f"{core.name}.dispatch")
+                self.sim.schedule(cost, self._dispatch, core, priority=EventPriority.TASKLET)
                 return
         # 2. pick a thread
         thread = core.runqueue.pop()
-        if thread is None:
+        if thread is None and self.queued.n:
+            # another core's runqueue holds a thread
             thread = self._steal_for(core)
         if thread is None:
             self._enter_idle(core)
@@ -354,10 +345,11 @@ class MarcelScheduler:
         core.quantum_used = 0.0
         core.switches += 1
         thread.switches += 1
-        self._trace("marcel.switch", core.name, thread.name)
+        if self.tracer is not None:
+            self._trace("marcel.switch", core.name, thread.name)
         if switch_cost > 0:
             self._account(core, switch_cost, "service")
-            self.sim.schedule(switch_cost, self._run_current, core, priority=EventPriority.NORMAL, label=f"{core.name}.run")
+            self.sim.schedule(switch_cost, self._run_current, core)
         else:
             self._run_current(core)
 
@@ -373,7 +365,8 @@ class MarcelScheduler:
             if thread is not None:
                 thread.core_index = core.index
                 core.steals += 1
-                self._trace("marcel.steal", core.name, thread.name, victim=victim.name)
+                if self.tracer is not None:
+                    self._trace("marcel.steal", core.name, thread.name, victim=victim.name)
                 return thread
         return None
 
@@ -424,7 +417,7 @@ class MarcelScheduler:
                 thread.transition(ThreadState.SLEEPING)
                 thread._blocked_since = self.sim.now
                 core.current = None
-                self.sim.schedule(effect.duration, self._sleep_done, thread, priority=EventPriority.NORMAL, label=f"{thread.name}.sleep")
+                self.sim.schedule(effect.duration, self._sleep_done, thread)
                 return True
             if isinstance(effect, YieldNow):
                 thread.transition(ThreadState.READY)
@@ -464,7 +457,8 @@ class MarcelScheduler:
         thread.result = result
         thread.transition(ThreadState.DONE)
         core.current = None
-        self._trace("marcel.exit", core.name, thread.name)
+        if self.tracer is not None:
+            self._trace("marcel.exit", core.name, thread.name)
         if thread.done_event is not None:
             thread.done_event.trigger(result)
 
@@ -488,7 +482,7 @@ class MarcelScheduler:
                 end=now + thread.compute_remaining - 0.5 * self.cfg.timer_tick_us,
             )
             return
-        self.sim.schedule(slice_len, self._slice_end, core, thread, slice_len, priority=EventPriority.NORMAL, label=f"{core.name}.slice")
+        self.sim.schedule(slice_len, self._slice_end, core, thread, slice_len)
 
     def _quiet(self, core: CoreRuntime, thread: MarcelThread) -> bool:
         """True when the ticks of ``thread``'s compute on ``core`` would do
@@ -496,7 +490,7 @@ class MarcelScheduler:
         if (
             thread.priority >= Priority.LOW
             or core.runqueue
-            or self.tasklets.pending_for(core.index)
+            or (self.tasklets.queued and self.tasklets.pending_for(core.index))
         ):
             return False
         return self.pioman is None or not self.pioman.tick_wants(core)
@@ -595,7 +589,6 @@ class MarcelScheduler:
         the ordinary slice-end event, with the same kernel key."""
         self.sim.materialize(
             core.chain, self._slice_end, core, core.current, core.chain_len,
-            label=f"{core.name}.slice",
         )
         core.chain = None
 
@@ -615,7 +608,7 @@ class MarcelScheduler:
             while core.next_tick <= now + _EPS:
                 core.next_tick += self.cfg.timer_tick_us
             cost = 0.0 if self.pioman is None else self.pioman.on_tick(core)
-            if self.tasklets.pending_for(core.index) > 0:
+            if self.tasklets.queued and self.tasklets.pending_for(core.index):
                 cost += self.tasklets.run_batch(
                     core.index,
                     self.timing.pioman.max_events_per_activation,
@@ -623,7 +616,7 @@ class MarcelScheduler:
                 )
             if cost > 0:
                 self._account(core, cost, "service")
-                self.sim.schedule(cost, self._after_tick, core, thread, priority=EventPriority.NORMAL, label=f"{core.name}.tickdone")
+                self.sim.schedule(cost, self._after_tick, core, thread)
                 return
         self._after_tick(core, thread)
 
@@ -639,7 +632,8 @@ class MarcelScheduler:
                 thread.transition(ThreadState.READY)
                 core.current = None
                 core.preemptions += 1
-                self._trace("marcel.preempt", core.name, thread.name)
+                if self.tracer is not None:
+                    self._trace("marcel.preempt", core.name, thread.name)
                 if higher:
                     core.runqueue.push_front(thread)
                 else:
@@ -658,17 +652,18 @@ class MarcelScheduler:
         total, repoll = (0.0, None) if self.pioman is None else self.pioman.on_idle(core)
         if total > 0:
             self._account(core, total, "service")
-            self.sim.schedule(total, self._dispatch, core, priority=EventPriority.NORMAL, label=f"{core.name}.idlework")
+            self.sim.schedule(total, self._dispatch, core)
             return
         core.idle_since = self.sim.now
         if repoll is not None and repoll > 0:
             core.control = CoreRuntime.IDLE_WAIT
             core.repoll_handle = self.sim.schedule(
-                repoll, self._dispatch, core, priority=EventPriority.NORMAL, label=f"{core.name}.repoll"
+                repoll, self._dispatch, core
             )
         else:
             core.control = CoreRuntime.PARKED
-            self._trace("marcel.park", core.name, "")
+            if self.tracer is not None:
+                self._trace("marcel.park", core.name, "")
 
     # ------------------------------------------------------------- accounting
 
@@ -676,7 +671,8 @@ class MarcelScheduler:
         core.timeline.add(self.sim.now, self.sim.now + duration, kind)
 
     def _trace(self, category: str, where: str, label: str, **data: Any) -> None:
-        # instances built without a tracer rebind this to `_trace_noop`
+        # callers test `self.tracer is not None` first: untraced runs make
+        # no trace call at all
         self.tracer.record(self.sim.now, category, where, label, **data)
 
     def _liveness_probe(self) -> Iterable[str]:

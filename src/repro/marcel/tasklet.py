@@ -93,6 +93,9 @@ class TaskletScheduler:
         self.n_cores = n_cores
         self._per_core: tuple[deque[Tasklet], ...] = tuple(deque() for _ in range(n_cores))
         self._shared: deque[Tasklet] = deque()
+        #: tasklets queued over every queue: the scheduler's safe points
+        #: read it before asking :meth:`pending_for`
+        self.queued = 0
         #: callback the Marcel scheduler installs so that queuing work on a
         #: parked core wakes it
         self.on_enqueue: Optional[Callable[[Optional[int]], None]] = None
@@ -120,6 +123,7 @@ class TaskletScheduler:
             self._shared.append(tasklet)
         else:
             self._per_core[core_index].append(tasklet)
+        self.queued += 1
         self.scheduled_count += 1
         if self.on_enqueue is not None:
             self.on_enqueue(core_index)
@@ -130,14 +134,16 @@ class TaskletScheduler:
         return len(self._per_core[core_index]) + len(self._shared)
 
     def has_pending(self) -> bool:
-        return bool(self._shared) or any(self._per_core)
+        return self.queued > 0
 
     # -- execution ---------------------------------------------------------------
 
     def _take(self, core_index: int) -> Optional[Tasklet]:
         if self._per_core[core_index]:
+            self.queued -= 1
             return self._per_core[core_index].popleft()
         if self._shared:
+            self.queued -= 1
             return self._shared.popleft()
         return None
 

@@ -31,6 +31,19 @@ class ThreadState:
     LIVE = (CREATED, READY, RUNNING, BLOCKED, SLEEPING)
 
 
+#: the legal lifecycle transitions, by current state
+_TRANSITIONS: dict[str, tuple[str, ...]] = {
+    ThreadState.CREATED: (ThreadState.READY,),
+    ThreadState.READY: (ThreadState.RUNNING,),
+    ThreadState.RUNNING: (
+        ThreadState.READY, ThreadState.BLOCKED, ThreadState.SLEEPING, ThreadState.DONE
+    ),
+    ThreadState.BLOCKED: (ThreadState.READY,),
+    ThreadState.SLEEPING: (ThreadState.READY,),
+    ThreadState.DONE: (),
+}
+
+
 class Priority:
     """Thread priorities; lower value = scheduled first."""
 
@@ -90,20 +103,7 @@ class MarcelThread:
     # -- state transitions (validated) ---------------------------------------
 
     def transition(self, new_state: str) -> None:
-        valid = {
-            ThreadState.CREATED: (ThreadState.READY,),
-            ThreadState.READY: (ThreadState.RUNNING,),
-            ThreadState.RUNNING: (
-                ThreadState.READY,
-                ThreadState.BLOCKED,
-                ThreadState.SLEEPING,
-                ThreadState.DONE,
-            ),
-            ThreadState.BLOCKED: (ThreadState.READY,),
-            ThreadState.SLEEPING: (ThreadState.READY,),
-            ThreadState.DONE: (),
-        }
-        if new_state not in valid[self.state]:
+        if new_state not in _TRANSITIONS[self.state]:
             raise ThreadStateError(
                 f"{self.name}: illegal transition {self.state} → {new_state}"
             )

@@ -193,17 +193,9 @@ class Fabric:
         delay = self._delay(port, model, size, tx_time, extra_delay_us, 0)
         self.packets_carried += 1
         self.bytes_carried += size
-        self.sim.schedule(
-            delay, dst.deliver, packet, priority=EventPriority.INTERRUPT, label=f"{self.name}.deliver"
-        )
+        self.sim.schedule(delay, dst.deliver, packet, priority=EventPriority.INTERRUPT)
         for i in range(duplicates):
             # a duplicated frame trails the original by one extra drain time
             # and goes through the same port cursor as any other frame
             dup_delay = self._delay(port, model, size, tx_time, extra_delay_us, i + 1)
-            self.sim.schedule(
-                dup_delay,
-                dst.deliver,
-                packet,
-                priority=EventPriority.INTERRUPT,
-                label=f"{self.name}.deliver_dup",
-            )
+            self.sim.schedule(dup_delay, dst.deliver, packet, priority=EventPriority.INTERRUPT)

@@ -39,7 +39,9 @@ class Nic:
         self.model = model
         self.fabric = fabric
         self.name = f"n{node_index}.{model.name}"
-        self._cq: deque[CompletionRecord] = deque()
+        #: completion queue: software polls it (:meth:`poll`) and the
+        #: session tests it for emptiness (``Driver.hw_cq``)
+        self.cq: deque[CompletionRecord] = deque()
         self._tx_free_at: float = 0.0
         self._activity_listeners: list[Callable[[], None]] = []
         # statistics
@@ -95,13 +97,13 @@ class Nic:
 
     def _complete_tx(self, packet: Packet, delay: float) -> None:
         def _produce() -> None:
-            self._cq.append(CompletionRecord("tx_done", packet, self.sim.now))
+            self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
             self._notify()
 
         if delay <= 0:
             _produce()
         else:
-            self.sim.schedule(delay, _produce, priority=EventPriority.INTERRUPT, label=f"{self.name}.txdone")
+            self.sim.schedule(delay, _produce, priority=EventPriority.INTERRUPT)
 
     # -- RX --------------------------------------------------------------------
 
@@ -113,7 +115,7 @@ class Nic:
             )
         self.rx_packets += 1
         self.rx_bytes += packet.wire_size()
-        self._cq.append(CompletionRecord("rx", packet, self.sim.now))
+        self.cq.append(CompletionRecord("rx", packet, self.sim.now))
         self._notify()
 
     # -- completion discovery ----------------------------------------------------
@@ -127,19 +129,13 @@ class Nic:
         if max_events <= 0:
             raise NetworkError(f"max_events must be > 0, got {max_events}")
         self.polls += 1
-        if not self._cq:
+        if not self.cq:
             self.empty_polls += 1
             return []
         out: list[CompletionRecord] = []
-        while self._cq and len(out) < max_events:
-            out.append(self._cq.popleft())
+        while self.cq and len(out) < max_events:
+            out.append(self.cq.popleft())
         return out
-
-    def has_completions(self) -> bool:
-        return bool(self._cq)
-
-    def pending_completions(self) -> int:
-        return len(self._cq)
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         """Register a callback fired whenever a new completion is produced.
@@ -161,4 +157,4 @@ class Nic:
         return self._tx_free_at > self.sim.now
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Nic {self.name} cq={len(self._cq)} tx_free_at={self._tx_free_at:.2f}>"
+        return f"<Nic {self.name} cq={len(self.cq)} tx_free_at={self._tx_free_at:.2f}>"

@@ -34,7 +34,9 @@ class ShmChannel:
         self.node_index = node_index
         self.model = model
         self.name = f"n{node_index}.shm"
-        self._cq: deque[CompletionRecord] = deque()
+        #: completion queue: software polls it (:meth:`poll`) and the
+        #: session tests it for emptiness (``Driver.hw_cq``)
+        self.cq: deque[CompletionRecord] = deque()
         self._activity_listeners: list[Callable[[], None]] = []
         self.tx_packets = 0
         self.polls = 0
@@ -56,14 +58,14 @@ class ShmChannel:
 
         # the sender's copy into the shared segment completes the send
         # locally (the CPU cost was charged by the caller before submit)
-        self._cq.append(CompletionRecord("tx_done", packet, self.sim.now))
+        self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
         self._notify()
 
         def _arrive() -> None:
-            self._cq.append(CompletionRecord("rx", packet, self.sim.now))
+            self.cq.append(CompletionRecord("rx", packet, self.sim.now))
             self._notify()
 
-        self.sim.schedule(delay, _arrive, priority=EventPriority.INTERRUPT, label=f"{self.name}.arrive")
+        self.sim.schedule(delay, _arrive, priority=EventPriority.INTERRUPT)
 
     def _notify(self) -> None:
         for cb in self._activity_listeners:
@@ -74,18 +76,12 @@ class ShmChannel:
             raise NetworkError(f"max_events must be > 0, got {max_events}")
         self.polls += 1
         out: list[CompletionRecord] = []
-        while self._cq and len(out) < max_events:
-            out.append(self._cq.popleft())
+        while self.cq and len(out) < max_events:
+            out.append(self.cq.popleft())
         return out
-
-    def has_completions(self) -> bool:
-        return bool(self._cq)
-
-    def pending_completions(self) -> int:
-        return len(self._cq)
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self._activity_listeners.append(cb)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<ShmChannel {self.name} cq={len(self._cq)}>"
+        return f"<ShmChannel {self.name} cq={len(self.cq)}>"

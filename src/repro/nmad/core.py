@@ -55,11 +55,6 @@ __all__ = ["Gate", "NmSession"]
 OpFn = Callable[[ExecContext], None]
 
 
-def _trace_noop(*_args: Any, **_kw: Any) -> None:
-    """Instance-level `_trace`/`_trace_raw` replacement for untraced sessions."""
-    return None
-
-
 class NmSession:
     """Per-node communication session: state, dispatch and the two
     protocol engines."""
@@ -83,14 +78,12 @@ class NmSession:
         self.node_index = node.index
         self.timing = timing or TimingModel()
         self.numa = numa
+        #: callers test it for None before any trace call
         self.tracer = tracer
-        if tracer is None:
-            # hoist the `tracer is None` branch out of the per-event path:
-            # untraced sessions dispatch straight to no-ops
-            self._trace = _trace_noop  # type: ignore[method-assign]
-            self._trace_raw = _trace_noop  # type: ignore[method-assign]
         self.gates: dict[int, Gate] = {}
         self.drivers: list[Driver] = []
+        #: each driver's ``hw_cq``, read by :meth:`has_completions`
+        self._hw_cqs: list[deque[Any]] = []
         self.registry = MemoryRegistry(self.timing.nic)
         self.match_table = MatchTable()
         self.seq_tracker = SequenceTracker()
@@ -155,6 +148,7 @@ class NmSession:
         for rail in rails:
             if rail not in self.drivers:
                 self.drivers.append(rail)
+                self._hw_cqs.append(rail.hw_cq)
                 rail.add_activity_listener(self._hw_activity)
         return gate
 
@@ -227,7 +221,8 @@ class NmSession:
             self.rdv.start_send(req)
         else:
             self.eager.push_send(req, gate)
-        self._trace("nmad.post_send", req)
+        if self.tracer is not None:
+            self._trace("nmad.post_send", req)
 
     def post_recv(self, req: NmRequest) -> None:
         """Register a receive: match against unexpected arrivals, else post."""
@@ -235,13 +230,15 @@ class NmSession:
         item = self.unexpected.match(req.peer, req.tag, ANY)
         if item is None:
             self.match_table.post(req)
-            self._trace("nmad.post_recv", req)
+            if self.tracer is not None:
+                self._trace("nmad.post_recv", req)
             return
         if isinstance(item, UnexpectedEager):
             self.eager.match_unexpected(req, item)
         else:
             self.rdv.match_unexpected(req, item)
-        self._trace("nmad.post_recv_unexpected", req)
+        if self.tracer is not None:
+            self._trace("nmad.post_recv_unexpected", req)
 
     def probe_unexpected(self, source: int, tag: int) -> Optional[ProbeInfo]:
         """Non-destructive probe of the unexpected store (MPI_Probe
@@ -275,11 +272,12 @@ class NmSession:
         if self.engine is not None:
             self.engine.notify_activity()
 
+    # the engines' hot paths inline has_pending_ops and has_work
     def has_pending_ops(self) -> bool:
         return bool(self.ops) or bool(self.windowed_gates)
 
     def has_completions(self) -> bool:
-        return self.cq.depth > 0 or any(d.has_completions() for d in self.drivers)
+        return bool(self.cq._wire) or any(self._hw_cqs)
 
     def has_work(self) -> bool:
         return self.has_pending_ops() or self.has_completions()
@@ -321,13 +319,12 @@ class NmSession:
         backpressure a single queue to watch.
         """
         did = False
+        cq = self.cq
+        wire = cq._wire
         for driver in self.drivers:
-            driver.poll_into(ctx, self.cq, max_events)
-            while True:
-                wc = self.cq.pop_wire()
-                if wc is None:
-                    break
-                self._dispatch_wire(ctx, wc)
+            driver.poll_into(ctx, cq, max_events)
+            while wire:
+                self._dispatch_wire(ctx, cq.pop_wire())
                 self.stats["completions_handled"] += 1
                 did = True
         return did
@@ -426,7 +423,8 @@ class NmSession:
         req.complete(self.sim.now)
         for cb in self.on_request_complete:
             cb(req)
-        self._trace("nmad.complete", req)
+        if self.tracer is not None:
+            self._trace("nmad.complete", req)
         # completing a request is activity too: waiters polling on the
         # session flag must re-check
         self.activity_flag.set()
@@ -434,15 +432,12 @@ class NmSession:
     # ------------------------------------------------------------------- misc
 
     def _trace(self, category: str, req: NmRequest) -> None:
-        # sessions built without a tracer rebind this to `_trace_noop`
-        assert self.tracer is not None
         self.tracer.record(
             self.sim.now, category, f"n{self.node_index}", f"req#{req.req_id}",
             kind=req.kind, peer=req.peer, tag=req.tag, size=req.size, state=req.state,
         )
 
     def _trace_raw(self, category: str, where: str, label: str) -> None:
-        assert self.tracer is not None
         self.tracer.record(self.sim.now, category, where, label)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -13,6 +13,7 @@ after).
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Protocol, runtime_checkable
 
 from ...errors import NetworkError
@@ -47,6 +48,9 @@ class Driver:
     name: str = "base"
     #: whether the hardware can DMA from/to registered app buffers
     supports_zero_copy: bool = False
+    #: the hardware completion queue :meth:`poll` drains. Every driver sets
+    #: it: the session reads it to tell whether a poll would find anything.
+    hw_cq: "deque[CompletionRecord]"
 
     #: canonical statistic attributes reported by :meth:`stats`. Subclasses
     #: shadow (as instance attributes) only the ones their paths increment;
@@ -141,26 +145,20 @@ class Driver:
     def poll(self, max_events: int = 16) -> list[CompletionRecord]:
         raise NotImplementedError
 
-    def poll_into(self, ctx: ExecContext, cq: CompletionQueue, max_events: int = 16) -> int:
+    def poll_into(self, ctx: ExecContext, cq: CompletionQueue, max_events: int = 16) -> None:
         """Poll once and push each harvested record into the session's
         unified completion queue as a typed
         :class:`repro.nmad.progress.WireCompletion`.
 
         Charges the poll cost unconditionally (polling an empty queue is
-        not free) and returns the number of records pushed. The session
-        drains the queue into its protocol engines right after.
+        not free). The session drains the queue into its protocol engines
+        right after.
         """
         ctx.charge(self.poll_cpu_us())
-        count = 0
         for rec in self.poll(max_events):
             cq.push_wire(
                 WireCompletion(driver=self, event=rec.event, packet=rec.packet, time=rec.time)
             )
-            count += 1
-        return count
-
-    def has_completions(self) -> bool:
-        raise NotImplementedError
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         raise NotImplementedError

@@ -31,6 +31,7 @@ class MxDriver(Driver):
 
     def __init__(self, nic: Nic, host: HostModel) -> None:
         self.nic = nic
+        self.hw_cq = nic.cq
         self.host = host
         self.model: NicModel = nic.model
         # statistics
@@ -88,9 +89,6 @@ class MxDriver(Driver):
 
     def poll(self, max_events: int = 16) -> list[CompletionRecord]:
         return self._record_poll(self.nic.poll(max_events))
-
-    def has_completions(self) -> bool:
-        return self.nic.has_completions()
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.nic.add_activity_listener(cb)

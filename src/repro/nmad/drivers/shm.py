@@ -25,6 +25,7 @@ class ShmDriver(Driver):
 
     def __init__(self, channel: ShmChannel, host: HostModel) -> None:
         self.channel = channel
+        self.hw_cq = channel.cq
         self.host = host
         self.model: ShmModel = channel.model
         self.eager_sends = 0
@@ -60,9 +61,6 @@ class ShmDriver(Driver):
 
     def poll(self, max_events: int = 16) -> list[CompletionRecord]:
         return self._record_poll(self.channel.poll(max_events))
-
-    def has_completions(self) -> bool:
-        return self.channel.has_completions()
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.channel.add_activity_listener(cb)

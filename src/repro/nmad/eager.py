@@ -76,7 +76,6 @@ class EagerEngine:
                 session.sim.now + window,
                 self._window_timer,
                 gate,
-                label=f"n{session.node_index}.aggreg.window->n{gate.peer}",
             )
             if session.engine is not None:
                 session.engine.notify_ops()
@@ -170,9 +169,10 @@ class EagerEngine:
             # zero-copy rendezvous DATA completes at DMA drain. One event
             # rings the doorbell and then runs every completion inline.
             ctx.schedule_after(0.0, self._fused_submit, hw, [e.req for e in plan.entries])
-            session._trace_raw(
-                "nmad.submit", f"gate->n{gate.peer}", f"{plan.mode} {plan.payload_size()}B"
-            )
+            if session.tracer is not None:
+                session._trace_raw(
+                    "nmad.submit", f"gate->n{gate.peer}", f"{plan.mode} {plan.payload_size()}B"
+                )
 
     def _fused_submit(self, hw: Callable[[], None], reqs: list[NmRequest]) -> None:
         """The eager/PIO submit event: hardware doorbell, then every
@@ -235,7 +235,8 @@ class EagerEngine:
             req.received_size = frame.size
             req.source = frame.src
             ctx.schedule_after(0.0, session._complete_req, req)
-            session._trace("nmad.recv_expected", req)
+            if session.tracer is not None:
+                session._trace("nmad.recv_expected", req)
         else:
             # unexpected: pay the copy into the unexpected buffer now
             session.stats["unexpected_eager"] += 1
@@ -262,7 +263,8 @@ class EagerEngine:
         req.received_size = item.size
         req.source = item.source
         ctx.schedule_after(0.0, session._complete_req, req)
-        session._trace("nmad.copy_out", req)
+        if session.tracer is not None:
+            session._trace("nmad.copy_out", req)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<EagerEngine n{self.session.node_index} reassembling={len(self._reassembly)}>"

@@ -221,11 +221,13 @@ class EngineBase:
         this wholesale with its big-lock variant, which always polls (and
         pays) even when no work is queued.
         """
-        if not self.session.has_work():
+        session = self.session
+        # session.has_work(), inlined
+        if not (session.ops or session.windowed_gates or session.has_completions()):
             return False
         ctx = self._exec_ctx(tctx)
         ctx.charge(self.timing.host.spinlock_us)
-        did = self.session.progress(ctx, max_ops=self._progress_max_ops())
+        did = session.progress(ctx, max_ops=self._progress_max_ops())
         if ctx.cpu_us > 0:
             yield self._service(ctx, self.step_label)
         return did
@@ -420,22 +422,24 @@ class SequentialEngine(EngineBase):
         functionally equivalent to the baseline's busy-poll inside the
         wait, but without flooding the event queue.
         """
-        flag = self.session.activity_flag
+        session = self.session
+        flag = session.activity_flag
         while not req.done:
             yield from self.big_lock.acquire()
             try:
                 ctx = self._exec_ctx(tctx)
-                self.session.progress(ctx)
+                session.progress(ctx)
                 if ctx.cpu_us > 0:
                     yield self._service(ctx, "nm.wait")
             finally:
                 self.big_lock.release()
             if req.done:
                 break
-            if self.session.has_work():
+            # session.has_work(), inlined
+            if session.ops or session.windowed_gates or session.has_completions():
                 continue
             flag.clear()
-            if self.session.has_work() or req.done:
+            if session.ops or session.windowed_gates or session.has_completions() or req.done:
                 continue
             yield WaitFlag(flag)
         return req

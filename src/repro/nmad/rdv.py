@@ -275,7 +275,8 @@ class RdvEngine:
         driver.submit_control(ctx, packet)
         if session.reliability is not None:
             session.reliability.arm(ctx, packet)
-        session._trace("nmad.rts", req)
+        if session.tracer is not None:
+            session._trace("nmad.rts", req)
 
     def on_rx_cts(self, ctx: ExecContext, driver: Driver, packet: Packet) -> None:
         """Sender side: the receiver is ready — send the data zero-copy
@@ -325,7 +326,8 @@ class RdvEngine:
                     self.op_send_chunk(c, r, rid, ch, n, m, rw, mt)
                 ),
             )
-        session._trace("nmad.data_send", req)
+        if session.tracer is not None:
+            session._trace("nmad.data_send", req)
 
     def op_send_chunk(
         self,
@@ -450,7 +452,8 @@ class RdvEngine:
         driver.submit_control(ctx, packet)
         if session.reliability is not None:
             session.reliability.arm(ctx, packet)
-        session._trace("nmad.cts", recv_req)
+        if session.tracer is not None:
+            session._trace("nmad.cts", recv_req)
 
     def on_rx_data(self, ctx: ExecContext, driver: Driver, packet: Packet) -> None:
         """Dispatch-table entry for an arrived rendezvous DATA transfer."""
@@ -466,7 +469,8 @@ class RdvEngine:
             ctx.charge(driver.rx_consume_us())
             req.data = frame.payload
             ctx.schedule_after(0.0, session._complete_req, req)
-            session._trace("nmad.data_recv", req)
+            if session.tracer is not None:
+                session._trace("nmad.data_recv", req)
             return
         # chunked data phase: accumulate until every chunk has landed
         pending = self._recvs.get(recv_id)
@@ -485,7 +489,8 @@ class RdvEngine:
         self._assembly.pop(recv_id, None)
         pending.data = assembler.payload()
         ctx.schedule_after(0.0, session._complete_req, pending)
-        session._trace("nmad.data_recv", pending)
+        if session.tracer is not None:
+            session._trace("nmad.data_recv", pending)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

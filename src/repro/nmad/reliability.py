@@ -155,9 +155,7 @@ class ReliabilityLayer:
         rail = entry.gate.rails[entry.rail_index]
         base += 2.0 * packet.wire_size() / rail.wire_bandwidth()
         timeout = base * (self.cfg.backoff_factor ** entry.attempts)
-        entry.timer = self.sim.schedule_at(
-            ctx.end + timeout, self._on_timeout, entry.key, label=f"rel.timeout#{seq}"
-        )
+        entry.timer = self.sim.schedule_at(ctx.end + timeout, self._on_timeout, entry.key)
 
     def select_rail(self, gate: "Gate", preferred: int) -> int:
         """Rail to use for a submission, honouring degraded-link state."""
@@ -202,9 +200,10 @@ class ReliabilityLayer:
             # only the ACKs were lost, e.g. a peer that stopped polling)
             self._complete_data_reqs(None, entry)
             session.activity_flag.set()
-            session._trace_raw(
-                "rel.gave_up", f"n{session.node_index}", f"wire_seq={key[1]} ->n{key[0]}"
-            )
+            if session.tracer is not None:
+                session._trace_raw(
+                    "rel.gave_up", f"n{session.node_index}", f"wire_seq={key[1]} ->n{key[0]}"
+                )
             return
         entry.attempts += 1
         session._enqueue_op(
@@ -244,11 +243,12 @@ class ReliabilityLayer:
         else:
             driver.submit_eager(ctx, entry.packet, 0)
         self.arm(ctx, entry.packet)
-        session._trace_raw(
-            "rel.retransmit",
-            f"n{session.node_index}",
-            f"{entry.packet.kind} wire_seq={key[1]} ->n{key[0]} attempt={entry.attempts}",
-        )
+        if session.tracer is not None:
+            session._trace_raw(
+                "rel.retransmit",
+                f"n{session.node_index}",
+                f"{entry.packet.kind} wire_seq={key[1]} ->n{key[0]} attempt={entry.attempts}",
+            )
 
     # -------------------------------------------------------- degraded links
 
@@ -283,11 +283,12 @@ class ReliabilityLayer:
                 until_us=self.sim.now + self.cfg.degraded_restore_us,
             )
             self.session.stats["degraded_events"] += 1
-            self.session._trace_raw(
-                "rel.degraded",
-                f"n{self.session.node_index}",
-                f"rail{entry.rail_index}->n{gate.peer}",
-            )
+            if self.session.tracer is not None:
+                self.session._trace_raw(
+                    "rel.degraded",
+                    f"n{self.session.node_index}",
+                    f"rail{entry.rail_index}->n{gate.peer}",
+                )
 
     def _purge_degraded(self) -> None:
         now = self.sim.now

@@ -161,12 +161,15 @@ class PiomanEngine(EngineBase):
         window in which a burst of isends accumulates for the aggregation
         strategy to coalesce.
         """
-        if not self.session.has_work():
+        session = self.session
+        # session.has_pending_ops() and has_work(), inlined
+        pending_ops = session.ops or session.windowed_gates
+        if not pending_ops and not session.has_completions():
             self._dispatch_due[core.index] = None
             return 0.0, None
         self.idle_activations += 1
         due = self._dispatch_due[core.index]
-        if self.session.has_pending_ops() and (due is None or self.sim.now + 1e-9 < due):
+        if pending_ops and (due is None or self.sim.now + 1e-9 < due):
             cost = self.timing.host.spinlock_us + self.timing.host.tasklet_remote_us
             self._dispatch_due[core.index] = self.sim.now + cost
             self.offloaded_ops += 1
@@ -183,12 +186,12 @@ class PiomanEngine(EngineBase):
         # progression hooks (outstanding collective schedules) get first
         # claim on the idle cycles
         if not self._run_progress_hooks(ctx):
-            self.session.progress(ctx, max_ops=1)
-        if self.session.has_pending_ops():
+            session.progress(ctx, max_ops=1)
+        if session.ops or session.windowed_gates:
             # more deferred events: invite another idle core to share them
-            self.scheduler.sim.call_soon(self.scheduler.kick_idle)
-        repoll = 0.0 if self.session.has_work() else None
-        return ctx.cpu_us, repoll
+            self.sim.call_soon(self.scheduler.kick_idle)
+            return ctx.cpu_us, 0.0
+        return ctx.cpu_us, 0.0 if session.has_completions() else None
 
     def on_tick(self, core: CoreRuntime) -> float:
         """Timer-interrupt trigger; returns the CPU it consumed.
@@ -203,7 +206,7 @@ class PiomanEngine(EngineBase):
         cost = 0.0
         current = core.current
         low_prio = current is not None and current.priority >= Priority.LOW
-        if low_prio and self.session.has_pending_ops():
+        if low_prio and (self.session.ops or self.session.windowed_gates):
             ctx = self._core_ctx(core.index)
             ctx.idle_steal = True
             ctx.charge(self.timing.host.spinlock_us + self.timing.host.tasklet_local_us)
@@ -270,7 +273,7 @@ class PiomanEngine(EngineBase):
             return
         self._interrupt_scheduled = True
         self.interrupts_taken += 1
-        self.sim.schedule(self.timing.nic.interrupt_us, self._fire_detection, label="piom.interrupt")
+        self.sim.schedule(self.timing.nic.interrupt_us, self._fire_detection)
 
     def _fire_detection(self) -> None:
         self._interrupt_scheduled = False
@@ -293,7 +296,7 @@ class PiomanEngine(EngineBase):
         # adaptive: never defer when every core is busy (the submission
         # would only run inside ``wait`` anyway), nor when the copy is
         # cheaper than the dispatch
-        return bool(self.scheduler.idle_core_indices()) and (
+        return self.scheduler.idle_core_count() > 0 and (
             self.timing.host.memcpy_us(size) >= self.timing.host.tasklet_remote_us
         )
 
@@ -345,8 +348,10 @@ class PiomanEngine(EngineBase):
         return self.cfg.max_events_per_activation
 
     def wait(self, tctx, req):
+        session = self.session
         while not req.done:
-            if self.session.has_work():
+            # session.has_work(), inlined
+            if session.ops or session.windowed_gates or session.has_completions():
                 # every CPU was busy: the communicating thread itself makes
                 # the communication progress inside the wait (§2.2 end) —
                 # one event per pass, so concurrent waiters share the burst
@@ -360,11 +365,7 @@ class PiomanEngine(EngineBase):
             if event.triggered:
                 break
             # blocked from here on: my core becomes available — count it
-            my_core = self.scheduler.cores[tctx.thread.core_index]
-            idle_after = len(self.scheduler.idle_core_indices())
-            if my_core.current is tctx.thread and len(my_core.runqueue) == 0:
-                idle_after += 1
-            if self._blocks(idle_after):
+            if self._blocks(self.scheduler.idle_core_count(leaving=tctx.thread)):
                 self._arm(req)
             yield WaitTEvent(event)
         return req

@@ -45,7 +45,6 @@ class EventHandle:
         "_args",
         "cancelled",
         "fired",
-        "label",
         "_queue",
     )
 
@@ -56,7 +55,6 @@ class EventHandle:
         seq: int,
         fn: Callable[..., Any],
         args: tuple[Any, ...],
-        label: str = "",
         queue: Any = None,
     ) -> None:
         self.time = time
@@ -66,7 +64,6 @@ class EventHandle:
         self._args = args
         self.cancelled = False
         self.fired = False
-        self.label = label
         #: the :class:`~repro.sim.queues.HeapQueue` storing this handle;
         #: lets cancel() report lazily-cancelled entries so the queue can
         #: compact when they pile up.
@@ -99,8 +96,8 @@ class EventHandle:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
-        lbl = f" {self.label}" if self.label else ""
-        return f"<EventHandle t={self.time:.3f} p={self.priority}{lbl} {state}>"
+        fn = getattr(self._fn, "__qualname__", repr(self._fn))
+        return f"<EventHandle t={self.time:.3f} p={self.priority} {fn} {state}>"
 
 
 def _noop(*_args: Any) -> None:  # pragma: no cover - placeholder

@@ -103,12 +103,14 @@ class Simulator:
         Optional :class:`repro.sim.tracing.Tracer`, carried here so every
         layer built on the simulator can reach the run's tracer. The
         kernel itself never consults it in the per-event path — trace
-        emission lives in the layers (scheduler, sessions), which bind a
-        no-op helper when no tracer is attached.
+        emission lives in the layers (scheduler, sessions), which test
+        for a tracer at each call site.
     """
 
     def __init__(self, trace: Any = None) -> None:
-        self._now: float = 0.0
+        #: current virtual time in microseconds; only :meth:`run` and
+        #: :meth:`step` advance it
+        self.now: float = 0.0
         self._queue = HeapQueue()
         #: alias of the queue's heap list, which is only ever mutated in
         #: place (compaction included)
@@ -139,13 +141,6 @@ class Simulator:
         #: the loop without perturbing it — see ``repro.obs.sampler``).
         self._observers: list[Callable[[float], None]] = []
 
-    # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in microseconds."""
-        return self._now
-
     def queue_stats(self) -> dict[str, object]:
         """Event-queue counters: stored ``entries`` (lazily-cancelled ones
         included), ``cancelled`` and ``compactions``."""
@@ -165,15 +160,14 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = Priority.NORMAL,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``fn(*args)`` to run ``delay`` µs from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        time = self._now + delay
+        time = self.now + delay
         seq = self._seq + 1
         self._seq = seq
-        handle = EventHandle(time, priority, seq, fn, args, label, self._queue)
+        handle = EventHandle(time, priority, seq, fn, args, self._queue)
         heappush(self._heap, (time, priority, seq, handle))
         return handle
 
@@ -183,25 +177,24 @@ class Simulator:
         fn: Callable[..., Any],
         *args: Any,
         priority: int = Priority.NORMAL,
-        label: str = "",
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} before now={self._now}"
+                f"cannot schedule at t={time} before now={self.now}"
             )
         seq = self._seq + 1
         self._seq = seq
-        handle = EventHandle(time, priority, seq, fn, args, label, self._queue)
+        handle = EventHandle(time, priority, seq, fn, args, self._queue)
         heappush(self._heap, (time, priority, seq, handle))
         return handle
 
     def call_soon(
-        self, fn: Callable[..., Any], *args: Any, priority: int = Priority.NORMAL, label: str = ""
+        self, fn: Callable[..., Any], *args: Any, priority: int = Priority.NORMAL
     ) -> EventHandle:
         """Schedule ``fn(*args)`` for the current instant (after the running
         callback returns)."""
-        return self.schedule_at(self._now, fn, *args, priority=priority, label=label)
+        return self.schedule_at(self.now, fn, *args, priority=priority)
 
     # -- tick chains -----------------------------------------------------------
 
@@ -217,9 +210,9 @@ class Simulator:
         ``schedule_at(time, …)`` would. Returns the chain's heap entry,
         the handle :meth:`materialize` takes.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot start a chain at t={time} before now={self._now}"
+                f"cannot start a chain at t={time} before now={self.now}"
             )
         seq = self._seq + 1
         self._seq = seq
@@ -234,7 +227,7 @@ class Simulator:
         return sorted([entry[0] for entry in self._chains])
 
     def materialize(
-        self, entry: list[Any], fn: Callable[..., Any], *args: Any, label: str = ""
+        self, entry: list[Any], fn: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Retire a live chain: its pending boundary becomes ``fn(*args)``
         scheduled with the boundary's own ``(time, priority, seq)`` key."""
@@ -247,7 +240,7 @@ class Simulator:
         heapify(chains)  # a heap of one entry per computing core
         self._chain_ends.remove(entry[4])
         entry[3] = None
-        handle = EventHandle(entry[0], entry[1], entry[2], fn, args, label)
+        handle = EventHandle(entry[0], entry[1], entry[2], fn, args)
         self._queue.push(handle)
         return handle
 
@@ -308,7 +301,7 @@ class Simulator:
             blocked.extend(probe())
         if blocked:
             raise DeadlockError(
-                f"event queue drained at t={self._now:.3f}µs with "
+                f"event queue drained at t={self.now:.3f}µs with "
                 f"{len(blocked)} blocked entities: {', '.join(sorted(blocked)[:12])}",
                 blocked=tuple(blocked),
             )
@@ -352,20 +345,20 @@ class Simulator:
         ``step()`` until it returns False would."""
         entry = self._due_chain()
         if entry is not None:
-            self._now = entry[0]
+            self.now = entry[0]
             self._pass_batch(entry, -math.inf)
         else:
             handle = self._queue.pop_next()
             if handle is None:
                 return False
-            if handle.time < self._now:  # pragma: no cover - guarded at insert
+            if handle.time < self.now:  # pragma: no cover - guarded at insert
                 raise SimulationError("time went backwards")
-            self._now = handle.time
+            self.now = handle.time
             handle._fire()
             self.events_fired += 1
         if self._observers:
             for ob in tuple(self._observers):
-                ob(self._now)
+                ob(self.now)
         return True
 
     def run(self, until: float | None = None, max_events: int | None = None) -> float:
@@ -398,7 +391,7 @@ class Simulator:
             raise SimulationError("Simulator.run is not reentrant")
         if self._stopped:
             self._stopped = False
-            return self._now
+            return self.now
         self._running = True
         queue = self._queue
         heap = self._heap
@@ -433,12 +426,12 @@ class Simulator:
                     if not heap or (entry[0], entry[1], entry[2]) < heap[0]:
                         time = entry[0]
                         if time > horizon:
-                            if horizon > self._now:
-                                self._now = horizon
+                            if horizon > self.now:
+                                self.now = horizon
                             break
                         if ef == last:
                             raise self._runaway(max_events)
-                        self._now = time
+                        self.now = time
                         if observers or one_by_one:
                             stop = -inf
                         else:
@@ -472,7 +465,7 @@ class Simulator:
                             self.chain_batches = batches
                             self.events_fired = ef - passed
                             for ob in tuple(observers):
-                                ob(self._now)
+                                ob(self.now)
                         continue
                 if not heap:
                     self._finish_drained(until)
@@ -486,13 +479,13 @@ class Simulator:
                 if time > horizon:
                     # put it back: the run is resumable
                     heappush(heap, top)
-                    if horizon > self._now:
-                        self._now = horizon
+                    if horizon > self.now:
+                        self.now = horizon
                     break
                 if ef == last:
                     heappush(heap, top)
                     raise self._runaway(max_events)
-                self._now = time
+                self.now = time
                 handle.fired = True
                 handle._fn(*handle._args)
                 # release the closure so a retained handle pins nothing
@@ -506,30 +499,30 @@ class Simulator:
                     # observers may detach themselves mid-run: iterate a
                     # snapshot, paid for only when any exist
                     for ob in tuple(observers):
-                        ob(self._now)
+                        ob(self.now)
         finally:
             self.chain_boundaries = passed
             self.chain_batches = batches
             self.events_fired = ef - passed
             self._running = False
             self._stopped = False
-        return self._now
+        return self.now
 
     def _finish_drained(self, until: float | None) -> None:
         if until is None:
             self._check_liveness()
-        elif until > self._now:
-            self._now = until
+        elif until > self.now:
+            self.now = until
 
     def _ended_mid_batch(self, n: int) -> SimulationError:
         return SimulationError(
             f"a tick chain ended after {n} boundaries of one batch at "
-            f"t={self._now:.3f}µs; a chain ends only first in a batch"
+            f"t={self.now:.3f}µs; a chain ends only first in a batch"
         )
 
     def _runaway(self, max_events: int) -> SimulationError:
         return SimulationError(
-            f"exceeded max_events={max_events} at t={self._now:.3f}µs "
+            f"exceeded max_events={max_events} at t={self.now:.3f}µs "
             "(runaway simulation?)"
         )
 
@@ -541,4 +534,4 @@ class Simulator:
         return self._queue.pending_count() + len(self._chains)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self._now:.3f}µs pending={len(self._queue)}>"
+        return f"<Simulator t={self.now:.3f}µs pending={len(self._queue)}>"

@@ -107,7 +107,7 @@ class TestRx:
         sim.run()
         first = n1.poll(max_events=2)
         assert len(first) == 2
-        assert n1.pending_completions() == 3
+        assert len(n1.cq) == 3
 
     def test_poll_validation(self, net):
         _f, n0, _n1 = net

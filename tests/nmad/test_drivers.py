@@ -55,7 +55,7 @@ class TestMxDriver:
         )
         assert ctx.cpu_us == pytest.approx(expected)
         sim.run()
-        assert peer.has_completions()
+        assert peer.hw_cq
 
     def test_numa_factor_scales_copy(self, sim, mx, host):
         drv, _ = mx
@@ -119,7 +119,7 @@ class TestShmDriver:
         shm_driver.submit_eager(ctx, _pkt(size=KiB(8), src=0, dst=0), KiB(8))
         assert ctx.cpu_us >= host.memcpy_us(KiB(8))
         sim.run()
-        assert shm_driver.has_completions()
+        assert shm_driver.hw_cq
 
     def test_control_is_cheap(self, sim, shm_driver):
         ctx = _ctx(sim)

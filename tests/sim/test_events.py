@@ -55,8 +55,3 @@ def test_priority_constants_ordered():
         < Priority.LOW
         < Priority.IDLE
     )
-
-
-def test_label_preserved(sim):
-    h = sim.schedule(1.0, lambda: None, label="wire.deliver")
-    assert h.label == "wire.deliver"

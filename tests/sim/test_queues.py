@@ -131,7 +131,7 @@ def test_cancel_before_run_with_no_queue_is_safe():
     # a handle constructed directly (never pushed) can still be cancelled
     from repro.sim.events import EventHandle
 
-    h = EventHandle(1.0, Priority.NORMAL, 1, lambda: None, (), "")
+    h = EventHandle(1.0, Priority.NORMAL, 1, lambda: None, ())
     h.cancel()
     assert h.cancelled
 
@@ -141,18 +141,20 @@ def test_cancel_before_run_with_no_queue_is_safe():
 
 def test_retained_handles_keep_their_fields_after_firing():
     """A handle the caller kept a reference to stays readable after it
-    fires (fired, time, label), while the kernel drops its callback so a
+    fires (fired, time, seq), while the kernel drops its callback so a
     retained timer does not pin its closure."""
     sim = Simulator()
     log: list[int] = []
-    kept = [sim.schedule(float(i) + 1.0, log.append, i, label=f"ev{i}") for i in range(50)]
+    kept = [sim.schedule(float(i) + 1.0, log.append, i) for i in range(50)]
+    assert [(h._fn, h._args) for h in kept] == [(log.append, (i,)) for i in range(50)]
+    seqs = [h.seq for h in kept]
     for i in range(50):
         sim.schedule(float(i) + 1.5, lambda: None)  # interleaved churn
     sim.run()
     assert log == list(range(50))
     assert all(h.fired and not h.pending for h in kept)
     assert [h.time for h in kept] == [float(i) + 1.0 for i in range(50)]
-    assert [h.label for h in kept] == [f"ev{i}" for i in range(50)]
+    assert [h.seq for h in kept] == seqs
     assert all(h._fn != log.append and h._args == () for h in kept)
 
 
