@@ -309,9 +309,6 @@ class ClusterRuntime:
                     for k in RDV_STAT_KEYS
                 },
             )
-            # unified completion-queue lane: live depth gauge plus lifetime
-            # push/consume counters (n{i}.cq.depth etc.)
-            reg.register_collector(f"{n}.cq", lambda s=session: s.cq.stats())
             reg.register_collector(
                 f"{n}.scheduler",
                 lambda sch=nrt.scheduler: self._scheduler_metrics(sch),

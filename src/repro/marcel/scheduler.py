@@ -686,14 +686,17 @@ class MarcelScheduler:
 
     def stats(self) -> dict[str, Any]:
         """Aggregate scheduler statistics for reports and tests."""
+        # lists, not generators: the builtins.sum frame every layer shares
+        # then calls nothing back here, so profiles attribute it stably
+        cores = self.cores
         return {
             "threads": len(self.threads),
-            "switches": sum(c.switches for c in self.cores),
-            "preemptions": sum(c.preemptions for c in self.cores),
-            "ticks": sum(c.ticks for c in self.cores),
-            "steals": sum(c.steals for c in self.cores),
+            "switches": sum([c.switches for c in cores]),
+            "preemptions": sum([c.preemptions for c in cores]),
+            "ticks": sum([c.ticks for c in cores]),
+            "steals": sum([c.steals for c in cores]),
             "tasklets_run": self.tasklets.executed_count,
-            "busy_us": sum(c.timeline.busy_us for c in self.cores),
-            "service_us": sum(c.timeline.service_us for c in self.cores),
-            "idle_us": sum(c.timeline.idle_us for c in self.cores),
+            "busy_us": sum([c.timeline.busy_us for c in cores]),
+            "service_us": sum([c.timeline.service_us for c in cores]),
+            "idle_us": sum([c.timeline.idle_us for c in cores]),
         }

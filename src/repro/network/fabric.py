@@ -17,7 +17,6 @@ another frame on a contended port.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Optional
 
 from ..config import NicModel
@@ -81,7 +80,8 @@ class Fabric:
     @property
     def ingress_queued_us(self) -> float:
         """Total time frames spent queued behind busy ports."""
-        return sum(port.queued_us for port in self._used)
+        # a list, not a generator (see MarcelScheduler.stats)
+        return sum([port.queued_us for port in self._used])
 
     def metrics(self) -> dict[str, float]:
         """Flat metrics lane: carried totals plus per-link sub-keys.
@@ -183,13 +183,17 @@ class Fabric:
                 # the receiver gets a *copy* flagged corrupted: the sender's
                 # retransmit buffer (which aliases the original packet) must
                 # stay intact
-                packet = dataclasses.replace(
-                    packet, headers={**packet.headers, "corrupted": True}
+                packet = Packet(
+                    packet.kind,
+                    packet.src_node,
+                    packet.dst_node,
+                    packet.payload_size,
+                    {**packet.headers, "corrupted": True},
                 )
             extra_delay_us = decision.extra_delay_us
             duplicates = decision.duplicates
         model = src_nic.model
-        size = packet.wire_size()
+        size = packet.wire_size
         delay = self._delay(port, model, size, tx_time, extra_delay_us, 0)
         self.packets_carried += 1
         self.bytes_carried += size

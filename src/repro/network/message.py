@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from ..errors import NetworkError
@@ -29,45 +27,53 @@ class PacketKind:
     ALL = (EAGER, PIO, RTS, CTS, DATA, ACK)
 
 
-_packet_ids = itertools.count(1)
+#: kinds whose packets are fixed-size control frames on the wire
+_CONTROL_KINDS = (PacketKind.RTS, PacketKind.CTS, PacketKind.ACK)
 
 
-@dataclass
 class Packet:
     """One unit on the wire.
 
-    ``payload_size`` is the application bytes carried; ``wire_size()`` adds
-    the protocol header. ``headers`` carries protocol metadata (tag, seq,
-    request ids) — this is modelling, not serialization, so it is a dict.
+    ``payload_size`` is the application bytes carried; ``wire_size`` (set
+    at construction) adds the protocol header, or is the fixed control
+    frame size. ``headers`` carries protocol metadata (tag, seq, request
+    ids) — this is modelling, not serialization, so it is a dict. A packet
+    is its own identity: two packets never compare equal.
     """
 
-    kind: str
-    src_node: int
-    dst_node: int
-    payload_size: int
-    headers: dict[str, Any] = field(default_factory=dict)
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    __slots__ = ("kind", "src_node", "dst_node", "payload_size", "headers", "wire_size")
 
-    def __post_init__(self) -> None:
-        if self.kind not in PacketKind.ALL:
-            raise NetworkError(f"unknown packet kind {self.kind!r}")
-        if self.payload_size < 0:
-            raise NetworkError(f"negative payload size: {self.payload_size}")
-
-    def wire_size(self) -> int:
-        """Bytes occupying the wire (payload + header, or control frame)."""
-        if self.kind in (PacketKind.RTS, PacketKind.CTS, PacketKind.ACK):
-            return CONTROL_BYTES
-        return self.payload_size + HEADER_BYTES
+    def __init__(
+        self,
+        kind: str,
+        src_node: int,
+        dst_node: int,
+        payload_size: int,
+        headers: dict[str, Any] | None = None,
+    ) -> None:
+        if kind in _CONTROL_KINDS:
+            wire_size = CONTROL_BYTES
+        elif kind in PacketKind.ALL:
+            wire_size = payload_size + HEADER_BYTES
+        else:
+            raise NetworkError(f"unknown packet kind {kind!r}")
+        if payload_size < 0:
+            raise NetworkError(f"negative payload size: {payload_size}")
+        self.kind = kind
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.payload_size = payload_size
+        self.headers = {} if headers is None else headers
+        #: bytes occupying the wire (payload + header, or a control frame)
+        self.wire_size = wire_size
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
-            f"<Packet#{self.packet_id} {self.kind} n{self.src_node}->n{self.dst_node} "
+            f"<Packet {self.kind} n{self.src_node}->n{self.dst_node} "
             f"{self.payload_size}B>"
         )
 
 
-@dataclass(frozen=True)
 class CompletionRecord:
     """One completion-queue entry, consumed by polling.
 
@@ -76,10 +82,11 @@ class CompletionRecord:
     happens later, when software polls).
     """
 
-    event: str
-    packet: Packet
-    time: float
+    __slots__ = ("event", "packet", "time")
 
-    def __post_init__(self) -> None:
-        if self.event not in ("tx_done", "rx"):
-            raise NetworkError(f"unknown completion event {self.event!r}")
+    def __init__(self, event: str, packet: Packet, time: float) -> None:
+        if event != "tx_done" and event != "rx":
+            raise NetworkError(f"unknown completion event {event!r}")
+        self.event = event
+        self.packet = packet
+        self.time = time

@@ -11,9 +11,10 @@ Timing model (see :class:`repro.config.NicModel`):
   ``tx_done`` completion is produced when the last byte left the NIC.
 * **RX** — the fabric delivers packets into the RX queue and produces an
   ``rx`` completion. Software discovers completions by *polling* the
-  completion queue (:meth:`poll`), whose CPU cost is charged by the caller;
-  hardware additionally notifies *activity listeners* (used by PIOMan to
-  wake idle cores and by the blocking detection method).
+  completion queue ``cq`` (the session's poll loop takes records off it and
+  charges the model's ``poll_us``); hardware additionally notifies
+  *activity listeners* (used by PIOMan to wake idle cores and by the
+  blocking detection method).
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ class Nic:
         self.model = model
         self.fabric = fabric
         self.name = f"n{node_index}.{model.name}"
-        #: completion queue: software polls it (:meth:`poll`) and the
-        #: session tests it for emptiness (``Driver.hw_cq``)
+        #: completion queue: the session polls it through ``Driver.hw_cq``
         self.cq: deque[CompletionRecord] = deque()
         self._tx_free_at: float = 0.0
         self._activity_listeners: list[Callable[[], None]] = []
@@ -49,14 +49,12 @@ class Nic:
         self.rx_packets = 0
         self.tx_bytes = 0
         self.rx_bytes = 0
-        self.polls = 0
-        self.empty_polls = 0
 
     # -- TX --------------------------------------------------------------------
 
     def pio_cpu_us(self, packet: Packet) -> float:
         """CPU cost the caller must charge for a PIO submission."""
-        return self.model.tx_setup_us + packet.wire_size() * self.model.pio_byte_us
+        return self.model.tx_setup_us + packet.wire_size * self.model.pio_byte_us
 
     def submit_pio(self, packet: Packet) -> None:
         """Hand a PIO packet to the wire.
@@ -69,7 +67,7 @@ class Nic:
                 f"{self.name}: packet src n{packet.src_node} is not this node"
             )
         self.tx_packets += 1
-        self.tx_bytes += packet.wire_size()
+        self.tx_bytes += packet.wire_size
         self.fabric.transmit(self, packet, tx_time=0.0)
         self._complete_tx(packet, delay=0.0)
 
@@ -86,10 +84,10 @@ class Nic:
                 f"{self.name}: packet src n{packet.src_node} is not this node"
             )
         start = max(self.sim.now, self._tx_free_at)
-        drain = packet.wire_size() / self.model.wire_bw
+        drain = packet.wire_size / self.model.wire_bw
         self._tx_free_at = start + drain
         self.tx_packets += 1
-        self.tx_bytes += packet.wire_size()
+        self.tx_bytes += packet.wire_size
         self.fabric.transmit(self, packet, tx_time=start - self.sim.now)
         done_at = start + drain
         self._complete_tx(packet, delay=done_at - self.sim.now)
@@ -98,7 +96,8 @@ class Nic:
     def _complete_tx(self, packet: Packet, delay: float) -> None:
         def _produce() -> None:
             self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
-            self._notify()
+            for cb in self._activity_listeners:
+                cb()
 
         if delay <= 0:
             _produce()
@@ -114,28 +113,12 @@ class Nic:
                 f"{self.name}: packet for n{packet.dst_node} delivered here"
             )
         self.rx_packets += 1
-        self.rx_bytes += packet.wire_size()
+        self.rx_bytes += packet.wire_size
         self.cq.append(CompletionRecord("rx", packet, self.sim.now))
-        self._notify()
+        for cb in self._activity_listeners:
+            cb()
 
     # -- completion discovery ----------------------------------------------------
-
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        """Pop up to ``max_events`` completion records.
-
-        The CPU cost of the poll itself (``model.poll_us``) is charged by
-        the caller; hardware state is simply consumed here.
-        """
-        if max_events <= 0:
-            raise NetworkError(f"max_events must be > 0, got {max_events}")
-        self.polls += 1
-        if not self.cq:
-            self.empty_polls += 1
-            return []
-        out: list[CompletionRecord] = []
-        while self.cq and len(out) < max_events:
-            out.append(self.cq.popleft())
-        return out
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         """Register a callback fired whenever a new completion is produced.
@@ -145,10 +128,6 @@ class Nic:
         :class:`repro.marcel.sync.ThreadFlag`.
         """
         self._activity_listeners.append(cb)
-
-    def _notify(self) -> None:
-        for cb in self._activity_listeners:
-            cb()
 
     # -- introspection -------------------------------------------------------------
 

@@ -5,7 +5,7 @@ communication requests which are either submitted to the network
 (inter-node requests) or to a shared-memory channel".
 
 The channel mimics a NIC's software interface (submit / completion queue /
-poll / activity listeners) so the NewMadeleine driver layer can treat it
+activity listeners) so the NewMadeleine driver layer can treat it
 uniformly, but its timing is host-memory timing: the *sender's CPU* copies
 the payload into the shared segment (cost charged by the caller through the
 driver), delivery is one channel latency later, and the *receiver's CPU*
@@ -34,12 +34,10 @@ class ShmChannel:
         self.node_index = node_index
         self.model = model
         self.name = f"n{node_index}.shm"
-        #: completion queue: software polls it (:meth:`poll`) and the
-        #: session tests it for emptiness (``Driver.hw_cq``)
+        #: completion queue: the session polls it through ``Driver.hw_cq``
         self.cq: deque[CompletionRecord] = deque()
         self._activity_listeners: list[Callable[[], None]] = []
         self.tx_packets = 0
-        self.polls = 0
 
     def submit(self, packet: Packet, copy_done_delay: float = 0.0) -> None:
         """Enqueue a packet written into the shared segment.
@@ -59,26 +57,15 @@ class ShmChannel:
         # the sender's copy into the shared segment completes the send
         # locally (the CPU cost was charged by the caller before submit)
         self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
-        self._notify()
-
-        def _arrive() -> None:
-            self.cq.append(CompletionRecord("rx", packet, self.sim.now))
-            self._notify()
-
-        self.sim.schedule(delay, _arrive, priority=EventPriority.INTERRUPT)
-
-    def _notify(self) -> None:
         for cb in self._activity_listeners:
             cb()
 
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        if max_events <= 0:
-            raise NetworkError(f"max_events must be > 0, got {max_events}")
-        self.polls += 1
-        out: list[CompletionRecord] = []
-        while self.cq and len(out) < max_events:
-            out.append(self.cq.popleft())
-        return out
+        def _arrive() -> None:
+            self.cq.append(CompletionRecord("rx", packet, self.sim.now))
+            for cb in self._activity_listeners:
+                cb()
+
+        self.sim.schedule(delay, _arrive, priority=EventPriority.INTERRUPT)
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self._activity_listeners.append(cb)

@@ -17,9 +17,9 @@ the zero-copy rendezvous (RTS/CTS/DATA) for large messages (§2.2, §2.3).
 Each protocol lives in its own engine module — :mod:`repro.nmad.eager`
 and :mod:`repro.nmad.rdv` — which :class:`~repro.nmad.core.NmSession`
 calls directly, exchanging the typed wire frames of :mod:`repro.nmad.wire`.
-Driver completions drain through the session's
-:class:`~repro.nmad.progress.CompletionQueue` wire lane; finished requests
-are announced to the session's ``on_request_complete`` listeners.
+The session's poll loop dispatches each record of its rails' hardware
+completion queues straight to those engines; finished requests are
+announced to the session's ``on_request_complete`` listeners.
 
 Progression is pluggable: :class:`repro.nmad.progress.SequentialEngine`
 reproduces the original non-multithreaded NewMadeleine (progress only on
@@ -30,12 +30,7 @@ is the paper's contribution.
 from .core import Gate, NmSession
 from .eager import EagerEngine
 from .interface import NmInterface, payload_nbytes
-from .progress import (
-    CompletionQueue,
-    EngineBase,
-    SequentialEngine,
-    WireCompletion,
-)
+from .progress import EngineBase, SequentialEngine
 from .rdv import RdvEngine
 from .request import NmRequest, ReqState
 from .wire import AckFrame, CtsFrame, DataChunkFrame, EagerFrame, RtsFrame
@@ -49,8 +44,6 @@ __all__ = [
     "payload_nbytes",
     "EngineBase",
     "SequentialEngine",
-    "CompletionQueue",
-    "WireCompletion",
     "EagerEngine",
     "RdvEngine",
     "EagerFrame",

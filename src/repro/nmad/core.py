@@ -5,11 +5,11 @@ per node"). The protocol state machines live in
 :class:`repro.nmad.eager.EagerEngine` (``session.eager``) and
 :class:`repro.nmad.rdv.RdvEngine` (``session.rdv``); the session keeps the
 gates (:mod:`repro.nmad.gate`), the matching machinery (posted-receive
-table, sequence tracker, unexpected store), the deferred-op work list the
-progression engines drain (§2.1, Fig. 1) and the wire lane
-(:class:`repro.nmad.progress.CompletionQueue`) that driver completions
-drain through. It calls the protocol engines directly, chosen by
-``Protocol``, ``PacketKind``, frame type and unexpected-item type.
+table, sequence tracker, unexpected store) and the deferred-op work list
+the progression engines drain (§2.1, Fig. 1). Its poll loop takes
+completion records straight off each rail's hardware queue and calls the
+protocol engines directly, chosen by ``Protocol``, ``PacketKind``, frame
+type and unexpected-item type.
 
 Events travel up through two direct paths: the session notifies its one
 progression engine (``session.engine``) of queued ops and of hardware
@@ -31,7 +31,7 @@ from ..config import TimingModel
 from ..errors import ProtocolError
 from ..marcel.scheduler import MarcelScheduler
 from ..marcel.sync import ThreadEvent, ThreadFlag
-from ..network.message import Packet, PacketKind
+from ..network.message import CompletionRecord, Packet, PacketKind
 from ..network.registration import MemoryRegistry
 from ..sim.kernel import Simulator
 from ..sim.tracing import Tracer
@@ -40,7 +40,7 @@ from ..topology.numa import NumaModel
 from .drivers.base import Driver, ExecContext
 from .eager import EagerEngine
 from .gate import Gate
-from .progress import CompletionQueue, EngineBase, WireCompletion
+from .progress import EngineBase
 from .rdv import RDV_STAT_KEYS, RdvEngine
 from .reliability import ReliabilityLayer
 from .request import NmRequest, Protocol, ReqState
@@ -73,6 +73,10 @@ class NmSession:
         tracer: Tracer | None = None,
     ) -> None:
         self.sim = sim
+        #: the next request id, from the counter every session of the
+        #: runtime shares; the counter's own ``__next__`` profiles apart
+        #: from the ``builtins.next`` frame other layers share
+        self._next_req_id = sim.req_ids.__next__
         self.scheduler = scheduler
         self.node = node
         self.node_index = node.index
@@ -82,8 +86,9 @@ class NmSession:
         self.tracer = tracer
         self.gates: dict[int, Gate] = {}
         self.drivers: list[Driver] = []
-        #: each driver's ``hw_cq``, read by :meth:`has_completions`
-        self._hw_cqs: list[deque[Any]] = []
+        #: each driver's ``hw_cq``: ``any(session.hw_cqs)`` tells whether
+        #: a poll would find a completion
+        self.hw_cqs: list[deque[CompletionRecord]] = []
         self.registry = MemoryRegistry(self.timing.nic)
         self.match_table = MatchTable()
         self.seq_tracker = SequenceTracker()
@@ -95,8 +100,6 @@ class NmSession:
         #: execution context. Counted by :meth:`has_pending_ops` so idle
         #: cores, waiters, and inline drains all see the deferred work.
         self.windowed_gates: dict[Gate, OpFn] = {}
-        #: wire lane: driver completions awaiting protocol dispatch
-        self.cq = CompletionQueue()
         #: in-flight sends by req_id (tx completion / CTS lookup)
         self._sends: dict[int, NmRequest] = {}
         #: level-triggered flag set on any driver activity (baseline waits)
@@ -148,7 +151,7 @@ class NmSession:
         for rail in rails:
             if rail not in self.drivers:
                 self.drivers.append(rail)
-                self._hw_cqs.append(rail.hw_cq)
+                self.hw_cqs.append(rail.hw_cq)
                 rail.add_activity_listener(self._hw_activity)
         return gate
 
@@ -169,7 +172,10 @@ class NmSession:
         buffer_id: object = None,
         producer_core: Optional[int] = None,
     ) -> NmRequest:
-        req = NmRequest("send", self.node_index, peer, tag, size, payload, buffer_id)
+        req = NmRequest(
+            "send", self.node_index, peer, tag, size, payload, buffer_id,
+            req_id=self._next_req_id(),
+        )
         req.posted_at = self.sim.now
         req.producer_core = producer_core
         return req
@@ -181,7 +187,10 @@ class NmSession:
         size: int,
         buffer_id: object = None,
     ) -> NmRequest:
-        req = NmRequest("recv", self.node_index, source, tag, size, None, buffer_id)
+        req = NmRequest(
+            "recv", self.node_index, source, tag, size, None, buffer_id,
+            req_id=self._next_req_id(),
+        )
         req.posted_at = self.sim.now
         return req
 
@@ -200,10 +209,12 @@ class NmSession:
         charged here — the caller (engine) charges the registration cost and
         decides when the queued work runs."""
         gate = self.gate_to(req.peer)
-        infos = gate.rail_infos()
+        pio_threshold, rdv_threshold = gate.thresholds
         if self.reliability is not None:
-            infos = self.reliability.filter_rails(gate, infos)
-        pio_threshold, rdv_threshold = gate.effective_thresholds(infos)
+            infos = self.reliability.filter_rails(gate, gate.rail_infos)
+            if len(infos) < len(gate.rail_infos):
+                # a degraded rail is out: the protocol must suit the rest
+                pio_threshold, rdv_threshold = gate.effective_thresholds(infos)
         req.seq = gate.next_seq(req.tag)
         self.stats["sends"] += 1
         if req.size <= pio_threshold:
@@ -272,12 +283,13 @@ class NmSession:
         if self.engine is not None:
             self.engine.notify_activity()
 
-    # the engines' hot paths inline has_pending_ops and has_work
+    # the engines' hot paths inline has_pending_ops, has_completions and
+    # has_work
     def has_pending_ops(self) -> bool:
         return bool(self.ops) or bool(self.windowed_gates)
 
     def has_completions(self) -> bool:
-        return bool(self.cq._wire) or any(self._hw_cqs)
+        return any(self.hw_cqs)
 
     def has_work(self) -> bool:
         return self.has_pending_ops() or self.has_completions()
@@ -309,47 +321,55 @@ class NmSession:
         return did
 
     def poll_completions(self, ctx: ExecContext, max_events: int = 16) -> bool:
-        """Poll every driver once; dispatch what surfaced.
+        """Poll every rail once; dispatch what surfaced.
 
-        Each driver's harvest goes through the completion queue's wire
-        lane — pushed, then drained straight into the protocol engines.
-        Push-then-drain per driver keeps the handling order identical to
-        dispatching each record inline (handlers never produce wire
-        completions synchronously), while giving observability and
-        backpressure a single queue to watch.
+        Each poll charges the rail's ``poll_us`` (polling an empty queue is
+        not free) and counts on the driver, then takes up to
+        ``max_events`` records off its hardware queue and dispatches each
+        straight to the protocol engines. Handlers only schedule work and
+        never append to a queue, so taking records one at a time handles
+        them in the order a harvested batch would.
         """
         did = False
-        cq = self.cq
-        wire = cq._wire
+        stats = self.stats
         for driver in self.drivers:
-            driver.poll_into(ctx, cq, max_events)
-            while wire:
-                self._dispatch_wire(ctx, cq.pop_wire())
-                self.stats["completions_handled"] += 1
-                did = True
+            ctx.charge(driver.poll_us)
+            driver.polls += 1
+            hw_cq = driver.hw_cq
+            if not hw_cq:
+                continue
+            n = len(hw_cq)
+            if n > max_events:
+                n = max_events
+            driver.rx_completions += n
+            stats["completions_handled"] += n
+            popleft = hw_cq.popleft
+            for _ in range(n):
+                self._dispatch_wire(ctx, driver, popleft())
+            did = True
         return did
 
     # ------------------------------------------------------ completion handling
 
-    def _dispatch_wire(self, ctx: ExecContext, wc: WireCompletion) -> None:
-        """Route one wire completion: TX drains complete sends; arrived
-        packets pass the reliability filter, then go to their protocol
-        engine by packet kind."""
-        packet = wc.packet
-        if wc.event == "tx_done":
+    def _dispatch_wire(self, ctx: ExecContext, driver: Driver, rec: CompletionRecord) -> None:
+        """Route one completion record of ``driver``'s queue: TX drains
+        complete sends; arrived packets pass the reliability filter, then
+        go to their protocol engine by packet kind."""
+        packet = rec.packet
+        if rec.event == "tx_done":
             self._on_tx_done(ctx, packet)
             return
-        if self.reliability is not None and not self.reliability.on_rx(ctx, wc.driver, packet):
+        if self.reliability is not None and not self.reliability.on_rx(ctx, driver, packet):
             return  # consumed at the wire level: ACK, corrupted, or duplicate
         kind = packet.kind
         if kind == PacketKind.EAGER or kind == PacketKind.PIO:
-            self.eager.on_rx(ctx, wc.driver, packet)
+            self.eager.on_rx(ctx, driver, packet)
         elif kind == PacketKind.RTS:
-            self.rdv.on_rx_rts(ctx, wc.driver, packet)
+            self.rdv.on_rx_rts(ctx, driver, packet)
         elif kind == PacketKind.CTS:
-            self.rdv.on_rx_cts(ctx, wc.driver, packet)
+            self.rdv.on_rx_cts(ctx, driver, packet)
         elif kind == PacketKind.DATA:
-            self.rdv.on_rx_data(ctx, wc.driver, packet)
+            self.rdv.on_rx_data(ctx, driver, packet)
         else:  # pragma: no cover - ACKs are consumed above
             raise ProtocolError(f"unhandled packet kind {kind}")
 
@@ -371,11 +391,8 @@ class NmSession:
             ctx.schedule_after(0.0, self._complete_send_chunk, req)
 
     def _complete_send_chunk(self, req: NmRequest) -> None:
-        if not req.tx_chunk_done():
-            return  # more chunks still in flight
-        if req.done:
-            return
-        if req.state != ReqState.COMPLETED:
+        # nothing to do while more chunks are in flight
+        if req.tx_chunk_done():
             self._complete_req(req)
 
     def deliver_in_order(self, ctx: ExecContext, driver: Driver, item: Any) -> None:

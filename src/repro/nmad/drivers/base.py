@@ -18,7 +18,6 @@ from typing import Any, Callable, Protocol, runtime_checkable
 
 from ...errors import NetworkError
 from ...network.message import CompletionRecord, Packet
-from ..progress import CompletionQueue, WireCompletion
 
 __all__ = ["ExecContext", "Driver"]
 
@@ -48,9 +47,13 @@ class Driver:
     name: str = "base"
     #: whether the hardware can DMA from/to registered app buffers
     supports_zero_copy: bool = False
-    #: the hardware completion queue :meth:`poll` drains. Every driver sets
-    #: it: the session reads it to tell whether a poll would find anything.
+    #: the hardware completion queue. Every driver sets it: the session's
+    #: poll loop (:meth:`repro.nmad.core.NmSession.poll_completions`) takes
+    #: records straight off it and tests it for emptiness.
     hw_cq: "deque[CompletionRecord]"
+    #: CPU cost (µs) of one poll of :attr:`hw_cq`, read once from the
+    #: driver's frozen model; charged by every poll, empty or not
+    poll_us: float
 
     #: canonical statistic attributes reported by :meth:`stats`. Subclasses
     #: shadow (as instance attributes) only the ones their paths increment;
@@ -75,16 +78,9 @@ class Driver:
     rx_completions = 0
 
     def stats(self) -> dict[str, int]:
-        """Flat submit/poll/rx counters (consumed by ``repro.obs``)."""
+        """Flat submit/poll/rx counters (consumed by ``repro.obs``); the
+        session's poll loop counts ``polls`` and ``rx_completions``."""
         return {key: getattr(self, key) for key in self._STAT_ATTRS}
-
-    def _record_poll(self, records: list[CompletionRecord]) -> list[CompletionRecord]:
-        """Count one completion-queue poll and its harvested records;
-        subclasses wrap their ``poll()`` return value with this."""
-        self.polls += 1
-        if records:
-            self.rx_completions += len(records)
-        return records
 
     # -- thresholds --------------------------------------------------------------
 
@@ -137,28 +133,6 @@ class Driver:
         raise NotImplementedError(f"driver {self.name} does not support zero-copy")
 
     # -- completion discovery -------------------------------------------------------
-
-    def poll_cpu_us(self) -> float:
-        """CPU cost of one poll of this driver's completion queue."""
-        raise NotImplementedError
-
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        raise NotImplementedError
-
-    def poll_into(self, ctx: ExecContext, cq: CompletionQueue, max_events: int = 16) -> None:
-        """Poll once and push each harvested record into the session's
-        unified completion queue as a typed
-        :class:`repro.nmad.progress.WireCompletion`.
-
-        Charges the poll cost unconditionally (polling an empty queue is
-        not free). The session drains the queue into its protocol engines
-        right after.
-        """
-        ctx.charge(self.poll_cpu_us())
-        for rec in self.poll(max_events):
-            cq.push_wire(
-                WireCompletion(driver=self, event=rec.event, packet=rec.packet, time=rec.time)
-            )
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         raise NotImplementedError

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ...config import HostModel, NicModel
-from ...network.message import CompletionRecord, Packet, PacketKind
+from ...network.message import Packet, PacketKind
 from ...network.nic import Nic
 from ...units import GiB_per_s, KiB
 from .base import Driver, ExecContext
@@ -66,6 +66,7 @@ class IbDriver(Driver):
         self.hw_cq = nic.cq
         self.host = host
         self.model: NicModel = nic.model
+        self.poll_us = self.model.poll_us
         self.inline_sends = 0
         self.eager_sends = 0
         self.rdma_writes = 0
@@ -108,12 +109,6 @@ class IbDriver(Driver):
         ctx.charge(self.model.tx_setup_us + self.model.dma_setup_us)
         self.rdma_writes += 1
         ctx.schedule_after(0.0, self.nic.submit_dma, packet)
-
-    def poll_cpu_us(self) -> float:
-        return self.model.poll_us
-
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        return self._record_poll(self.nic.poll(max_events))
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.nic.add_activity_listener(cb)

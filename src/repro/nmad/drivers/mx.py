@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ...config import HostModel, NicModel
-from ...network.message import CompletionRecord, Packet, PacketKind
+from ...network.message import Packet, PacketKind
 from ...network.nic import Nic
 from .base import Driver, ExecContext
 
@@ -34,6 +34,7 @@ class MxDriver(Driver):
         self.hw_cq = nic.cq
         self.host = host
         self.model: NicModel = nic.model
+        self.poll_us = self.model.poll_us
         # statistics
         self.pio_sends = 0
         self.eager_sends = 0
@@ -81,14 +82,6 @@ class MxDriver(Driver):
         ctx.charge(self.model.tx_setup_us + self.model.dma_setup_us)
         self.zero_copy_sends += 1
         ctx.schedule_after(0.0, self.nic.submit_dma, packet)
-
-    # -- completion discovery -------------------------------------------------------
-
-    def poll_cpu_us(self) -> float:
-        return self.model.poll_us
-
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        return self._record_poll(self.nic.poll(max_events))
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.nic.add_activity_listener(cb)

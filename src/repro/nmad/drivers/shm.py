@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ...config import HostModel, ShmModel
-from ...network.message import CompletionRecord, Packet
+from ...network.message import Packet
 from ...network.shm import ShmChannel
 from .base import Driver, ExecContext
 
@@ -28,6 +28,7 @@ class ShmDriver(Driver):
         self.hw_cq = channel.cq
         self.host = host
         self.model: ShmModel = channel.model
+        self.poll_us = self.model.ring_op_us
         self.eager_sends = 0
         self.pio_sends = 0
         self.control_sends = 0
@@ -55,12 +56,6 @@ class ShmDriver(Driver):
         ctx.charge(self.model.ring_op_us)
         self.control_sends += 1
         ctx.schedule_after(0.0, self.channel.submit, packet, 0.0)
-
-    def poll_cpu_us(self) -> float:
-        return self.model.ring_op_us
-
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        return self._record_poll(self.channel.poll(max_events))
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.channel.add_activity_listener(cb)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ...config import HostModel, NicModel
-from ...network.message import CompletionRecord, Packet
+from ...network.message import Packet
 from ...network.nic import Nic
 from .base import Driver, ExecContext
 
@@ -51,6 +51,7 @@ class TcpDriver(Driver):
         self.hw_cq = nic.cq
         self.host = host
         self.model: NicModel = nic.model
+        self.poll_us = self.model.poll_us
         self.eager_sends = 0
         self.control_sends = 0
 
@@ -87,12 +88,6 @@ class TcpDriver(Driver):
         # TCP cannot DMA from user buffers: the "zero-copy" leg of the
         # rendezvous degenerates to a kernel-buffer copy send.
         self.submit_eager(ctx, packet, packet.payload_size)
-
-    def poll_cpu_us(self) -> float:
-        return self.model.poll_us
-
-    def poll(self, max_events: int = 16) -> list[CompletionRecord]:
-        return self._record_poll(self.nic.poll(max_events))
 
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self.nic.add_activity_listener(cb)

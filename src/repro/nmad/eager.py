@@ -115,7 +115,7 @@ class EagerEngine:
         # useless drain attempt later
         session.windowed_gates.pop(gate, None)
         if not gate.pending_plans:
-            infos = gate.rail_infos()
+            infos = gate.rail_infos
             if session.reliability is not None:
                 infos = session.reliability.filter_rails(gate, infos)
             gate.pending_plans.extend(gate.strategy.take_plans(infos))
@@ -132,6 +132,8 @@ class EagerEngine:
         for plan in plans:
             driver = gate.rails[plan.rail_index]
             frames = []
+            # the slowest copy in the packet sets its NUMA factor
+            factor = 0.0
             for e in plan.entries:
                 frames.append(
                     EagerFrame(
@@ -147,20 +149,19 @@ class EagerEngine:
                     )
                 )
                 e.req.init_tx_chunks(e.nchunks)
+                numa = session._numa_factor(ctx, e.req.producer_core)
+                if numa > factor:
+                    factor = numa
             packet = eager_to_packet(frames, plan.mode, session.node_index, gate.peer)
-            factor = max(
-                (session._numa_factor(ctx, e.req.producer_core) for e in plan.entries),
-                default=1.0,
-            )
             for e in plan.entries:
                 if e.req.state == ReqState.QUEUED:
                     e.req.transition(ReqState.SUBMITTED)
                     e.req.submitted_at = ctx.end
             if session.reliability is not None:
                 session.reliability.track(gate, packet, plan.mode, plan.rail_index)
-            hw = driver.plan_submit(ctx, packet, plan.mode, plan.payload_size(), factor)
+            hw = driver.plan_submit(ctx, packet, plan.mode, packet.payload_size, factor)
             if plan.mode != "pio":
-                session.stats["copies_bytes"] += plan.payload_size()
+                session.stats["copies_bytes"] += packet.payload_size
             if session.reliability is not None:
                 session.reliability.arm(ctx, packet)
             # Both PIO and eager are *buffered* sends: the request completes
@@ -171,7 +172,7 @@ class EagerEngine:
             ctx.schedule_after(0.0, self._fused_submit, hw, [e.req for e in plan.entries])
             if session.tracer is not None:
                 session._trace_raw(
-                    "nmad.submit", f"gate->n{gate.peer}", f"{plan.mode} {plan.payload_size()}B"
+                    "nmad.submit", f"gate->n{gate.peer}", f"{plan.mode} {packet.payload_size}B"
                 )
 
     def _fused_submit(self, hw: Callable[[], None], reqs: list[NmRequest]) -> None:

@@ -3,8 +3,9 @@
 A gate bundles the rails (drivers) that reach one peer with the optimizer
 strategy that turns pending sends into wire packets (§3.1). It is pure
 bookkeeping — protocol decisions happen in :mod:`repro.nmad.core` and the
-protocol engine modules, which consult :meth:`Gate.effective_thresholds`
-and drain :attr:`Gate.pending_plans`.
+protocol engine modules, which consult :attr:`Gate.thresholds` (or
+:meth:`Gate.effective_thresholds` over a filtered rail set) and drain
+:attr:`Gate.pending_plans`.
 """
 
 from __future__ import annotations
@@ -35,30 +36,26 @@ class Gate:
         #: (one wire packet is submitted per flush-op execution — §2.1:
         #: "the messages are submitted once at a time")
         self.pending_plans: deque[PacketPlan] = deque()
-        self._rail_infos: list[RailInfo] | None = None
+        #: one descriptor per rail, built once: the rails are fixed at
+        #: construction and the model values behind them are static
+        self.rail_infos: list[RailInfo] = [
+            RailInfo(
+                index=i,
+                pio_threshold=r.pio_threshold(),
+                rdv_threshold=r.rdv_threshold(),
+                bandwidth=r.wire_bandwidth(),
+                chunk_hint=r.rdv_chunk_bytes(),
+            )
+            for i, r in enumerate(rails)
+        ]
+        #: the (pio, rdv) thresholds over every rail; recomputed per send
+        #: only while reliability has filtered a degraded rail out
+        self.thresholds: tuple[int, int] = self.effective_thresholds()
 
     def next_seq(self, tag: int) -> int:
         seq = self._send_seq.get(tag, 0)
         self._send_seq[tag] = seq + 1
         return seq
-
-    def rail_infos(self) -> list[RailInfo]:
-        # rails are fixed at construction and the model values behind the
-        # thresholds/bandwidth are static, so build the descriptors once —
-        # this sits on the per-send hot path
-        infos = self._rail_infos
-        if infos is None:
-            infos = self._rail_infos = [
-                RailInfo(
-                    index=i,
-                    pio_threshold=r.pio_threshold(),
-                    rdv_threshold=r.rdv_threshold(),
-                    bandwidth=r.wire_bandwidth(),
-                    chunk_hint=r.rdv_chunk_bytes(),
-                )
-                for i, r in enumerate(self.rails)
-            ]
-        return infos
 
     def effective_thresholds(self, infos: list[RailInfo] | None = None) -> tuple[int, int]:
         """Gate-wide protocol thresholds: the (pio, rdv) cutoffs that are
@@ -71,7 +68,7 @@ class Gate:
         single-rail and homogeneous gates.
         """
         if infos is None:
-            infos = self.rail_infos()
+            infos = self.rail_infos
         return (
             min(r.pio_threshold for r in infos),
             min(r.rdv_threshold for r in infos),

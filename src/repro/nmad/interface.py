@@ -71,7 +71,9 @@ class NmInterface:
         payload passed positionally — ``isend(ctx, peer, tag, b"data")``
         reads naturally.
         """
-        if size is not None and not isinstance(size, numbers.Integral):
+        # an exact int skips the numbers.Integral check, which costs several
+        # ABC-machinery calls per send
+        if size is not None and type(size) is not int and not isinstance(size, numbers.Integral):
             raise RequestError(
                 f"size must be an integer, got {type(size).__name__}; "
                 "pass data via payload=..."

@@ -1,4 +1,4 @@
-"""Progression engines and the wire completion queue.
+"""Progression engines.
 
 :class:`EngineBase` defines the engine interface used by
 :class:`repro.nmad.interface.NmInterface`; all engine entry points are
@@ -17,12 +17,10 @@ application thread is inside a library call. Its measured behaviour is
 The multithreaded engine of the paper lives in
 :class:`repro.pioman.engine.PiomanEngine`.
 
-:class:`CompletionQueue` is the session's wire lane: drivers push one
-:class:`WireCompletion` per harvested hardware record
-(``tx_done``/``rx``) and the session drains the lane straight into its
-protocol engines. Its ``depth`` is exported as a gauge through
-``repro.obs``. Finished requests are not queued anywhere: the session
-announces each one to its ``on_request_complete`` listeners.
+The session polls its rails' hardware completion queues and dispatches
+each record straight into its protocol engines. Finished requests are not
+queued anywhere: the session announces each one to its
+``on_request_complete`` listeners.
 
 Engines hear about session events through :class:`EngineBase`'s
 notification methods (:meth:`EngineBase.notify_ops`,
@@ -32,99 +30,20 @@ notification methods (:meth:`EngineBase.notify_ops`,
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator
 
 from ..errors import RequestError
 from ..marcel.effects import Compute, WaitFlag
 from ..marcel.sync import ThreadMutex
 from ..marcel.tasklet import TaskletContext
 from ..marcel.thread import ThreadContext
-from ..network.message import Packet
 from .request import NmRequest
 from .unexpected import ProbeInfo
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: core owns the queue
+if TYPE_CHECKING:  # pragma: no cover - import cycle: core imports the engines
     from .core import NmSession
-    from .drivers.base import Driver
 
-__all__ = [
-    "WireCompletion",
-    "CompletionQueue",
-    "EngineBase",
-    "SequentialEngine",
-]
-
-
-# ------------------------------------------------------------------ wire lane
-
-
-@dataclass(frozen=True, slots=True)
-class WireCompletion:
-    """One hardware completion harvested from a driver's queue.
-
-    ``event`` is ``"tx_done"`` or ``"rx"`` (mirroring
-    :class:`repro.network.message.CompletionRecord`); ``time`` is when the
-    hardware produced it — dispatch happens later, when software drains
-    the wire lane.
-    """
-
-    driver: "Driver"
-    event: str
-    packet: Packet
-    time: float
-
-
-class CompletionQueue:
-    """Wire lane of one session (see the module docstring).
-
-    Pure bookkeeping: pushing and draining consume **zero simulated
-    time** — all CPU cost stays with the execution contexts that
-    poll drivers and run handlers, so wiring the queue through the hot path
-    leaves per-seed traces byte-identical.
-    """
-
-    __slots__ = ("_wire", "pushed", "consumed", "peak_depth")
-
-    def __init__(self) -> None:
-        self._wire: deque[WireCompletion] = deque()
-        #: records pushed / consumed since construction
-        self.pushed = 0
-        self.consumed = 0
-        #: high-water mark of the lane
-        self.peak_depth = 0
-
-    @property
-    def depth(self) -> int:
-        """Wire-lane records awaiting dispatch (the ``cq.depth`` gauge)."""
-        return len(self._wire)
-
-    def push_wire(self, rec: WireCompletion) -> None:
-        self._wire.append(rec)
-        self.pushed += 1
-        if len(self._wire) > self.peak_depth:
-            self.peak_depth = len(self._wire)
-
-    def pop_wire(self) -> Optional[WireCompletion]:
-        if not self._wire:
-            return None
-        self.consumed += 1
-        return self._wire.popleft()
-
-    # -- observability ---------------------------------------------------------
-
-    def stats(self) -> dict[str, int]:
-        """Flat counters for the ``n{i}.cq.*`` observability lane."""
-        return {
-            "depth": self.depth,
-            "peak_depth": self.peak_depth,
-            "pushed": self.pushed,
-            "consumed": self.consumed,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<CompletionQueue depth={self.depth} pushed={self.pushed}>"
+__all__ = ["EngineBase", "SequentialEngine"]
 
 
 # ------------------------------------------------------------------ engines
@@ -223,7 +142,7 @@ class EngineBase:
         """
         session = self.session
         # session.has_work(), inlined
-        if not (session.ops or session.windowed_gates or session.has_completions()):
+        if not (session.ops or session.windowed_gates or any(session.hw_cqs)):
             return False
         ctx = self._exec_ctx(tctx)
         ctx.charge(self.timing.host.spinlock_us)
@@ -355,9 +274,11 @@ class SequentialEngine(EngineBase):
         even a non-blocking send may take several dozens of microseconds
         to return."
         """
-        while self.session.has_pending_ops():
+        session = self.session
+        # session.has_pending_ops(), inlined
+        while session.ops or session.windowed_gates:
             ctx = self._exec_ctx(tctx)
-            self.session.progress(ctx, poll=False)
+            session.progress(ctx, poll=False)
             if ctx.cpu_us > 0:
                 yield self._service(ctx, "nm.inline")
 
@@ -436,10 +357,10 @@ class SequentialEngine(EngineBase):
             if req.done:
                 break
             # session.has_work(), inlined
-            if session.ops or session.windowed_gates or session.has_completions():
+            if session.ops or session.windowed_gates or any(session.hw_cqs):
                 continue
             flag.clear()
-            if session.ops or session.windowed_gates or session.has_completions() or req.done:
+            if session.ops or session.windowed_gates or any(session.hw_cqs) or req.done:
                 continue
             yield WaitFlag(flag)
         return req

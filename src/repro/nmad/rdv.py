@@ -300,7 +300,7 @@ class RdvEngine:
                 return
             raise ProtocolError(f"CTS for unknown send #{frame.send_req_id}")
         gate = session.gate_to(req.peer)
-        infos = gate.rail_infos()
+        infos = gate.rail_infos
         if session.reliability is not None:
             infos = session.reliability.filter_rails(gate, infos)
         chunks = self.planner.plan(req.size, infos)

@@ -153,7 +153,7 @@ class ReliabilityLayer:
         # large frames serialize for longer than the ack round-trip floor:
         # budget two drain times (data out, margin for the ack) on top
         rail = entry.gate.rails[entry.rail_index]
-        base += 2.0 * packet.wire_size() / rail.wire_bandwidth()
+        base += 2.0 * packet.wire_size / rail.wire_bandwidth()
         timeout = base * (self.cfg.backoff_factor ** entry.attempts)
         entry.timer = self.sim.schedule_at(ctx.end + timeout, self._on_timeout, entry.key)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..errors import RequestError
@@ -11,8 +10,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..marcel.sync import ThreadEvent
 
 __all__ = ["ReqState", "Protocol", "NmRequest"]
-
-_req_ids = itertools.count(1)
 
 
 class Protocol:
@@ -62,10 +59,17 @@ class ReqState:
 
 
 class NmRequest:
-    """One non-blocking send or receive."""
+    """One non-blocking send or receive.
+
+    ``req_id`` names the request within its runtime: sessions draw it from
+    the counter their :class:`~repro.sim.kernel.Simulator` owns
+    (``sim.req_ids``), so two runs in one process number their requests
+    alike.
+    """
 
     __slots__ = (
         "req_id",
+        "done",
         "kind",
         "node_index",
         "peer",
@@ -98,6 +102,8 @@ class NmRequest:
         size: int,
         payload: Any = None,
         buffer_id: object = None,
+        *,
+        req_id: int,
     ) -> None:
         if kind not in ("send", "recv"):
             raise RequestError(f"request kind must be send/recv, got {kind!r}")
@@ -107,7 +113,9 @@ class NmRequest:
             raise RequestError(f"send tags must be >= 0, got {tag}")
         if kind == "recv" and tag < -1:
             raise RequestError(f"recv tag must be >= 0 or ANY (-1), got {tag}")
-        self.req_id = next(_req_ids)
+        self.req_id = req_id
+        #: set once, by :meth:`complete`
+        self.done = False
         self.kind = kind
         self.node_index = node_index
         self.peer = peer
@@ -165,21 +173,18 @@ class NmRequest:
         table = (
             ReqState._SEND_TRANSITIONS if self.kind == "send" else ReqState._RECV_TRANSITIONS
         )
-        if new_state not in table.get(self.state, ()):
+        if new_state not in table[self.state]:
             raise RequestError(
                 f"request {self.req_id} ({self.kind}): illegal transition "
                 f"{self.state} → {new_state}"
             )
         self.state = new_state
 
-    @property
-    def done(self) -> bool:
-        return self.state == ReqState.COMPLETED
-
     def complete(self, now: float) -> None:
         """Mark completed and wake any waiters. Idempotence is an error —
         a request must complete exactly once."""
         self.transition(ReqState.COMPLETED)
+        self.done = True
         self.completed_at = now
         if self.completion_event is not None and not self.completion_event.triggered:
             self.completion_event.trigger(self)

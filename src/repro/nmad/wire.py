@@ -168,11 +168,14 @@ def eager_to_packet(
     """
     if not frames:
         raise ProtocolError("an eager packet needs at least one frame")
+    payload_size = 0
+    for f in frames:
+        payload_size += f.length
     return Packet(
         PacketKind.PIO if mode == "pio" else PacketKind.EAGER,
         src_node,
         dst_node,
-        sum(f.length for f in frames),
+        payload_size,
         {"entries": tuple(frames)},
     )
 

@@ -164,7 +164,7 @@ class PiomanEngine(EngineBase):
         session = self.session
         # session.has_pending_ops() and has_work(), inlined
         pending_ops = session.ops or session.windowed_gates
-        if not pending_ops and not session.has_completions():
+        if not pending_ops and not any(session.hw_cqs):
             self._dispatch_due[core.index] = None
             return 0.0, None
         self.idle_activations += 1
@@ -191,7 +191,7 @@ class PiomanEngine(EngineBase):
             # more deferred events: invite another idle core to share them
             self.sim.call_soon(self.scheduler.kick_idle)
             return ctx.cpu_us, 0.0
-        return ctx.cpu_us, 0.0 if session.has_completions() else None
+        return ctx.cpu_us, 0.0 if any(session.hw_cqs) else None
 
     def on_tick(self, core: CoreRuntime) -> float:
         """Timer-interrupt trigger; returns the CPU it consumed.
@@ -213,7 +213,7 @@ class PiomanEngine(EngineBase):
             if not self._run_progress_hooks(ctx):
                 self.session.progress(ctx, max_ops=1, poll=False)
             cost += ctx.cpu_us
-        if self.session.has_completions():
+        if any(self.session.hw_cqs):
             self.tick_activations += 1
             ctx = self._core_ctx(core.index)
             ctx.charge(self.timing.host.spinlock_us)
@@ -226,12 +226,12 @@ class PiomanEngine(EngineBase):
         completions matter: LOW-priority threads, whose ticks also run
         deferred ops, never compute tickless. A completion surfaces through
         :meth:`notify_activity`, which re-arms the ticks."""
-        return self.session.has_completions()
+        return any(self.session.hw_cqs)
 
     def on_switch(self, core: CoreRuntime) -> float:
         """Cheap completion detection at context switches; returns the CPU
         it consumed."""
-        if not self.session.has_completions():
+        if not any(self.session.hw_cqs):
             return 0.0
         self.switch_activations += 1
         ctx = self._core_ctx(core.index)
@@ -326,10 +326,12 @@ class PiomanEngine(EngineBase):
             self.session.post_send(req)
         finally:
             self._kick_enabled = True
-        while self.session.has_pending_ops():
+        session = self.session
+        # session.has_pending_ops(), inlined
+        while session.ops or session.windowed_gates:
             ctx = self._exec_ctx(tctx)
             ctx.charge(self.timing.host.spinlock_us)
-            self.session.progress(ctx, poll=False)
+            session.progress(ctx, poll=False)
             if ctx.cpu_us > 0:
                 yield self._service(ctx, "piom.inline_submit")
         return req
@@ -351,7 +353,7 @@ class PiomanEngine(EngineBase):
         session = self.session
         while not req.done:
             # session.has_work(), inlined
-            if session.ops or session.windowed_gates or session.has_completions():
+            if session.ops or session.windowed_gates or any(session.hw_cqs):
                 # every CPU was busy: the communicating thread itself makes
                 # the communication progress inside the wait (§2.2 end) —
                 # one event per pass, so concurrent waiters share the burst

@@ -81,6 +81,7 @@ every boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import insort
 from functools import partial
@@ -140,6 +141,9 @@ class Simulator:
         #: must not schedule events (they exist so samplers can piggyback on
         #: the loop without perturbing it — see ``repro.obs.sampler``).
         self._observers: list[Callable[[float], None]] = []
+        #: request ids of this runtime: every NewMadeleine session on this
+        #: simulator draws from it, so ids restart at 1 with each simulator
+        self.req_ids = itertools.count(1)
 
     def queue_stats(self) -> dict[str, object]:
         """Event-queue counters: stored ``entries`` (lazily-cancelled ones

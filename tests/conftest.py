@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 
 from repro.config import EngineKind, TimingModel
 from repro.harness.runner import ClusterRuntime
 from repro.marcel.scheduler import MarcelScheduler
-from repro.network import message as _message
-from repro.nmad import request as _request
 from repro.sim.kernel import Simulator
 from repro.topology.builder import build_node, paper_testbed
 
@@ -61,12 +57,3 @@ def sequential_runtime() -> ClusterRuntime:
 @pytest.fixture
 def timing() -> TimingModel:
     return TimingModel()
-
-
-@pytest.fixture
-def fresh_ids() -> None:
-    """Rewind the process-wide request and packet id counters. Trace labels
-    embed request ids (``req#N``), so without the rewind a trace digest
-    would depend on how many requests earlier tests created."""
-    _request._req_ids = itertools.count(1)
-    _message._packet_ids = itertools.count(1)

@@ -14,6 +14,8 @@ from repro.config import EngineKind
 from repro.harness.runner import ClusterRuntime
 from repro.sim.tracing import Tracer
 from repro.units import KiB
+from tests.pioman.test_adaptive import FIG4_PINS, fig4_loop
+from tests.property.test_prop_trace_compat import GOLDEN, trace_digest
 
 
 def _traced_run(engine: str) -> tuple[float, tuple]:
@@ -48,11 +50,21 @@ def test_trace_streams_identical(engine):
     end1, sig1 = _traced_run(engine)
     end2, sig2 = _traced_run(engine)
     assert end1 == end2
-    # request ids are process-global counters, so compare the event stream
-    # shape (time, category, where) — the actual determinism contract
-    shape1 = [(t, c, w) for t, c, w, _label in sig1]
-    shape2 = [(t, c, w) for t, c, w, _label in sig2]
-    assert shape1 == shape2
+    # request ids restart with each runtime, so labels compare too
+    assert sig1 == sig2
+
+
+def test_two_runs_in_one_process_give_equal_signatures():
+    """The golden-trace configuration and the Fig. 4 loop, each run twice
+    in this process: equal digests, request labels included, with no
+    counter rewound between the runs."""
+    for engine in (EngineKind.SEQUENTIAL, EngineKind.PIOMAN):
+        for faults in (False, True):
+            first = trace_digest(engine, 0, faults)
+            assert trace_digest(engine, 0, faults) == first == GOLDEN[(engine, 0, faults)]
+    for size, mode in ((256, "never"), (KiB(32), "always")):
+        first = fig4_loop(size, mode)
+        assert fig4_loop(size, mode) == first == FIG4_PINS[(size, mode)]
 
 
 def test_overlap_results_identical():

@@ -21,8 +21,7 @@ def _pkt(size=4096):
 
 def test_local_tx_done_immediate(sim, shm):
     shm.submit(_pkt())
-    recs = shm.poll()
-    assert [r.event for r in recs] == ["tx_done"]
+    assert [r.event for r in shm.cq] == ["tx_done"]
 
 
 def test_rx_after_latency(sim, shm):
@@ -33,14 +32,13 @@ def test_rx_after_latency(sim, shm):
     sim.run()
     # first notification: tx_done at 0; second: rx at latency
     assert arrivals == [0.0, pytest.approx(shm.model.latency_us)]
-    recs = shm.poll()
-    assert {r.event for r in recs} == {"tx_done", "rx"}
+    assert {r.event for r in shm.cq} == {"tx_done", "rx"}
 
 
 def test_copy_done_delay_shifts_arrival(sim, shm):
     shm.submit(_pkt(), copy_done_delay=5.0)
     sim.run()
-    rx = [r for r in shm.poll() if r.event == "rx"]
+    rx = [r for r in shm.cq if r.event == "rx"]
     assert rx[0].time == pytest.approx(5.0 + shm.model.latency_us)
 
 
@@ -49,22 +47,15 @@ def test_cross_node_packet_rejected(sim, shm):
         shm.submit(Packet(PacketKind.EAGER, src_node=0, dst_node=1, payload_size=10))
 
 
-def test_poll_validation(shm):
-    with pytest.raises(NetworkError):
-        shm.poll(0)
-
-
 def test_fifo_delivery(sim, shm):
     p1, p2 = _pkt(10), _pkt(20)
     shm.submit(p1)
     shm.submit(p2)
     sim.run()
-    rx = [r.packet for r in shm.poll(16) if r.event == "rx"]
+    rx = [r.packet for r in shm.cq if r.event == "rx"]
     assert rx == [p1, p2]
 
 
 def test_statistics(sim, shm):
     shm.submit(_pkt())
-    shm.poll()
     assert shm.tx_packets == 1
-    assert shm.polls == 1

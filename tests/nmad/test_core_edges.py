@@ -183,7 +183,7 @@ class TestFlushRequeue:
         assert not gate.pending_plans
         assert gate.strategy.pending_count() == 0
         # all three packets reached the channel
-        rx = [r for r in session.drivers[0].poll(16) if r.event == "rx"]
+        rx = [r for r in session.drivers[0].hw_cq if r.event == "rx"]
         assert len(rx) == 3
 
     def test_one_packet_per_op_execution(self, sim, wired_session):

@@ -88,7 +88,7 @@ class TestMxDriver:
         for kind in (PacketKind.RTS, PacketKind.CTS, PacketKind.ACK):
             drv.submit_control(_ctx(sim), _pkt(kind, size=0))
         sim.run()
-        recs = [r for r in peer.poll(16) if r.event == "rx"]
+        recs = [r for r in peer.hw_cq if r.event == "rx"]
         assert len(recs) == 3
 
     def test_context_validated(self, mx):
@@ -193,7 +193,7 @@ class TestIbDriver:
         drv.submit_pio(ctx, _pkt(PacketKind.PIO, size=32))
         assert ctx.cpu_us < 2.0
         sim.run()
-        assert any(r.event == "rx" for r in peer.poll())
+        assert any(r.event == "rx" for r in peer.hw_cq)
         assert drv.inline_sends == 1
 
     def test_rdma_write_is_descriptor_only(self, sim, ib, host):

@@ -1,12 +1,15 @@
-"""``NmSession.has_completions()`` against the devices' own queues.
+"""The session's poll loop against the devices' own queues.
 
-The session answers from the hardware completion queue each driver hands
-it (``Driver.hw_cq``, collected by ``add_gate``), not by asking the
-drivers. These tests hold it to the reference — some rail's device
-(NIC or shared-memory channel) has a completion record queued — after
-every event of a run that delivers packets and drains transmissions,
-after polls that leave records behind, and after a second ``add_gate``.
-A driver that handed over the wrong queue, or none, fails here.
+The session answers ``has_completions()`` from the hardware completion
+queue each driver hands it (``Driver.hw_cq``, collected by ``add_gate``),
+not by asking the drivers. These tests hold it to the reference — some
+rail's device (NIC or shared-memory channel) has a completion record
+queued — after every event of a run that delivers packets and drains
+transmissions, after takes that leave records behind, and after a second
+``add_gate``. A driver that handed over the wrong queue, or none, fails
+here. They also pin what one ``poll_completions`` pass charges and
+counts, and that arrived frames reach the reliability layer with the rail
+they came in on.
 """
 
 from __future__ import annotations
@@ -42,6 +45,15 @@ def _ctx(sim):
 def _device(driver):
     """The NIC or channel a driver wraps: the hardware holding the queue."""
     return driver.channel if isinstance(driver, ShmDriver) else driver.nic
+
+
+def _take(driver, n: int) -> int:
+    """Take up to ``n`` records off ``driver``'s queue, as a poll would;
+    returns how many it took."""
+    taken = min(n, len(driver.hw_cq))
+    for _ in range(taken):
+        driver.hw_cq.popleft()
+    return taken
 
 
 class Rig:
@@ -95,8 +107,8 @@ def rig(request, sim, node8):
 
 
 def test_hardware_queues_come_from_the_drivers(rig):
-    assert len(rig.session._hw_cqs) == len(rig.local)
-    assert all(q is _device(d).cq for q, d in zip(rig.session._hw_cqs, rig.local))
+    assert len(rig.session.hw_cqs) == len(rig.local)
+    assert all(q is _device(d).cq for q, d in zip(rig.session.hw_cqs, rig.local))
 
 
 def test_deliveries_and_tx_drains(rig):
@@ -108,7 +120,7 @@ def test_deliveries_and_tx_drains(rig):
     rig.run_checked()
     assert rig.session.has_completions()
     for driver in rig.local:
-        while driver.poll():
+        while _take(driver, 1):
             rig.check()
     assert not rig.session.has_completions()
 
@@ -119,10 +131,10 @@ def test_partial_polls(rig):
     rig.run_checked()
     for driver in rig.local:
         # more records queued than one poll harvests: the rest stay visible
-        assert len(driver.poll(max_events=16)) == 16
+        assert _take(driver, 16) == 16
         rig.check()
         assert rig.session.has_completions()
-        while driver.poll(max_events=16):
+        while _take(driver, 16):
             rig.check()
     assert not rig.session.has_completions()
 
@@ -139,15 +151,137 @@ def test_second_add_gate(rig, sim):
     else:
         peer, new, other_end = 0, rig.shm, rig.shm
     rig.session.add_gate(peer, [new])
-    assert rig.session._hw_cqs[-1] is _device(new).cq
+    assert rig.session.hw_cqs[-1] is _device(new).cq
     rig.send(other_end, 2, src=peer, dst=0)
     rig.run_checked()
     for driver in rig.local:
-        while driver.poll():
-            pass
+        driver.hw_cq.clear()
     # only the newly gated driver's queue holds records now
     assert rig.session.has_completions()
     rig.check()
-    while new.poll():
+    while _take(new, 1):
         rig.check()
     assert not rig.session.has_completions()
+
+
+# -- poll accounting -----------------------------------------------------------------
+
+
+def _poll_cost(driver) -> float:
+    """CPU one poll of ``driver``'s completion queue costs (its model's)."""
+    return driver.model.ring_op_us if isinstance(driver, ShmDriver) else driver.model.poll_us
+
+
+def _tx_done_now(driver, peer: int) -> None:
+    """Queue one ``tx_done`` record on ``driver``'s device at once, with no
+    CPU charged: a PIO frame through a NIC, a frame through the shared
+    segment. Its dispatch completes nothing and charges nothing."""
+    if isinstance(driver, ShmDriver):
+        driver.channel.submit(Packet(PacketKind.PIO, 0, 0, 8))
+    else:
+        driver.nic.submit_pio(Packet(PacketKind.PIO, 0, peer, 8))
+
+
+def _gate_an_empty_rail(rig, sim):
+    """Gate one more driver, which no record ever reaches: node 0's
+    loopback, or an MX rail to node 1 when the first gate is the loopback."""
+    if rig.peer == 0:
+        fabric = Fabric(sim, name="mx-empty")
+        n0, n1 = Nic(sim, 0, NicModel(), fabric), Nic(sim, 1, NicModel(), fabric)
+        fabric.attach(n0)
+        fabric.attach(n1)
+        rig.session.add_gate(1, [MxDriver(n0, HOST)])
+    else:
+        rig.session.add_gate(0, [rig.shm])
+
+
+def test_one_poll_pass_charges_counts_and_caps(rig, sim):
+    """One ``poll_completions`` pass charges every rail's poll cost, empty
+    rails included, counts one poll per rail and the records it took, and
+    takes at most 16 records from a rail: 20 queued go as 16, then 4."""
+    _gate_an_empty_rail(rig, sim)
+    drivers = rig.session.drivers
+    for _ in range(20):
+        _tx_done_now(drivers[0], rig.peer)
+    cost = 0.0
+    for driver in drivers:
+        cost += _poll_cost(driver)
+    for harvest in (16, 4, 0):
+        before = [(d.polls, d.rx_completions) for d in drivers]
+        ctx = _ctx(sim)
+        did = rig.session.poll_completions(ctx)
+        assert did == (harvest > 0)
+        assert ctx.cpu_us == cost
+        assert len(drivers[0].hw_cq) == {16: 4, 4: 0, 0: 0}[harvest]
+        for i, (driver, (polls, records)) in enumerate(zip(drivers, before)):
+            assert driver.polls == polls + 1
+            assert driver.rx_completions == records + (harvest if i == 0 else 0)
+
+
+def test_frames_reach_reliability_with_their_rail(monkeypatch):
+    """With a fault plan on two rails, every arrived frame — ACKs,
+    duplicates and corrupted copies among them — reaches
+    ``ReliabilityLayer.on_rx`` with the driver of the NIC it arrived on."""
+    from repro.config import EngineKind
+    from repro.faults import FaultAction, FaultPlan, FaultRule
+    from repro.harness.runner import ClusterRuntime
+    from repro.nmad.reliability import ReliabilityLayer
+    from repro.nmad.wire import is_corrupted
+
+    arrived_on: dict[int, tuple[Packet, Nic]] = {}
+    deliver = Nic.deliver
+
+    def recording_deliver(nic, packet):
+        arrived_on[id(packet)] = (packet, nic)
+        deliver(nic, packet)
+
+    seen = []
+    on_rx = ReliabilityLayer.on_rx
+
+    def recording_on_rx(layer, ctx, driver, packet):
+        seen.append((driver, packet))
+        return on_rx(layer, ctx, driver, packet)
+
+    monkeypatch.setattr(Nic, "deliver", recording_deliver)
+    monkeypatch.setattr(ReliabilityLayer, "on_rx", recording_on_rx)
+    plan = FaultPlan(
+        rules=[
+            FaultRule(FaultAction.CORRUPT, every_nth=5),
+            FaultRule(FaultAction.CORRUPT, every_nth=3, kinds=(PacketKind.ACK,)),
+            FaultRule(FaultAction.DUPLICATE, every_nth=4),
+        ],
+        seed=3,
+    )
+    for engine in (EngineKind.SEQUENTIAL, EngineKind.PIOMAN):
+        rt = ClusterRuntime.build(
+            engine=engine, rails=2, strategy="split", faults=plan, recover=True
+        )
+
+        def sender(ctx):
+            nm = ctx.env["nm"]
+            for i, size in enumerate((64, KiB(4), KiB(64))):
+                yield from nm.send(ctx, 1, i, size)
+            yield from nm.drain(ctx)
+
+        def receiver(ctx):
+            nm = ctx.env["nm"]
+            for i, size in enumerate((64, KiB(4), KiB(64))):
+                yield from nm.recv(ctx, 0, i, size)
+            yield from nm.drain(ctx)
+
+        rt.spawn(0, sender, name="S")
+        rt.spawn(1, receiver, name="R")
+        rt.run()
+        rt.close()
+    assert seen
+    for driver, packet in seen:
+        assert arrived_on[id(packet)][1] is driver.nic
+    kinds = {p.kind for _d, p in seen}
+    assert PacketKind.ACK in kinds
+    assert any(is_corrupted(p) for _d, p in seen)
+    times_seen: dict[int, int] = {}
+    for _d, p in seen:
+        times_seen[id(p)] = times_seen.get(id(p), 0) + 1
+    assert max(times_seen.values()) > 1  # a duplicated frame arrived twice
+    # both rails carried frames
+    assert len({id(d) for d, _p in seen}) >= 2

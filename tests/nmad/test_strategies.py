@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigError, ProtocolError
@@ -15,12 +17,15 @@ from repro.nmad.strategies import (
 from repro.nmad.strategies.base import PacketPlan, RailInfo, SendEntry
 from repro.units import KiB
 
+#: request ids for requests built outside a session
+_IDS = itertools.count(1)
+
 RAIL = RailInfo(index=0, pio_threshold=128, rdv_threshold=KiB(32), bandwidth=1000.0)
 RAIL2 = RailInfo(index=1, pio_threshold=128, rdv_threshold=KiB(32), bandwidth=1000.0)
 
 
 def _send(size, tag=0):
-    return NmRequest("send", node_index=0, peer=1, tag=tag, size=size)
+    return NmRequest("send", node_index=0, peer=1, tag=tag, size=size, req_id=next(_IDS))
 
 
 class TestFactory:
@@ -64,7 +69,7 @@ class TestDefault:
     def test_only_sends_accepted(self):
         s = DefaultStrategy()
         with pytest.raises(ProtocolError):
-            s.push(NmRequest("recv", 0, 1, 0, 10))
+            s.push(NmRequest("recv", 0, 1, 0, 10, req_id=next(_IDS)))
 
 
 class TestAggregation:

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro.errors import MatchingError
 from repro.nmad.request import NmRequest
 from repro.nmad.tags import ANY, MatchTable, SequenceTracker
 
+#: request ids for requests built outside a session
+_IDS = itertools.count(1)
+
 
 def _recv(peer=0, tag=0):
-    return NmRequest("recv", node_index=1, peer=peer, tag=tag, size=1024)
+    return NmRequest("recv", node_index=1, peer=peer, tag=tag, size=1024, req_id=next(_IDS))
 
 
 class TestMatchTable:
@@ -64,7 +69,7 @@ class TestMatchTable:
 
     def test_only_recv_postable(self):
         mt = MatchTable()
-        send = NmRequest("send", 0, 1, 0, 10)
+        send = NmRequest("send", 0, 1, 0, 10, req_id=next(_IDS))
         with pytest.raises(MatchingError):
             mt.post(send)
 

@@ -57,13 +57,16 @@ def test_wait_any_does_not_rescan_per_pass(session, monkeypatch):
     monkeypatch.setattr(engine, "_progress_step", fake_step)
 
     done_reads = {"n": 0}
-    real_done = NmRequest.done
+    # ``done`` is a slot: wrap its descriptor, reads counted, writes passed on
+    slot = NmRequest.done
 
     def counting_done(self):
         done_reads["n"] += 1
-        return real_done.fget(self)
+        return slot.__get__(self, NmRequest)
 
-    monkeypatch.setattr(NmRequest, "done", property(counting_done))
+    monkeypatch.setattr(
+        NmRequest, "done", property(counting_done, lambda self, v: slot.__set__(self, v))
+    )
 
     idx, req = _run_to_completion(engine.wait_any(None, reqs))
 

@@ -170,8 +170,8 @@ FIG4_PINS = {
 }
 
 
-@pytest.mark.parametrize("size,mode", sorted(FIG4_PINS))
-def test_fig4_loop_is_pinned(size, mode, fresh_ids):
+def fig4_loop(size: int, mode: str) -> tuple[float, str]:
+    """(end time, trace digest) of the Fig. 4 loop under ``mode``."""
     tracer = Tracer()
     rt = ClusterRuntime.build(engine=EngineKind.PIOMAN, offload_policy=mode, tracer=tracer)
 
@@ -193,4 +193,9 @@ def test_fig4_loop_is_pinned(size, mode, fresh_ids):
     rt.spawn(1, receiver, name="R")
     end = rt.run()
     digest = hashlib.blake2b(repr((end, tracer.signature())).encode(), digest_size=16)
-    assert (end, digest.hexdigest()) == FIG4_PINS[(size, mode)]
+    return end, digest.hexdigest()
+
+
+@pytest.mark.parametrize("size,mode", sorted(FIG4_PINS))
+def test_fig4_loop_is_pinned(size, mode):
+    assert fig4_loop(size, mode) == FIG4_PINS[(size, mode)]

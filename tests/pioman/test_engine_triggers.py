@@ -164,7 +164,7 @@ BUSY_RECEIVE_PINS = {
 
 
 @pytest.mark.parametrize("allow_blocking", [True, False], ids=["block", "poll"])
-def test_busy_receiver_detection_is_pinned(allow_blocking, fresh_ids):
+def test_busy_receiver_detection_is_pinned(allow_blocking):
     tracer = Tracer()
     rt = _build(allow_blocking=allow_blocking, tracer=tracer)
     assert _sendrecv_with_busy_receiver(rt) == 50.6

@@ -14,6 +14,7 @@ from __future__ import annotations
 from repro.config import EngineKind
 from repro.faults import FaultPlan
 from repro.harness.runner import ClusterRuntime
+from repro.network.message import Packet, PacketKind
 from repro.nmad.wire import RtsFrame
 from repro.pioman.engine import PiomanEngine
 
@@ -98,9 +99,10 @@ def test_replacement_engine_alone_receives_session_events():
     session.defer("probe", lambda ctx: None)
     assert (old.kicks, new.kicks) == (0, 1)
 
-    # hardware activity on a rail: the session flag is set, then the engine
+    # hardware activity on a rail (a frame lands in the NIC's completion
+    # queue): the session flag is set, then the engine
     sets = session.activity_flag.set_count
-    nrt.nics[0]._notify()
+    nrt.nics[0].deliver(Packet(PacketKind.PIO, 1, 0, 8))
     assert session.activity_flag.set_count == sets + 1
     assert (len(old_activity), len(new_activity)) == (0, 1)
 

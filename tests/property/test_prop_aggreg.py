@@ -12,6 +12,8 @@ flush windows, and injected packet loss (the reliability layer recovers).
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,9 @@ from repro.nmad.strategies import AggregationStrategy
 from repro.nmad.strategies.aggreg import ENTRY_HEADER_BYTES
 from repro.nmad.strategies.base import RailInfo
 from repro.units import KiB
+
+#: request ids for requests built outside a session
+_IDS = itertools.count(1)
 
 RAILS = [
     RailInfo(index=0, pio_threshold=128, rdv_threshold=KiB(32), bandwidth=1000.0),
@@ -41,7 +46,7 @@ limits = st.one_of(
 @given(size_lists, limits, st.integers(min_value=1, max_value=3))
 def test_plans_partition_pending_multiset(sz_list, limit, nrails):
     strat = AggregationStrategy(max_packet_bytes=limit)
-    reqs = [NmRequest("send", 0, 1, i, s) for i, s in enumerate(sz_list)]
+    reqs = [NmRequest("send", 0, 1, i, s, req_id=next(_IDS)) for i, s in enumerate(sz_list)]
     for r in reqs:
         strat.push(r)
     rails = RAILS[:nrails]

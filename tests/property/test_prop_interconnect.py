@@ -44,7 +44,7 @@ def test_per_link_byte_conservation(data, contention: bool, duplicate: float, se
         decision = decide(packet, now)
         if decision.deliver:
             copies = 1 + decision.duplicates
-            sent[packet.dst_node] += copies * packet.wire_size()
+            sent[packet.dst_node] += copies * packet.wire_size
             frames[packet.dst_node] += copies
         return decision
 
@@ -57,7 +57,7 @@ def test_per_link_byte_conservation(data, contention: bool, duplicate: float, se
         deliver = nic.deliver
 
         def recording_deliver(packet, i=i, deliver=deliver):
-            arrivals[i].append((sim.now, packet.wire_size()))
+            arrivals[i].append((sim.now, packet.wire_size))
             deliver(packet)
 
         nic.deliver = recording_deliver

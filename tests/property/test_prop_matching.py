@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.nmad.request import NmRequest
 from repro.nmad.tags import ANY, MatchTable, SequenceTracker
+
+#: request ids for requests built outside a session
+_IDS = itertools.count(1)
 
 flows = st.tuples(st.integers(0, 3), st.integers(0, 3))  # (source, tag)
 
@@ -46,7 +51,7 @@ def test_match_table_conservation(posted_flows, arrival_flows):
     mt = MatchTable()
     reqs = []
     for src, tag in posted_flows:
-        req = NmRequest("recv", 9, src, tag, 0)
+        req = NmRequest("recv", 9, src, tag, 0, req_id=next(_IDS))
         mt.post(req)
         reqs.append(req)
     matched = []
@@ -61,7 +66,7 @@ def test_match_table_conservation(posted_flows, arrival_flows):
 @given(st.lists(flows, min_size=1, max_size=30))
 def test_wildcard_recv_matches_first_arrival(arrival_flows):
     mt = MatchTable()
-    wild = NmRequest("recv", 9, ANY, ANY, 0)
+    wild = NmRequest("recv", 9, ANY, ANY, 0, req_id=next(_IDS))
     mt.post(wild)
     src, tag = arrival_flows[0]
     assert mt.match(src, tag) is wild
@@ -74,7 +79,7 @@ def test_match_order_is_posting_order(data):
     """Among compatible posted recvs, the earliest posted wins."""
     n = data.draw(st.integers(2, 8))
     mt = MatchTable()
-    reqs = [NmRequest("recv", 9, 0, 0, 0) for _ in range(n)]
+    reqs = [NmRequest("recv", 9, 0, 0, 0, req_id=next(_IDS)) for _ in range(n)]
     for r in reqs:
         mt.post(r)
     for expected in reqs:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -14,6 +16,9 @@ from repro.nmad.strategies import (
 from repro.nmad.strategies.base import RailInfo
 from repro.units import KiB
 
+#: request ids for requests built outside a session
+_IDS = itertools.count(1)
+
 RAIL = RailInfo(index=0, pio_threshold=128, rdv_threshold=KiB(32), bandwidth=1000.0)
 RAIL_FAST = RailInfo(index=1, pio_threshold=128, rdv_threshold=KiB(32), bandwidth=2500.0)
 
@@ -21,7 +26,7 @@ sizes = st.integers(min_value=0, max_value=KiB(32))
 
 
 def _sends(sz_list):
-    return [NmRequest("send", 0, 1, i, s) for i, s in enumerate(sz_list)]
+    return [NmRequest("send", 0, 1, i, s, req_id=next(_IDS)) for i, s in enumerate(sz_list)]
 
 
 @given(st.lists(sizes, min_size=1, max_size=40))

@@ -21,7 +21,6 @@ as many chain boundaries as the sampled tickless run.
 
 from __future__ import annotations
 
-import itertools
 from unittest import mock
 
 import pytest
@@ -86,13 +85,6 @@ def _body(index: int, program):
 
 
 def _run(cfg, sampled: bool = True):
-    # request ids come from a process-wide counter: restart it so the runs
-    # label their requests alike and the full traces compare
-    with mock.patch("repro.nmad.request._req_ids", itertools.count(1)):
-        return _run_once(cfg, sampled)
-
-
-def _run_once(cfg, sampled: bool):
     timing = TimingModel(obs=ObsConfig(sample_interval_us=25.0) if sampled else ObsConfig())
     tracer = Tracer()
     rt = ClusterRuntime.build(

@@ -17,15 +17,12 @@ Regenerate goldens (only when a behaviour change is *intended*)::
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.network.message as _message
-import repro.nmad.request as _request
 from repro.config import EngineKind
 from repro.faults import FaultAction, FaultPlan, FaultRule
 from repro.harness.executors import ExecutionConfig
@@ -37,16 +34,6 @@ from repro.units import KiB
 
 pytestmark = pytest.mark.rdv
 
-
-def _fresh_counters() -> None:
-    """Rewind the process-global id counters before a digest run.
-
-    Trace labels embed request ids (``req#N``), which come from a
-    process-wide counter — without the rewind a digest would depend on how
-    many requests *earlier tests* created, not just on the seed.
-    """
-    _request._req_ids = itertools.count(1)
-    _message._packet_ids = itertools.count(1)
 
 #: mixed PIO / eager / rendezvous sizes (fig5 smalls + fig6 rdv points)
 _SIZES = (64, 256, KiB(4), KiB(16), KiB(64), KiB(128))
@@ -84,7 +71,6 @@ def trace_digest(
     :meth:`~repro.sim.kernel.Simulator.step` at a time instead of through
     its inlined ``run()`` loop.
     """
-    _fresh_counters()
     tracer = Tracer()
     rt = ClusterRuntime.build(
         engine=engine,
@@ -179,7 +165,6 @@ def test_heap_oracle_matches_golden(engine: str, seed: int, faults: bool) -> Non
 
 def table1_digest() -> str:
     """SHA-256 of the two-iteration Table 1 result, run serially."""
-    _fresh_counters()
     result = experiment_table1(iterations=2, execution=ExecutionConfig.serial())
     blob = json.dumps(result.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
