@@ -10,8 +10,8 @@ transfer, and compares ``allow_blocking_calls`` on/off:
   (362.3 µs at 0 and 4 busy cores);
 * with all 8 cores busy, the receiver's wait arms a blocking watch when
   blocking calls are allowed (one blocking wait; none without). Both
-  columns still read 400.6 µs: with no idle core, the shared detection
-  tasklet runs at the next timer tick, and the tick trigger has already
+  columns still read 400.6 µs: with no idle core, the due kernel
+  detection runs at the next timer tick, and the tick trigger has already
   polled the completion there. The blocking method neither speeds up
   nor delays the receive here.
 """

@@ -7,8 +7,8 @@ deterministic discrete-event simulation of a multicore cluster:
 * :mod:`repro.sim` — discrete-event kernel (virtual µs clock);
 * :mod:`repro.topology` — machine model (the paper's dual quad-core Xeon
   testbed and generic shapes);
-* :mod:`repro.marcel` — two-level thread scheduler with tasklets and
-  scheduling triggers;
+* :mod:`repro.marcel` — two-level thread scheduler with scheduling
+  triggers;
 * :mod:`repro.network` — NIC/wire models (MX-like, TCP-like, shared memory);
 * :mod:`repro.nmad` — the NewMadeleine communication library (eager +
   rendezvous protocols, optimizer strategies);

@@ -42,7 +42,8 @@ class EngineKind:
         progresses only on the application thread, inside library calls.
     ``PIOMAN``
         The paper's contribution: event-driven progression on idle cores via
-        Marcel tasklets, with polling or blocking completion detection.
+        Marcel's scheduling triggers, with polling or blocking completion
+        detection.
     """
 
     SEQUENTIAL = "sequential"
@@ -88,7 +89,8 @@ class HostModel:
         Cost of one uncontended spinlock acquire+release pair; contended
         acquisitions additionally spin in virtual time.
     tasklet_local_us:
-        Cost to schedule and dispatch a tasklet on the current core.
+        Cost to schedule and dispatch a tasklet on the current core (each
+        run of PIOMan's kernel detection pays it).
     tasklet_remote_us:
         Cost to schedule a tasklet on *another* core (inter-CPU signalling +
         cache-line transfer). §4.1 of the paper measures this as ≈2 µs.
@@ -239,7 +241,8 @@ class ShmModel:
 class MarcelConfig:
     """Marcel scheduler configuration."""
 
-    #: Preemption timer period (µs); tasklets also run at tick boundaries.
+    #: Preemption timer period (µs); PIOMan's due kernel detection also runs
+    #: at tick boundaries.
     timer_tick_us: float = 10.0
     #: Scheduling quantum for round-robin within a priority level.
     quantum_us: float = 20.0
@@ -259,7 +262,7 @@ class PiomanConfig:
     #: Use the blocking (kernel-thread) detection method when no core will
     #: idle once the waiting thread blocks (§3.2).
     allow_blocking_calls: bool = True
-    #: Maximum number of events processed per tasklet activation (bounds the
+    #: Maximum number of events processed per engine activation (bounds the
     #: time spent at one safe point).
     max_events_per_activation: int = 8
 

@@ -8,19 +8,16 @@ paper) on the discrete-event substrate:
   ``WaitTEvent``, ``WaitFlag``);
 * per-core **runqueues** with priorities, preemptive round-robin at timer
   ticks, and soft core affinity with idle-time work stealing;
-* **tasklets** — Linux-style very-high-priority deferred work executed at
-  scheduler safe points (dispatch, timer ticks, idle), with the Linux
-  serialization guarantees (a tasklet never runs concurrently with itself,
-  re-schedule while running re-queues it);
 * **scheduling triggers** — the scheduler calls its PIOMan engine on core
   idleness, timer interrupts and context switches, exactly the trigger
-  list of §3.1.
+  list of §3.1, and runs PIOMan's due kernel detection at the first safe
+  point (dispatch or tick) before any thread, with the very high priority
+  §3.1 gives deferred work.
 """
 
 from .effects import Compute, Sleep, WaitFlag, WaitTEvent, YieldNow
 from .scheduler import CoreRuntime, MarcelScheduler
 from .sync import ThreadBarrier, ThreadEvent, ThreadFlag, ThreadMutex
-from .tasklet import Tasklet, TaskletContext, TaskletScheduler
 from .thread import MarcelThread, ThreadState
 
 __all__ = [
@@ -33,9 +30,6 @@ __all__ = [
     "YieldNow",
     "WaitTEvent",
     "WaitFlag",
-    "Tasklet",
-    "TaskletContext",
-    "TaskletScheduler",
     "ThreadEvent",
     "ThreadFlag",
     "ThreadMutex",

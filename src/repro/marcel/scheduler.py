@@ -19,16 +19,18 @@ interrupts"):
   ``tick_wants(core)`` says whether a tick on that core would do
   anything for the engine.
 * ``on_switch(core)`` — at context-switch points, returns the CPU consumed.
-
-Tasklets are drained at every safe point (dispatch, tick, idle) before any
-thread runs, reflecting their "very high priority".
+* ``detect_pending`` / ``run_detection(core)`` — PIOMan's kernel detection
+  (§3.2's blocking method) falls due when an interrupt wakes a blocked
+  watch; the first safe point of any core (a dispatch, or a tick after
+  ``on_tick``) runs it before any thread, with the "very high priority"
+  §3.1 gives deferred work. It returns the CPU consumed.
 
 Per-event cost
 --------------
 Untraced runs make no trace call: every trace site tests ``tracer is not
-None`` first. While nothing is queued, a safe point's tasklet check is one
-read of ``tasklets.queued``, and an idle core skips the steal scan of the
-other runqueues while the node's ``queued.n`` is 0.
+None`` first. A safe point's detection check is one read of the engine's
+``detect_pending``, and an idle core skips the steal scan of the other
+runqueues while the node's ``queued.n`` is 0.
 
 Control-token discipline
 ------------------------
@@ -42,8 +44,8 @@ Tickless compute
 ----------------
 Timer ticks stay the safe points at which a computing core notices new
 work, but most of them find none. A core is *quiet* while its runqueue is
-empty, no tasklet is pending for it, its thread runs above LOW priority
-and the engine's ``tick_wants`` is false (or there is no engine). A quiet
+empty, its thread runs above LOW priority and the engine's ``tick_wants``
+is false (or there is no engine; a due detection makes it true). A quiet
 core's slice ends become one kernel tick chain
 (:meth:`Simulator.start_chain`) instead of an event per tick, and the
 kernel hands the chain its slice ends in batches (see "Tick chains" in
@@ -60,11 +62,12 @@ end, so that cores ticking in phase keep their order. The compute's last
 two slice ends come first in a batch: the end, which goes through the
 ordinary :meth:`MarcelScheduler._slice_end`, and the slice end before
 it, whose pass takes the end's seq — so a tie at the compute's end
-orders as the ticks before it did, as with one event per tick. Whatever can end quietness re-arms the core first — a
-thread woken or spawned onto it, a tasklet it could run,
-:meth:`MarcelScheduler.resume_ticks` (PIOMan's hardware-activity
-notice) — by materializing the pending boundary into the ordinary
-slice-end event with the same key.
+orders as the ticks before it did, as with one event per tick. Whatever
+can end quietness re-arms the core first — a thread woken or spawned
+onto it, or :meth:`MarcelScheduler.resume_ticks` (PIOMan's
+hardware-activity notice, and its kernel detection falling due) — by
+materializing the pending boundary into the ordinary slice-end event
+with the same key.
 """
 
 from __future__ import annotations
@@ -81,7 +84,6 @@ from ..topology.machine import Node
 from .effects import Compute, Sleep, WaitFlag, WaitTEvent, YieldNow
 from .runqueue import QueuedCount, RunQueue
 from .sync import ThreadEvent
-from .tasklet import TaskletScheduler
 from .thread import MarcelThread, Priority, ThreadContext, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover - pioman is built on top of marcel
@@ -153,8 +155,6 @@ class MarcelScheduler:
         self.cores: list[CoreRuntime] = [
             CoreRuntime(core.core_index, core.name, self.queued) for core in node.cores
         ]
-        self.tasklets = TaskletScheduler(sim, len(self.cores))
-        self.tasklets.on_enqueue = self._on_tasklet_enqueued
         self.threads: list[MarcelThread] = []
         #: the PIOMan engine the triggers call; set by the engine itself
         self.pioman: Optional["PiomanEngine"] = None
@@ -162,6 +162,11 @@ class MarcelScheduler:
         #: primitives needing the caller's identity)
         self._executing: Optional[MarcelThread] = None
         self._spawn_rr = 0  # round-robin core assignment cursor
+        #: the next thread id, from the counter the runtime's schedulers
+        #: share (its own ``__next__``, as for request ids)
+        self._next_tid = sim.thread_ids.__next__
+        #: PIOMan kernel detections run on this node's cores
+        self.detections = 0
         sim.add_liveness_probe(self._liveness_probe)
 
     # -------------------------------------------------------------- spawning
@@ -189,6 +194,7 @@ class MarcelScheduler:
         thread = MarcelThread(
             gen=(_ for _ in ()),  # placeholder; replaced once the context exists
             name=name,
+            tid=self._next_tid(),
             priority=priority,
             core_index=core_index,
             migratable=migratable,
@@ -288,18 +294,6 @@ class MarcelScheduler:
         core.control = CoreRuntime.ACTIVE
         self.sim.call_soon(self._dispatch, core, priority=EventPriority.TASKLET)
 
-    def _on_tasklet_enqueued(self, core_index: Optional[int]) -> None:
-        if core_index is not None:
-            core = self.cores[core_index]
-            if core.chain is not None:
-                self._materialize(core)
-            self._wake_core(core)
-            return
-        # shared tasklet: any core's next tick may run it, and the first
-        # non-active core, if any, wakes for it
-        self.resume_ticks()
-        self.kick_idle()
-
     def _account_idle_end(self, core: CoreRuntime) -> None:
         # callers test `core.idle_since is not None` first
         if self.sim.now > core.idle_since + _EPS:
@@ -309,18 +303,17 @@ class MarcelScheduler:
     # -------------------------------------------------------------- dispatch
 
     def _dispatch(self, core: CoreRuntime) -> None:
-        """Core safe point: tasklets, then thread selection, then idle."""
+        """Core safe point: a due kernel detection, then thread selection,
+        then idle."""
         core.control = CoreRuntime.ACTIVE
         core.repoll_handle = None
         if core.idle_since is not None:
             self._account_idle_end(core)
-        # 1. tasklets (very high priority)
-        if self.tasklets.queued and self.tasklets.pending_for(core.index):
-            cost = self.tasklets.run_batch(
-                core.index,
-                self.timing.pioman.max_events_per_activation,
-                self.timing.host.tasklet_local_us,
-            )
+        pioman = self.pioman
+        # 1. PIOMan's kernel detection (very high priority)
+        if pioman is not None and pioman.detect_pending:
+            self.detections += 1
+            cost = pioman.run_detection(core)
             if cost > 0:
                 self._account(core, cost, "service")
                 self.sim.schedule(cost, self._dispatch, core, priority=EventPriority.TASKLET)
@@ -337,8 +330,8 @@ class MarcelScheduler:
         switch_cost = 0.0
         if thread is not core.last_thread and core.last_thread is not None:
             switch_cost += self.timing.host.context_switch_us
-        if self.pioman is not None:
-            switch_cost += self.pioman.on_switch(core)
+        if pioman is not None:
+            switch_cost += pioman.on_switch(core)
         thread.transition(ThreadState.RUNNING)
         core.current = thread
         core.last_thread = thread
@@ -487,11 +480,7 @@ class MarcelScheduler:
     def _quiet(self, core: CoreRuntime, thread: MarcelThread) -> bool:
         """True when the ticks of ``thread``'s compute on ``core`` would do
         nothing (see "Tickless compute" in the module docstring)."""
-        if (
-            thread.priority >= Priority.LOW
-            or core.runqueue
-            or (self.tasklets.queued and self.tasklets.pending_for(core.index))
-        ):
+        if thread.priority >= Priority.LOW or core.runqueue:
             return False
         return self.pioman is None or not self.pioman.tick_wants(core)
 
@@ -607,13 +596,13 @@ class MarcelScheduler:
             core.ticks += 1
             while core.next_tick <= now + _EPS:
                 core.next_tick += self.cfg.timer_tick_us
-            cost = 0.0 if self.pioman is None else self.pioman.on_tick(core)
-            if self.tasklets.queued and self.tasklets.pending_for(core.index):
-                cost += self.tasklets.run_batch(
-                    core.index,
-                    self.timing.pioman.max_events_per_activation,
-                    self.timing.host.tasklet_local_us,
-                )
+            pioman = self.pioman
+            cost = 0.0
+            if pioman is not None:
+                cost = pioman.on_tick(core)
+                if pioman.detect_pending:
+                    self.detections += 1
+                    cost += pioman.run_detection(core)
             if cost > 0:
                 self._account(core, cost, "service")
                 self.sim.schedule(cost, self._after_tick, core, thread)
@@ -695,7 +684,8 @@ class MarcelScheduler:
             "preemptions": sum([c.preemptions for c in cores]),
             "ticks": sum([c.ticks for c in cores]),
             "steals": sum([c.steals for c in cores]),
-            "tasklets_run": self.tasklets.executed_count,
+            # the key keeps the name e2e reports read
+            "tasklets_run": self.detections,
             "busy_us": sum([c.timeline.busy_us for c in cores]),
             "service_us": sum([c.timeline.service_us for c in cores]),
             "idle_us": sum([c.timeline.idle_us for c in cores]),

@@ -56,14 +56,15 @@ class Priority:
 
 
 class MarcelThread:
-    """One user-level thread."""
-
-    _next_id = 0
+    """One user-level thread. ``tid`` is its id in the runtime
+    (:meth:`MarcelScheduler.spawn` draws it from ``sim.thread_ids``); a
+    thread without a name is called ``thread-<tid>``."""
 
     def __init__(
         self,
         gen: Generator[Any, Any, Any],
         name: str = "",
+        tid: int = 0,
         priority: int = Priority.NORMAL,
         core_index: int = 0,
         migratable: bool = True,
@@ -74,8 +75,7 @@ class MarcelThread:
             )
         if not (0 <= priority < Priority.LEVELS):
             raise ThreadStateError(f"priority out of range: {priority}")
-        MarcelThread._next_id += 1
-        self.tid = MarcelThread._next_id
+        self.tid = tid
         self.gen = gen
         self.name = name or f"thread-{self.tid}"
         self.priority = priority

@@ -18,7 +18,6 @@ calls are generators for use inside Marcel thread bodies::
 
 from .comm import ANY_SOURCE, ANY_TAG, MAX_USER_TAG, Communicator, MpiRequest, MpiWorld
 from .nbc import NbcRequest, Schedule
-from .rma import Window
 
 __all__ = [
     "MpiWorld",
@@ -26,7 +25,6 @@ __all__ = [
     "MpiRequest",
     "NbcRequest",
     "Schedule",
-    "Window",
     "ANY_SOURCE",
     "ANY_TAG",
     "MAX_USER_TAG",

@@ -47,13 +47,12 @@ _OP_ALLTOALL = 6
 _OP_ALLREDUCE = 7
 _OP_SCAN = 8
 _OP_REDUCE_SCATTER = 9
-# nonblocking variants (repro.mpi.nbc) and one-sided windows (repro.mpi.rma)
+# nonblocking variants (repro.mpi.nbc)
 _OP_IBARRIER = 10
 _OP_IBCAST = 11
 _OP_IREDUCE = 12
 _OP_IALLREDUCE = 13
 _OP_IALLGATHER = 14
-_OP_WIN = 15
 
 
 def barrier(comm: "Communicator", tctx: "ThreadContext") -> Generator[Any, Any, None]:

@@ -14,9 +14,8 @@ from ..nmad.request import NmRequest
 from ..nmad.tags import ANY
 from ..nmad.unexpected import ProbeInfo
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle: nbc/rma build on comm
+if TYPE_CHECKING:  # pragma: no cover - import cycle: nbc builds on comm
     from .nbc import NbcProgressor
-    from .rma import Window
 
 __all__ = [
     "ANY_SOURCE",
@@ -119,8 +118,6 @@ class Communicator:
         self._coll_step_bits = max(_COLL_MIN_STEP_BITS, max(self.size - 1, 1).bit_length())
         #: lazily built nonblocking-collective schedule progressor
         self._nbc: Optional["NbcProgressor"] = None
-        #: windows allocated on this communicator (metrics naming)
-        self._win_count = 0
 
     # -- point-to-point -----------------------------------------------------------
 
@@ -413,23 +410,6 @@ class Communicator:
         sched = allgather_schedule(self.rank, self.size, tag, value)
         req = yield from self._nbc_progressor().launch(tctx, sched)
         return req
-
-    # -- one-sided (windows in rma.py) ----------------------------------------------
-
-    def win_allocate(
-        self, tctx: ThreadContext, nslots: int, init: Any = None
-    ) -> Generator[Any, Any, "Window"]:
-        """Collectively allocate an RMA window of ``nslots`` slots per rank.
-
-        Every rank must call this in the same collective order. ``init``
-        seeds every local slot (default None). Target-side servicing is
-        driven by the progression engine, not the target thread — see
-        :mod:`repro.mpi.rma`.
-        """
-        from .rma import Window
-
-        win = yield from Window.create(self, tctx, nslots, init)
-        return win
 
 
 class MpiWorld:

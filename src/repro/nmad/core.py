@@ -267,7 +267,7 @@ class NmSession:
         """Queue ``fn`` as a deferred op for the progression engines.
 
         Public entry point for layers above nmad (the MPI nbc schedule
-        progressor, RMA window servicing): the op runs under whichever
+        progressor): the op runs under whichever
         execution context next drains the queue — an idle core under
         PIOMan, the calling thread's next library call under the
         sequential engine — and charges its CPU there.

@@ -2,7 +2,7 @@
 
 A driver binds the protocol engine to one hardware channel and charges the
 correct CPU costs for each operation through an
-:class:`repro.marcel.tasklet.TaskletContext`-style execution context.
+:class:`repro.nmad.drivers.base.ExecContext`.
 """
 
 from .base import Driver

@@ -1,11 +1,10 @@
 """Driver interface.
 
-Every method that consumes CPU takes an execution context ``ctx``
-satisfying :class:`ExecContext` — ``charge(us)`` /
-``schedule_after(extra, fn, *args)`` / ``end``
-(:class:`repro.marcel.tasklet.TaskletContext` instances are used both for
-tasklet execution and for inline execution on application threads). The
-driver charges the CPU cost of the operation to ``ctx`` and schedules the
+Every method that consumes CPU takes an :class:`ExecContext` ``ctx`` —
+``charge(us)`` / ``schedule_after(extra, fn, *args)`` / ``end``. One
+class serves every place work runs: PIOMan's triggers and its kernel
+detection, and inline progression on application threads. The driver
+charges the CPU cost of the operation to ``ctx`` and schedules the
 hardware side effect at the point the charged work completes — so the
 virtual-time sequence matches a real submission (copy first, doorbell
 after).
@@ -14,30 +13,46 @@ after).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any, Callable
 
-from ...errors import NetworkError
+from ...errors import NetworkError, SchedulerError
 from ...network.message import CompletionRecord, Packet
+from ...sim.events import Priority
+from ...sim.kernel import Simulator
 
 __all__ = ["ExecContext", "Driver"]
 
 
-@runtime_checkable
-class ExecContext(Protocol):
-    """What drivers and protocol engines need from an execution context."""
+class ExecContext:
+    """Where a unit of communication work runs: a core and a start instant.
 
-    #: CPU already charged to this context (µs)
-    cpu_us: float
+    The work charges its CPU with :meth:`charge`; side effects that happen
+    once the charged work is done go through :meth:`schedule_after`.
+    """
+
+    def __init__(self, sim: Simulator, core_index: int, start: float) -> None:
+        self.sim = sim
+        self.core_index = core_index
+        self.start = start
+        #: CPU already charged to this context (µs)
+        self.cpu_us = 0.0
 
     @property
     def end(self) -> float:
         """Virtual time at which the charged work completes."""
+        return self.start + self.cpu_us
 
     def charge(self, us: float) -> None:
         """Account ``us`` microseconds of CPU work to this context."""
+        if us < 0:
+            raise SchedulerError(f"negative charge: {us}")
+        self.cpu_us += us
 
-    def schedule_after(self, extra: float, fn: Callable[..., Any], *args: Any) -> Any:
+    def schedule_after(
+        self, extra: float, fn: Callable[..., Any], *args: Any, priority: int = Priority.NORMAL
+    ) -> None:
         """Schedule ``fn(*args)`` ``extra`` µs after the charged work ends."""
+        self.sim.schedule_at(self.end + extra, fn, *args, priority=priority)
 
 
 class Driver:

@@ -35,8 +35,8 @@ from typing import TYPE_CHECKING, Any, Generator
 from ..errors import RequestError
 from ..marcel.effects import Compute, WaitFlag
 from ..marcel.sync import ThreadMutex
-from ..marcel.tasklet import TaskletContext
 from ..marcel.thread import ThreadContext
+from .drivers.base import ExecContext
 from .request import NmRequest
 from .unexpected import ProbeInfo
 
@@ -64,12 +64,12 @@ class EngineBase:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _exec_ctx(self, tctx: ThreadContext) -> TaskletContext:
+    def _exec_ctx(self, tctx: ThreadContext) -> ExecContext:
         """Execution context for inline progression on the calling thread."""
-        return TaskletContext(self.sim, tctx.thread.core_index, self.sim.now)
+        return ExecContext(self.sim, tctx.thread.core_index, self.sim.now)
 
     @staticmethod
-    def _service(ctx: TaskletContext, label: str) -> Compute:
+    def _service(ctx: ExecContext, label: str) -> Compute:
         return Compute(ctx.cpu_us, kind="service", label=label)
 
     # -- session notifications (hardware/timer context; must not block) -------

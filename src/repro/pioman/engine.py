@@ -21,8 +21,9 @@ This class is the paper's contribution wired together:
   the network … When no CPU is idle, PIOMAN is obviously less intrusive
   and uses a blocking call on a specialized kernel thread". A blocking
   watch is woken by the NIC interrupt ``interrupt_us`` after the
-  hardware event, and the detection then runs at the next scheduler safe
-  point (a shared tasklet). Requests detected by polling never arm one;
+  hardware event; the kernel detection is then due (``detect_pending``)
+  and runs at the next safe point of any core (a dispatch, or a tick).
+  Requests detected by polling never arm one;
 * the offload mode (§5 future work: "an adaptive strategy to choose
   whether to offload communication or not") decides per ``isend``:
   ``"always"`` is the paper's evaluated behaviour, ``"never"`` submits
@@ -37,9 +38,9 @@ from __future__ import annotations
 
 from ..marcel.effects import Compute, WaitTEvent
 from ..marcel.scheduler import CoreRuntime, MarcelScheduler
-from ..marcel.tasklet import Tasklet, TaskletContext
 from ..marcel.thread import Priority
 from ..nmad.core import NmSession
+from ..nmad.drivers.base import ExecContext
 from ..nmad.progress import EngineBase
 from ..nmad.request import NmRequest
 
@@ -61,9 +62,9 @@ class PiomanEngine(EngineBase):
         #: request ids watched by the blocking detection method
         self._armed: set[int] = set()
         self._interrupt_scheduled = False
-        #: the "kernel detection" work, run as a shared tasklet at the next
-        #: safe point of any core
-        self._detect_tasklet = Tasklet(self._run_detection, name="piom.kdetect")
+        #: the kernel detection is due: the next safe point of any core
+        #: runs it (:meth:`run_detection`)
+        self.detect_pending = False
         session.on_request_complete.append(self._on_complete)
         # Marcel triggers (§3.1): the newest engine replaces any earlier one
         self.scheduler.pioman = self
@@ -222,11 +223,12 @@ class PiomanEngine(EngineBase):
         return cost
 
     def tick_wants(self, core: CoreRuntime) -> bool:
-        """Whether a tick on ``core`` would find anything to do. Only
-        completions matter: LOW-priority threads, whose ticks also run
-        deferred ops, never compute tickless. A completion surfaces through
-        :meth:`notify_activity`, which re-arms the ticks."""
-        return any(self.session.hw_cqs)
+        """Whether a tick on ``core`` would find anything to do: a due
+        kernel detection, or completions. LOW-priority threads, whose ticks
+        also run deferred ops, never compute tickless. Both surface through
+        calls that re-arm the ticks (:meth:`notify_activity`,
+        :meth:`_fire_detection`)."""
+        return self.detect_pending or any(self.session.hw_cqs)
 
     def on_switch(self, core: CoreRuntime) -> float:
         """Cheap completion detection at context switches; returns the CPU
@@ -239,8 +241,8 @@ class PiomanEngine(EngineBase):
         self.session.poll_completions(ctx)
         return ctx.cpu_us
 
-    def _core_ctx(self, core_index: int) -> TaskletContext:
-        return TaskletContext(self.sim, core_index, self.sim.now)
+    def _core_ctx(self, core_index: int) -> ExecContext:
+        return ExecContext(self.sim, core_index, self.sim.now)
 
     # ------------------------------------------------------- blocking detection
 
@@ -268,7 +270,7 @@ class PiomanEngine(EngineBase):
     def _interrupt(self) -> None:
         """Hardware produced a completion while every core is busy: if
         blocking watches are armed, the kernel thread unblocks after the
-        interrupt cost, then schedules the detection at a safe point."""
+        interrupt cost, and the detection falls due."""
         if not self._armed or self._interrupt_scheduled:
             return
         self._interrupt_scheduled = True
@@ -276,13 +278,28 @@ class PiomanEngine(EngineBase):
         self.sim.schedule(self.timing.nic.interrupt_us, self._fire_detection)
 
     def _fire_detection(self) -> None:
+        """The kernel thread unblocked: the detection is due at the next
+        safe point of any core, so every computing core ticks again and a
+        core that is not active, if any, wakes for it. A detection already
+        due absorbs this one."""
         self._interrupt_scheduled = False
-        self.scheduler.tasklets.schedule(self._detect_tasklet, core_index=None)
+        if not self.detect_pending:
+            self.detect_pending = True
+            self.scheduler.resume_ticks()
+            self.scheduler.kick_idle()
 
-    def _run_detection(self, ctx: TaskletContext) -> None:
-        """Tasklet body: consume completions on behalf of blocked waiters."""
+    def run_detection(self, core: CoreRuntime) -> float:
+        """Run the due detection on ``core`` at a safe point: consume
+        completions on behalf of blocked waiters. Returns the CPU it took,
+        the local dispatch included. Its context starts at ``now`` plus
+        that dispatch, also when a tick's poll on this core charged time
+        first."""
+        self.detect_pending = False
+        dispatch = self.timing.host.tasklet_local_us
+        ctx = ExecContext(self.sim, core.index, self.sim.now + dispatch)
         ctx.charge(self.timing.host.syscall_us)
         self.session.progress(ctx, max_ops=self.cfg.max_events_per_activation)
+        return dispatch + ctx.cpu_us
 
     # ------------------------------------------------------------------ API
 

@@ -144,6 +144,9 @@ class Simulator:
         #: request ids of this runtime: every NewMadeleine session on this
         #: simulator draws from it, so ids restart at 1 with each simulator
         self.req_ids = itertools.count(1)
+        #: Marcel thread ids of this runtime, shared by every node's
+        #: scheduler in the same way
+        self.thread_ids = itertools.count(1)
 
     def queue_stats(self) -> dict[str, object]:
         """Event-queue counters: stored ``entries`` (lazily-cancelled ones

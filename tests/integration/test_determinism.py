@@ -18,7 +18,7 @@ from tests.pioman.test_adaptive import FIG4_PINS, fig4_loop
 from tests.property.test_prop_trace_compat import GOLDEN, trace_digest
 
 
-def _traced_run(engine: str) -> tuple[float, tuple]:
+def _traced_run(engine: str, named: bool = True) -> tuple[float, tuple]:
     tracer = Tracer()
     rt = ClusterRuntime.build(engine=engine, tracer=tracer)
 
@@ -37,10 +37,8 @@ def _traced_run(engine: str) -> tuple[float, tuple]:
             req = yield from nm.recv(ctx, 0, i, KiB(16))
             yield ctx.compute(10.0)
 
-    # explicit names: default names embed a process-global thread counter,
-    # which would differ between two runs without being real nondeterminism
-    rt.spawn(0, sender, name="S")
-    rt.spawn(1, receiver, name="R")
+    rt.spawn(0, sender, name="S" if named else "")
+    rt.spawn(1, receiver, name="R" if named else "")
     end = rt.run()
     return end, tracer.signature()
 
@@ -52,6 +50,18 @@ def test_trace_streams_identical(engine):
     assert end1 == end2
     # request ids restart with each runtime, so labels compare too
     assert sig1 == sig2
+
+
+@pytest.mark.parametrize("engine", [EngineKind.SEQUENTIAL, EngineKind.PIOMAN])
+def test_unnamed_threads_trace_identically(engine):
+    """A thread spawned without a name is traced as ``thread-<tid>``; the
+    ids come from the runtime, so a second runtime in this process traces
+    the same names."""
+    end1, sig1 = _traced_run(engine, named=False)
+    end2, sig2 = _traced_run(engine, named=False)
+    assert end1 == end2
+    assert sig1 == sig2
+    assert (0.0, "marcel.spawn", "n0.c0", "thread-1") in [entry[:4] for entry in sig1]
 
 
 def test_two_runs_in_one_process_give_equal_signatures():

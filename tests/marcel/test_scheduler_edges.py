@@ -6,7 +6,6 @@ import pytest
 
 from repro.config import MarcelConfig, TimingModel
 from repro.marcel.scheduler import CoreRuntime, MarcelScheduler
-from repro.marcel.tasklet import Tasklet
 from repro.marcel.thread import Priority
 
 from .stub_engine import stub_engine
@@ -90,45 +89,77 @@ class TestTickConfiguration:
         assert sched.cores[0].preemptions == 0  # first ran to completion
 
 
+def _recorder(sim, ran):
+    """A detection that costs nothing and records where and when it ran."""
+
+    def detect(core):
+        ran.append((core.index, sim.now))
+        return 0.0
+
+    return detect
+
+
 class TestTaskletIntegration:
+    """PIOMan's kernel detection, the one piece of deferred work (a tasklet
+    in the paper's terms), as the scheduler sees it: a flag on the engine
+    that the first safe point of any core clears by running it."""
+
     def test_tasklet_runs_at_tick_on_busy_core(self, sim, scheduler):
         ran = []
+        engine = stub_engine(scheduler, detect=_recorder(sim, ran))
 
         def body(ctx):
             yield ctx.compute(50.0)
 
-        scheduler.spawn(body, core_index=0, migratable=False)
-
-        def enqueue():
-            scheduler.tasklets.schedule(
-                Tasklet(lambda tctx: ran.append(sim.now), name="t"), core_index=0
-            )
-
-        sim.schedule(12.0, enqueue)
+        for i in range(len(scheduler.cores)):
+            scheduler.spawn(body, core_index=i, migratable=False)
+        sim.schedule(12.0, engine.fire)
         sim.run()
-        assert len(ran) == 1
-        # executed at the next safe point: the 20µs tick boundary
-        assert 12.0 <= ran[0] <= 31.0
+        # every core computes: the next safe point is the tick at 20
+        assert ran == [(0, 20.0)]
+        assert scheduler.stats()["tasklets_run"] == 1
 
     def test_tasklet_wakes_parked_core(self, sim, scheduler):
         ran = []
-
-        def enqueue():
-            scheduler.tasklets.schedule(Tasklet(lambda tctx: ran.append(sim.now)), core_index=3)
-
-        sim.schedule(5.0, enqueue)
+        engine = stub_engine(scheduler, detect=_recorder(sim, ran))
+        sim.schedule(5.0, engine.fire)
         sim.run()
-        assert ran == [pytest.approx(5.0)]
+        assert ran == [(0, pytest.approx(5.0))]
+        assert not engine.detect_pending
 
     def test_shared_tasklet_any_core(self, sim, scheduler):
+        """The detection belongs to no core: the one core not computing
+        wakes for it and runs it at once."""
         ran = []
+        engine = stub_engine(scheduler, detect=_recorder(sim, ran))
 
-        def enqueue():
-            scheduler.tasklets.schedule(Tasklet(lambda tctx: ran.append(tctx.core_index)))
+        def body(ctx):
+            yield ctx.compute(50.0)
 
-        sim.schedule(1.0, enqueue)
+        for i in range(len(scheduler.cores) - 1):
+            scheduler.spawn(body, core_index=i, migratable=False)
+        sim.schedule(12.0, engine.fire)
         sim.run()
-        assert len(ran) == 1
+        assert ran == [(len(scheduler.cores) - 1, 12.0)]
+
+    def test_tasklet_runs_before_the_thread_a_dispatch_picks(self, sim, scheduler):
+        log = []
+
+        def detect(core):
+            log.append(("detect", core.index, sim.now))
+            return 1.0
+
+        def body(ctx):
+            log.append(("thread", ctx.thread.core_index, ctx.now))
+            yield ctx.compute(1.0)
+
+        engine = stub_engine(scheduler, detect=detect)
+        engine.fire()
+        scheduler.spawn(body, core_index=0, migratable=False)
+        sim.run()
+        # the detection's 1 µs is paid on the core before the thread starts
+        assert log == [("detect", 0, 0.0), ("thread", 0, 1.0)]
+        assert scheduler.cores[0].timeline.service_us == pytest.approx(1.0)
 
 
 class TestHookInteractions:

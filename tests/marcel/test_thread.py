@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ThreadStateError
+from repro.marcel.scheduler import MarcelScheduler
 from repro.marcel.thread import MarcelThread, Priority, ThreadState
+from repro.sim.kernel import Simulator
+from repro.topology.builder import build_node
 
 
 def _gen():
@@ -63,15 +66,30 @@ def test_body_must_be_generator():
         MarcelThread(lambda: None)  # type: ignore[arg-type]
 
 
+def _spawn(sched, name=""):
+    def body(ctx):
+        yield ctx.compute(1.0)
+
+    return sched.spawn(body, name=name)
+
+
 def test_unique_tids():
-    a = MarcelThread(_gen())
-    b = MarcelThread(_gen())
-    assert a.tid != b.tid
+    """Thread ids come from the runtime: the schedulers of one simulator
+    share the numbering, and a new simulator starts again at 1."""
+    sim = Simulator()
+    a, b = (MarcelScheduler(sim, build_node(i, sockets=1, cores_per_socket=2)) for i in (0, 1))
+    tids = [_spawn(a).tid, _spawn(b).tid, _spawn(a).tid]
+    assert tids == [1, 2, 3]
+    other = MarcelScheduler(Simulator(), build_node(0, sockets=1, cores_per_socket=2))
+    assert _spawn(other).tid == 1
 
 
 def test_default_name_from_tid():
-    t = MarcelThread(_gen())
-    assert t.name == f"thread-{t.tid}"
+    assert MarcelThread(_gen(), tid=7).name == "thread-7"
+    sched = MarcelScheduler(Simulator(), build_node(0, sockets=1, cores_per_socket=2))
+    _spawn(sched, name="named")
+    t = _spawn(sched)
+    assert (t.tid, t.name) == (2, "thread-2")
 
 
 def test_runnable_property():

@@ -11,7 +11,6 @@ from __future__ import annotations
 from unittest import mock
 
 from repro.marcel.scheduler import MarcelScheduler
-from repro.marcel.tasklet import Tasklet
 from repro.marcel.thread import Priority
 from repro.sim.events import Priority as EventPriority
 from repro.sim.kernel import Simulator
@@ -161,19 +160,27 @@ def test_wake_onto_a_computing_core_rearms_preemption():
     assert out["log"][0][0] == "hi"
 
 
-def test_tasklets_rearm_their_core_and_shared_ones_every_core():
+def test_a_due_detection_rearms_every_core():
     def scenario(sim, sched, log):
-        def mark(ctx):
-            log.append((ctx.core_index, sim.now))
-            ctx.charge(1.0)
+        def detect(core):
+            log.append((core.index, sim.now))
+            return 1.0
 
-        sim.schedule(21.0, sched.tasklets.schedule, Tasklet(mark, "own"), 0)
-        sim.schedule(47.0, sched.tasklets.schedule, Tasklet(mark, "shared"))
+        def fire():
+            engine.fire()
+            log.append([core.chain is None for core in sched.cores])
+
+        engine = stub_engine(sched, detect=detect)
+        sim.schedule(21.0, fire)
+        sim.schedule(47.0, fire)
         sched.spawn(_compute(80.0), name="a", core_index=0, migratable=False)
         sched.spawn(_compute(80.0), name="b", core_index=1, migratable=False)
 
     out = _agree(scenario)
-    assert [core for core, _ in out["log"]] == [0, 1]
+    # both cores tick again once a detection is due and the first tick runs
+    # it: at 50 that is core 1's, which ticks ahead of core 0 once core 0
+    # has paid for the first
+    assert out["log"] == [[True, True], (0, 30.0), [True, True], (1, 50.0)]
     assert out["stats"]["tasklets_run"] == 2
 
 

@@ -7,8 +7,8 @@ import pytest
 from repro.config import TimingModel
 from repro.errors import ProtocolError, RequestError
 from repro.marcel.scheduler import MarcelScheduler
-from repro.marcel.tasklet import TaskletContext
 from repro.nmad.core import Gate, NmSession
+from repro.nmad.drivers.base import ExecContext
 from repro.nmad.drivers.shm import ShmDriver
 from repro.nmad.progress import EngineBase
 from repro.nmad.wire import CtsFrame, DataChunkFrame, EagerFrame
@@ -31,7 +31,7 @@ def wired_session(sim, session):
 
 
 def _ctx(sim):
-    return TaskletContext(sim, 0, sim.now)
+    return ExecContext(sim, 0, sim.now)
 
 
 class TestGate:
@@ -159,7 +159,7 @@ class TestFlushRequeue:
 
     def test_interleaved_posts_all_flush(self, sim, wired_session):
         session, _ = wired_session
-        ctx = TaskletContext(sim, 0, sim.now)
+        ctx = ExecContext(sim, 0, sim.now)
         r1 = session.make_send(0, 0, 64, payload=1)
         r2 = session.make_send(0, 0, 64, payload=2)
         session.post_send(r1)
@@ -175,7 +175,7 @@ class TestFlushRequeue:
         guard = 0
         while session.ops:
             _n, fn = session.ops.popleft()
-            fn(TaskletContext(sim, 0, sim.now))
+            fn(ExecContext(sim, 0, sim.now))
             guard += 1
             assert guard < 20, "flush requeue loop diverged"
         sim.run()
@@ -193,6 +193,6 @@ class TestFlushRequeue:
         executions = 0
         while session.ops:
             _n, fn = session.ops.popleft()
-            fn(TaskletContext(sim, 0, sim.now))
+            fn(ExecContext(sim, 0, sim.now))
             executions += 1
         assert executions == 4  # one submission event per packet

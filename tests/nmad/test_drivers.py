@@ -1,15 +1,17 @@
-"""Unit tests for the transfer-layer drivers (MX, SHM, TCP)."""
+"""Unit tests for the transfer-layer drivers (MX, SHM, TCP) and the
+execution context they charge."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.config import HostModel, NicModel, ShmModel
-from repro.marcel.tasklet import TaskletContext
+from repro.errors import SchedulerError
 from repro.network.fabric import Fabric
 from repro.network.message import Packet, PacketKind
 from repro.network.nic import Nic
 from repro.network.shm import ShmChannel
+from repro.nmad.drivers.base import ExecContext
 from repro.nmad.drivers.mx import MxDriver
 from repro.nmad.drivers.shm import ShmDriver
 from repro.nmad.drivers.tcp import TcpDriver, tcp_nic_model
@@ -32,11 +34,33 @@ def mx(sim, host):
 
 
 def _ctx(sim, core=0):
-    return TaskletContext(sim, core, sim.now)
+    return ExecContext(sim, core, sim.now)
 
 
 def _pkt(kind=PacketKind.EAGER, size=1024, src=0, dst=1):
     return Packet(kind, src, dst, size)
+
+
+class TestExecContext:
+    def test_charge_accumulates(self, sim):
+        ctx = ExecContext(sim, 0, start=10.0)
+        ctx.charge(2.0)
+        ctx.charge(3.0)
+        assert ctx.cpu_us == 5.0
+        assert ctx.end == 15.0
+
+    def test_negative_charge_rejected(self, sim):
+        ctx = ExecContext(sim, 0, start=0.0)
+        with pytest.raises(SchedulerError):
+            ctx.charge(-1.0)
+
+    def test_schedule_after_lands_at_charged_end(self, sim):
+        fired = []
+        ctx = ExecContext(sim, 0, start=0.0)
+        ctx.charge(4.0)
+        ctx.schedule_after(1.0, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [5.0]
 
 
 class TestMxDriver:

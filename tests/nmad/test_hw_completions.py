@@ -18,12 +18,12 @@ import pytest
 
 from repro.config import HostModel, NicModel, ShmModel
 from repro.marcel.scheduler import MarcelScheduler
-from repro.marcel.tasklet import TaskletContext
 from repro.network.fabric import Fabric
 from repro.network.message import Packet, PacketKind
 from repro.network.nic import Nic
 from repro.network.shm import ShmChannel
 from repro.nmad.core import NmSession
+from repro.nmad.drivers.base import ExecContext
 from repro.nmad.drivers.ib import IbDriver, ib_nic_model
 from repro.nmad.drivers.mx import MxDriver
 from repro.nmad.drivers.shm import ShmDriver
@@ -39,7 +39,7 @@ NIC_DRIVERS = {
 
 
 def _ctx(sim):
-    return TaskletContext(sim, 0, sim.now)
+    return ExecContext(sim, 0, sim.now)
 
 
 def _device(driver):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import TimingModel
+from repro.config import MarcelConfig, TimingModel
 from repro.marcel.scheduler import MarcelScheduler
 from repro.nmad.core import NmSession
 from repro.pioman.engine import PiomanEngine
@@ -61,7 +61,7 @@ def test_activity_with_watch_schedules_delayed_detection(setup):
     engine._arm(req)
     engine._interrupt()
     sim.run()
-    # detection fires interrupt_us later, as a tasklet at a safe point
+    # detection falls due interrupt_us later and runs at a safe point
     assert len(calls) == 1
     assert calls[0] >= TimingModel().nic.interrupt_us
     assert engine.interrupts_taken == 1
@@ -89,3 +89,45 @@ def test_detection_charges_syscall(setup):
     sim.run()
     service = sum(c.timeline.service_us for c in sched.cores)
     assert service >= TimingModel().host.syscall_us
+
+
+def test_two_interrupts_before_a_safe_point_run_one_detection(sim, node8):
+    """Every core computes and ticks come every 50 µs: the interrupts at 1
+    and 8 both make the detection due before the tick at 50, which runs
+    it once; the scheduler's ``tasklets_run`` counts that run."""
+    timing = TimingModel().replace(marcel=MarcelConfig(timer_tick_us=50.0))
+    scheduler = MarcelScheduler(sim, node8, timing)
+    session = NmSession(sim, scheduler, node8, timing)
+    engine = PiomanEngine(session)
+    calls = []
+    progress = session.progress
+
+    def recording_progress(ctx, **kwargs):
+        calls.append((ctx.core_index, sim.now))
+        return progress(ctx, **kwargs)
+
+    session.progress = recording_progress
+
+    def body(ctx):
+        yield ctx.compute(100.0)
+
+    for i in range(len(scheduler.cores)):
+        scheduler.spawn(body, core_index=i, migratable=False)
+    engine._arm(session.make_recv(0, 0, 10))
+    fired = []
+    fire = engine._fire_detection
+
+    def recording_fire():
+        fire()
+        fired.append((sim.now, engine.detect_pending))
+
+    engine._fire_detection = recording_fire
+    sim.schedule(1.0, engine._interrupt)
+    sim.schedule(8.0, engine._interrupt)
+    sim.run()
+    interrupt_us = timing.nic.interrupt_us
+    assert fired == [(1.0 + interrupt_us, True), (8.0 + interrupt_us, True)]
+    assert engine.interrupts_taken == 2
+    assert calls == [(0, 50.0)]
+    assert not engine.detect_pending
+    assert scheduler.stats()["tasklets_run"] == 1
