@@ -125,6 +125,9 @@ class _SeedSimulator:
         heapq.heappush(self._heap, handle)
         return handle
 
+    # every seed event was cancellable: a timer is an event
+    timer = schedule_at
+
     def stop(self) -> None:
         self._stopped = True
 
@@ -182,7 +185,8 @@ def _event_storm(sim: Any, n_events: int, chains: int = 96) -> int:
 
     Every third tick behaves like a send completing under the reliability
     layer: it cancels the chain's previous retransmit timer (the ack) and
-    arms a fresh one ``_RTO_US`` out. Exercises push/pop ordering, mixed
+    arms a fresh one ``_RTO_US`` out with ``timer``, the one call that
+    returns a cancellable handle. Exercises push/pop ordering, mixed
     priorities, the cancelled-entry path, and — in the current kernel —
     compaction. Returns events fired.
     """
@@ -200,7 +204,7 @@ def _event_storm(sim: Any, n_events: int, chains: int = 96) -> int:
                 old = timers.get(chain)
                 if old is not None:
                     old.cancel()
-                timers[chain] = sim.schedule(_RTO_US, retransmit, chain)
+                timers[chain] = sim.timer(sim.now + _RTO_US, retransmit, chain)
 
     for c in range(chains):
         sim.schedule(float(c) * 0.1, tick, c)
@@ -234,7 +238,7 @@ def _storm_digest(factory: Callable[[], Any], n_events: int = 4_000) -> str:
                 old = timers.get(chain)
                 if old is not None:
                     old.cancel()
-                timers[chain] = sim.schedule(_RTO_US, retransmit, chain)
+                timers[chain] = sim.timer(sim.now + _RTO_US, retransmit, chain)
 
     for c in range(16):
         sim.schedule(float(c) * 0.1, tick, c)

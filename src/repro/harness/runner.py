@@ -277,6 +277,7 @@ class ClusterRuntime:
                 "events_fired": sim.events_fired,
                 "chain_boundaries": sim.chain_boundaries,
                 "chain_batches": sim.chain_batches,
+                "run_aheads": sim.run_aheads,
             },
         )
         if self.fault_injector is not None:
@@ -311,7 +312,7 @@ class ClusterRuntime:
             )
             reg.register_collector(
                 f"{n}.scheduler",
-                lambda sch=nrt.scheduler: self._scheduler_metrics(sch),
+                lambda sch=nrt.scheduler: ClusterRuntime._scheduler_metrics(sch),
             )
             if isinstance(nrt.engine, PiomanEngine):
                 reg.register_collector(
@@ -326,7 +327,9 @@ class ClusterRuntime:
                 )
             # aggregation-optimizer lane, summed over this node's gates
             # running the aggreg strategy (n{i}.aggreg.*)
-            reg.register_collector(f"{n}.aggreg", lambda s=session: self._aggreg_metrics(s))
+            reg.register_collector(
+                f"{n}.aggreg", lambda s=session: ClusterRuntime._aggreg_metrics(s)
+            )
             seen_names: dict[str, int] = {}
             for drv in nrt.drivers:
                 k = seen_names.get(drv.name, 0)
@@ -443,9 +446,20 @@ class ClusterRuntime:
         """Tear down engines and metrics hooks: deregister every scheduler
         trigger and completion listener. Call when a runtime is discarded
         but its sessions, scheduler, or simulator objects stay reachable
-        (engine-comparison harnesses); idempotent."""
+        (engine-comparison harnesses); idempotent.
+
+        It also breaks the reference cycles between the layers (device
+        listeners, the NIC-fabric link, the session's protocol engines and
+        queued ops, the simulator's pending callbacks and probes), so a
+        dropped runtime is freed by reference counting, not by the cycle
+        collector; statistics and metrics stay readable. A closed runtime
+        does not run again."""
         for nrt in self.nodes:
             nrt.engine.close()
+            nrt.session.close()
+            for nic in nrt.nics:
+                nic.detach()
+            nrt.shm.detach()
         for session, cb in self._metric_hooks:
             try:
                 session.on_request_complete.remove(cb)
@@ -454,3 +468,4 @@ class ClusterRuntime:
         self._metric_hooks.clear()
         if self.sampler is not None:
             self.sampler.detach()
+        self.sim.close()

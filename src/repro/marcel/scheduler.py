@@ -19,18 +19,33 @@ interrupts"):
   ``tick_wants(core)`` says whether a tick on that core would do
   anything for the engine.
 * ``on_switch(core)`` — at context-switch points, returns the CPU consumed.
-* ``detect_pending`` / ``run_detection(core)`` — PIOMan's kernel detection
-  (§3.2's blocking method) falls due when an interrupt wakes a blocked
-  watch; the first safe point of any core (a dispatch, or a tick after
-  ``on_tick``) runs it before any thread, with the "very high priority"
-  §3.1 gives deferred work. It returns the CPU consumed.
+* ``detect_pending`` / ``run_detection(core, after)`` — PIOMan's kernel
+  detection (§3.2's blocking method) falls due when an interrupt wakes a
+  blocked watch; the first safe point of any core (a dispatch, or a tick
+  after ``on_tick``) runs it before any thread, with the "very high
+  priority" §3.1 gives deferred work. ``after`` is the CPU the safe point
+  already charged (the tick's poll), so the detection starts after it.
+  It returns the CPU consumed.
 
 Per-event cost
 --------------
 Untraced runs make no trace call: every trace site tests ``tracer is not
 None`` first. A safe point's detection check is one read of the engine's
 ``detect_pending``, and an idle core skips the steal scan of the other
-runqueues while the node's ``queued.n`` is 0.
+runqueues while the node's ``queued.n`` is 0. A thread step dispatches
+its effect by class identity, tests a runqueue's ``_count`` before
+calling into it, and adds timeline spans inline.
+
+Run-ahead
+---------
+A compute that ends before its core's next tick, on a core whose
+runqueue is empty, would end in a ``_slice_end`` that does nothing but
+resume the thread: no tick, no preemption check that can fire. When
+:meth:`Simulator.run_ahead` finds that this event would fire next (see
+"Run-ahead" in :mod:`repro.sim.kernel`), :meth:`MarcelScheduler._step_thread`
+charges the slice, takes the clock to its end and goes on with the
+thread, with no event. The kernel refuses whenever anything could come
+first, so every instant is the one the event would have produced.
 
 Control-token discipline
 ------------------------
@@ -119,7 +134,7 @@ class CoreRuntime:
         self.quantum_used = 0.0
         self.next_tick = 0.0
         self.idle_since: Optional[float] = None
-        self.repoll_handle = None  # EventHandle for a pending idle repoll
+        self.repoll_handle = None  # the kernel timer of a pending idle repoll
         #: kernel tick-chain entry while the core computes quietly
         self.chain: Optional[list[Any]] = None
         #: length of the slice the chain's pending boundary ends
@@ -209,7 +224,6 @@ class MarcelScheduler:
                 "(missing yield?)"
             )
         thread.gen = gen
-        thread.context = ctx  # type: ignore[attr-defined]
         self.threads.append(thread)
         thread.transition(ThreadState.READY)
         self._enqueue(thread, "marcel.spawn")
@@ -241,9 +255,9 @@ class MarcelScheduler:
         guarantee — "communicating threads are ensured to be scheduled as
         soon as the communication event is detected", §3.2)."""
         core = self.cores[thread.core_index]
-        if thread.migratable and (core.current is not None or core.runqueue):
+        if thread.migratable and (core.current is not None or core.runqueue._count):
             for cand in self.cores:
-                if cand.current is None and not cand.runqueue:
+                if cand.current is None and not cand.runqueue._count:
                     thread.core_index = cand.index
                     core = cand
                     break
@@ -265,7 +279,7 @@ class MarcelScheduler:
         has left its core."""
         count = 0
         for c in self.cores:
-            if (c.current is None or c.current is leaving) and not c.runqueue:
+            if (c.current is None or c.current is leaving) and not c.runqueue._count:
                 count += 1
         return count
 
@@ -289,16 +303,14 @@ class MarcelScheduler:
         if core.control == CoreRuntime.IDLE_WAIT and core.repoll_handle is not None:
             core.repoll_handle.cancel()
             core.repoll_handle = None
-        if core.idle_since is not None:
-            self._account_idle_end(core)
+        since = core.idle_since
+        if since is not None:
+            now = self.sim.now
+            if now > since + _EPS:
+                core.timeline.add(since, now, "idle")
+            core.idle_since = None
         core.control = CoreRuntime.ACTIVE
         self.sim.call_soon(self._dispatch, core, priority=EventPriority.TASKLET)
-
-    def _account_idle_end(self, core: CoreRuntime) -> None:
-        # callers test `core.idle_since is not None` first
-        if self.sim.now > core.idle_since + _EPS:
-            core.timeline.add(core.idle_since, self.sim.now, "idle")
-        core.idle_since = None
 
     # -------------------------------------------------------------- dispatch
 
@@ -307,19 +319,23 @@ class MarcelScheduler:
         then idle."""
         core.control = CoreRuntime.ACTIVE
         core.repoll_handle = None
-        if core.idle_since is not None:
-            self._account_idle_end(core)
+        sim = self.sim
+        since = core.idle_since
+        if since is not None:
+            if sim.now > since + _EPS:
+                core.timeline.add(since, sim.now, "idle")
+            core.idle_since = None
         pioman = self.pioman
         # 1. PIOMan's kernel detection (very high priority)
         if pioman is not None and pioman.detect_pending:
             self.detections += 1
-            cost = pioman.run_detection(core)
+            cost = pioman.run_detection(core, 0.0)
             if cost > 0:
-                self._account(core, cost, "service")
-                self.sim.schedule(cost, self._dispatch, core, priority=EventPriority.TASKLET)
+                core.timeline.add(sim.now, sim.now + cost, "service")
+                sim.schedule(cost, self._dispatch, core, priority=EventPriority.TASKLET)
                 return
         # 2. pick a thread
-        thread = core.runqueue.pop()
+        thread = core.runqueue.pop() if core.runqueue._count else None
         if thread is None and self.queued.n:
             # another core's runqueue holds a thread
             thread = self._steal_for(core)
@@ -341,8 +357,8 @@ class MarcelScheduler:
         if self.tracer is not None:
             self._trace("marcel.switch", core.name, thread.name)
         if switch_cost > 0:
-            self._account(core, switch_cost, "service")
-            self.sim.schedule(switch_cost, self._run_current, core)
+            core.timeline.add(sim.now, sim.now + switch_cost, "service")
+            sim.schedule(switch_cost, self._run_current, core)
         else:
             self._run_current(core)
 
@@ -381,14 +397,29 @@ class MarcelScheduler:
         Returns True when the core needs a fresh dispatch (thread finished,
         blocked, slept or yielded); False when a timed continuation event
         was scheduled.
+
+        A compute that ends before the core's next tick, with nothing
+        queued on the core, runs ahead (:meth:`Simulator.run_ahead`) when
+        its slice-end event would fire next: the loop goes on at its end,
+        doing what that event's ``_slice_end`` would do there — no tick,
+        no preemption (the runqueue stays empty), and the next step.
         """
         thread = core.current
         assert thread is not None
-        for _ in range(_MAX_INSTANT_STEPS):
+        sim = self.sim
+        gen = thread.gen
+        steps = 0
+        while True:
+            steps += 1
+            if steps > _MAX_INSTANT_STEPS:
+                raise SchedulerError(
+                    f"thread {thread.name} performed {_MAX_INSTANT_STEPS} instantaneous "
+                    "steps without consuming virtual time (runaway loop?)"
+                )
             value, thread.pending_value = thread.pending_value, None
             self._executing = thread
             try:
-                effect = thread.gen.send(value)
+                effect = gen.send(value)
             except StopIteration as stop:
                 self._finish_thread(core, thread, stop.value)
                 return True
@@ -399,48 +430,64 @@ class MarcelScheduler:
             finally:
                 self._executing = None
 
-            if isinstance(effect, Compute):
-                if effect.duration <= _EPS:
+            cls = effect.__class__
+            if cls is Compute:
+                duration = effect.duration
+                if duration <= _EPS:
                     continue
-                thread.compute_remaining = effect.duration
+                if not core.runqueue._count:
+                    # _start_slice's slice, and _slice_end's test for a tick
+                    now = sim.now
+                    if core.next_tick <= now + _EPS:
+                        core.next_tick = now + self.cfg.timer_tick_us
+                    slice_len = core.next_tick - now
+                    if duration <= slice_len:
+                        slice_len = duration
+                    end = now + slice_len
+                    left = duration - slice_len
+                    if left <= _EPS and end + _EPS < core.next_tick and sim.run_ahead(end):
+                        core.timeline.add(now, end, effect.kind)
+                        thread.cpu_us += slice_len
+                        core.quantum_used += slice_len
+                        thread.compute_remaining = left if left > 0.0 else 0.0
+                        thread.compute_kind = effect.kind
+                        steps = 0
+                        continue
+                thread.compute_remaining = duration
                 thread.compute_kind = effect.kind
                 self._start_slice(core, thread)
                 return False
-            if isinstance(effect, Sleep):
-                thread.transition(ThreadState.SLEEPING)
-                thread._blocked_since = self.sim.now
+            if cls is WaitFlag:
+                if effect.flag.is_set:
+                    continue
+                thread.transition(ThreadState.BLOCKED)
+                thread._blocked_since = sim.now
                 core.current = None
-                self.sim.schedule(effect.duration, self._sleep_done, thread)
+                effect.flag.add_blocked(thread)
                 return True
-            if isinstance(effect, YieldNow):
-                thread.transition(ThreadState.READY)
-                core.current = None
-                core.runqueue.push(thread)
-                return True
-            if isinstance(effect, WaitTEvent):
+            if cls is WaitTEvent:
                 if effect.event.triggered:
                     thread.pending_value = effect.event.value
                     continue
                 thread.transition(ThreadState.BLOCKED)
-                thread._blocked_since = self.sim.now
+                thread._blocked_since = sim.now
                 core.current = None
                 effect.event.add_blocked(thread)
                 return True
-            if isinstance(effect, WaitFlag):
-                if effect.flag.is_set:
-                    continue
-                thread.transition(ThreadState.BLOCKED)
-                thread._blocked_since = self.sim.now
+            if cls is Sleep:
+                thread.transition(ThreadState.SLEEPING)
+                thread._blocked_since = sim.now
                 core.current = None
-                effect.flag.add_blocked(thread)
+                sim.schedule(effect.duration, self._sleep_done, thread)
+                return True
+            if cls is YieldNow:
+                thread.transition(ThreadState.READY)
+                core.current = None
+                core.runqueue.push(thread)
                 return True
             raise SchedulerError(
                 f"thread {thread.name} yielded unsupported effect {effect!r}"
             )
-        raise SchedulerError(
-            f"thread {thread.name} performed {_MAX_INSTANT_STEPS} instantaneous "
-            "steps without consuming virtual time (runaway loop?)"
-        )
 
     def _sleep_done(self, thread: MarcelThread) -> None:
         if thread.state == ThreadState.SLEEPING:
@@ -461,10 +508,14 @@ class MarcelScheduler:
         now = self.sim.now
         if core.next_tick <= now + _EPS:
             core.next_tick = now + self.cfg.timer_tick_us
-        slice_len = min(thread.compute_remaining, core.next_tick - now)
+        # min(remaining, gap) and max(0.0, r) below are written as
+        # comparisons that pick the same float, without a builtin call
+        slice_len = core.next_tick - now
+        if thread.compute_remaining <= slice_len:
+            slice_len = thread.compute_remaining
         if slice_len <= _EPS:  # pragma: no cover - guarded above
             raise SchedulerError(f"{core.name}: empty compute slice")
-        self._account(core, slice_len, thread.compute_kind)
+        core.timeline.add(now, now + slice_len, thread.compute_kind)
         thread.cpu_us += slice_len
         core.quantum_used += slice_len
         if thread.compute_remaining - slice_len > _EPS and self._quiet(core, thread):
@@ -480,7 +531,7 @@ class MarcelScheduler:
     def _quiet(self, core: CoreRuntime, thread: MarcelThread) -> bool:
         """True when the ticks of ``thread``'s compute on ``core`` would do
         nothing (see "Tickless compute" in the module docstring)."""
-        if thread.priority >= Priority.LOW or core.runqueue:
+        if thread.priority >= Priority.LOW or core.runqueue._count:
             return False
         return self.pioman is None or not self.pioman.tick_wants(core)
 
@@ -495,7 +546,7 @@ class MarcelScheduler:
         through the ordinary ``_slice_end`` and ends the chain. Returns
         ``(boundaries passed, next slice end or None)``.
 
-        ``max(0.0, r)`` and ``min(r, gap)`` of the ordinary path are
+        As on the ordinary path, ``max(0.0, r)`` and ``min(r, gap)`` are
         written as comparisons: ``r`` is past ``_EPS`` wherever it is
         used, and a comparison picks the same float."""
         slice_len = core.chain_len
@@ -589,7 +640,8 @@ class MarcelScheduler:
                 self._materialize(core)
 
     def _slice_end(self, core: CoreRuntime, thread: MarcelThread, slice_len: float) -> None:
-        thread.compute_remaining = max(0.0, thread.compute_remaining - slice_len)
+        remaining = thread.compute_remaining - slice_len
+        thread.compute_remaining = remaining if remaining > 0.0 else 0.0
         now = self.sim.now
         if now + _EPS >= core.next_tick:
             # timer interrupt
@@ -602,16 +654,17 @@ class MarcelScheduler:
                 cost = pioman.on_tick(core)
                 if pioman.detect_pending:
                     self.detections += 1
-                    cost += pioman.run_detection(core)
+                    # the detection's context starts after the tick's poll
+                    cost += pioman.run_detection(core, cost)
             if cost > 0:
-                self._account(core, cost, "service")
+                core.timeline.add(now, now + cost, "service")
                 self.sim.schedule(cost, self._after_tick, core, thread)
                 return
         self._after_tick(core, thread)
 
     def _after_tick(self, core: CoreRuntime, thread: MarcelThread) -> None:
         # preemption check at the safe point
-        best = core.runqueue.peek_priority()
+        best = core.runqueue.peek_priority() if core.runqueue._count else None
         if best is not None:
             higher = best < thread.priority
             quantum_out = (
@@ -639,25 +692,22 @@ class MarcelScheduler:
 
     def _enter_idle(self, core: CoreRuntime) -> None:
         total, repoll = (0.0, None) if self.pioman is None else self.pioman.on_idle(core)
+        sim = self.sim
         if total > 0:
-            self._account(core, total, "service")
-            self.sim.schedule(total, self._dispatch, core)
+            core.timeline.add(sim.now, sim.now + total, "service")
+            sim.schedule(total, self._dispatch, core)
             return
-        core.idle_since = self.sim.now
+        core.idle_since = sim.now
         if repoll is not None and repoll > 0:
             core.control = CoreRuntime.IDLE_WAIT
-            core.repoll_handle = self.sim.schedule(
-                repoll, self._dispatch, core
-            )
+            # the one cancellable event: a wake cancels the repoll
+            core.repoll_handle = sim.timer(sim.now + repoll, self._dispatch, core)
         else:
             core.control = CoreRuntime.PARKED
             if self.tracer is not None:
                 self._trace("marcel.park", core.name, "")
 
     # ------------------------------------------------------------- accounting
-
-    def _account(self, core: CoreRuntime, duration: float, kind: str) -> None:
-        core.timeline.add(self.sim.now, self.sim.now + duration, kind)
 
     def _trace(self, category: str, where: str, label: str, **data: Any) -> None:
         # callers test `self.tracer is not None` first: untraced runs make

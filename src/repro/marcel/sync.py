@@ -125,20 +125,23 @@ class ThreadMutex:
         self._queue: deque[ThreadEvent] = deque()
         self.contended_acquires = 0
 
-    def acquire(self) -> Generator[Any, Any, None]:
-        """``yield from mutex.acquire()``"""
+    def acquire(self) -> tuple[WaitTEvent, ...]:
+        """``yield from mutex.acquire()``. No generator runs: a free lock is
+        taken here and the call returns an empty tuple; a held one queues
+        the caller and returns the one effect that waits for the handoff
+        (``release()`` makes the woken thread the owner and triggers the
+        gate with None, the value ``yield from`` passes on)."""
         me = self.scheduler.current_thread_required()
         if self.owner is None:
             self.owner = me
-            return
+            return ()
         if self.owner is me:
             raise SchedulerError(f"thread {me.name} re-acquiring mutex {self.name}")
         self.contended_acquires += 1
         gate = ThreadEvent(self.scheduler, name=f"{self.name}.gate")
         gate.requester = me  # type: ignore[attr-defined]
         self._queue.append(gate)
-        yield WaitTEvent(gate)
-        # release() set us as owner before triggering the gate
+        return (WaitTEvent(gate),)
 
     def release(self) -> None:
         me = self.scheduler.current_thread_required()

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..errors import ThreadStateError
+from .effects import Compute, Sleep, WaitTEvent, YieldNow
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scheduler import MarcelScheduler
@@ -149,28 +150,18 @@ class ThreadContext:
 
     def compute(self, duration: float, label: str = ""):
         """Effect: application computation for ``duration`` µs."""
-        from .effects import Compute
-
         return Compute(duration, kind="busy", label=label)
 
     def service(self, duration: float, label: str = ""):
         """Effect: communication/library CPU work for ``duration`` µs."""
-        from .effects import Compute
-
         return Compute(duration, kind="service", label=label)
 
     def sleep(self, duration: float):
-        from .effects import Sleep
-
         return Sleep(duration)
 
     def yield_now(self):
-        from .effects import YieldNow
-
         return YieldNow()
 
     def join(self, other: MarcelThread):
         """Effect: wait for another thread's completion."""
-        from .effects import WaitTEvent
-
         return WaitTEvent(self.scheduler.done_event_of(other))

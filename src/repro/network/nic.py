@@ -129,6 +129,12 @@ class Nic:
         """
         self._activity_listeners.append(cb)
 
+    def detach(self) -> None:
+        """Drop the activity listeners and the fabric: the NIC carries
+        nothing more (its counters stay readable)."""
+        self._activity_listeners.clear()
+        self.fabric = None
+
     # -- introspection -------------------------------------------------------------
 
     def tx_busy(self) -> bool:

@@ -70,5 +70,9 @@ class ShmChannel:
     def add_activity_listener(self, cb: Callable[[], None]) -> None:
         self._activity_listeners.append(cb)
 
+    def detach(self) -> None:
+        """Drop the activity listeners: the channel carries nothing more."""
+        self._activity_listeners.clear()
+
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ShmChannel {self.name} cq={len(self.cq)}>"

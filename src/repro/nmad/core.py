@@ -141,6 +141,19 @@ class NmSession:
         #: rendezvous protocol engine (RTS/CTS handshake + data phase)
         self.rdv = RdvEngine(self)
 
+    def close(self) -> None:
+        """Drop the protocol engines and the queued ops, which hold this
+        session (cycles the garbage collector would otherwise have to
+        find): a closed session moves no more traffic; its statistics stay
+        readable."""
+        self.reliability = None
+        self.engine = None
+        self.on_request_complete.clear()
+        self.ops.clear()
+        self.windowed_gates.clear()
+        if hasattr(self, "eager"):  # idempotent
+            del self.eager, self.rdv
+
     # ------------------------------------------------------------------ wiring
 
     def add_gate(self, peer: int, rails: list[Driver], strategy: Strategy | None = None) -> Gate:
@@ -195,12 +208,17 @@ class NmSession:
         return req
 
     def completion_event(self, req: NmRequest) -> ThreadEvent:
-        """Lazily created one-shot event for waiters."""
-        if req.completion_event is None:
-            req.completion_event = ThreadEvent(self.scheduler, name=f"req{req.req_id}.done")
+        """Lazily created one-shot event for waiters. The event of a done
+        request comes triggered and is not kept on the request (see
+        :meth:`NmRequest.complete`)."""
+        event = req.completion_event
+        if event is None:
+            event = ThreadEvent(self.scheduler, name=f"req{req.req_id}.done")
             if req.done:
-                req.completion_event.trigger(req)
-        return req.completion_event
+                event.trigger(req)
+            else:
+                req.completion_event = event
+        return event
 
     # --------------------------------------------------------------- post paths
 
@@ -333,7 +351,7 @@ class NmSession:
         did = False
         stats = self.stats
         for driver in self.drivers:
-            ctx.charge(driver.poll_us)
+            ctx.cpu_us += driver.poll_us
             driver.polls += 1
             hw_cq = driver.hw_cq
             if not hw_cq:

@@ -27,8 +27,12 @@ class ExecContext:
     """Where a unit of communication work runs: a core and a start instant.
 
     The work charges its CPU with :meth:`charge`; side effects that happen
-    once the charged work is done go through :meth:`schedule_after`.
+    once the charged work is done go through :meth:`schedule_after`. A
+    constant the configuration already checked to be non-negative (the
+    spinlock, a rail's ``poll_us``) is added to ``cpu_us`` directly.
     """
+
+    __slots__ = ("sim", "core_index", "start", "cpu_us", "idle_steal")
 
     def __init__(self, sim: Simulator, core_index: int, start: float) -> None:
         self.sim = sim
@@ -36,6 +40,8 @@ class ExecContext:
         self.start = start
         #: CPU already charged to this context (µs)
         self.cpu_us = 0.0
+        #: work run here was stolen by an idle core (nbc metrics)
+        self.idle_steal = False
 
     @property
     def end(self) -> float:

@@ -145,7 +145,7 @@ class EngineBase:
         if not (session.ops or session.windowed_gates or any(session.hw_cqs)):
             return False
         ctx = self._exec_ctx(tctx)
-        ctx.charge(self.timing.host.spinlock_us)
+        ctx.cpu_us += self.timing.host.spinlock_us
         did = session.progress(ctx, max_ops=self._progress_max_ops())
         if ctx.cpu_us > 0:
             yield self._service(ctx, self.step_label)

@@ -155,7 +155,7 @@ class ReliabilityLayer:
         rail = entry.gate.rails[entry.rail_index]
         base += 2.0 * packet.wire_size / rail.wire_bandwidth()
         timeout = base * (self.cfg.backoff_factor ** entry.attempts)
-        entry.timer = self.sim.schedule_at(ctx.end + timeout, self._on_timeout, entry.key)
+        entry.timer = self.sim.timer(ctx.end + timeout, self._on_timeout, entry.key)
 
     def select_rail(self, gate: "Gate", preferred: int) -> int:
         """Rail to use for a submission, honouring degraded-link state."""

@@ -186,8 +186,13 @@ class NmRequest:
         self.transition(ReqState.COMPLETED)
         self.done = True
         self.completed_at = now
-        if self.completion_event is not None and not self.completion_event.triggered:
-            self.completion_event.trigger(self)
+        event = self.completion_event
+        if event is not None:
+            # the fired event carries this request as its value: drop it
+            # here so the two do not form a cycle
+            self.completion_event = None
+            if not event.triggered:
+                event.trigger(self)
 
     def latency(self) -> float:
         """Post-to-completion virtual time (raises if not completed)."""

@@ -82,7 +82,7 @@ def build_run_report(runtime: "ClusterRuntime") -> dict[str, Any]:
     """Merge everything a run produced into one JSON-serialisable dict.
 
     Sections: ``meta`` (virtual time, events fired, tick-chain boundaries
-    and batches, node count),
+    and batches, run-aheads, node count),
     ``metrics`` (registry snapshot), ``timeseries`` (sampler samples, when
     a sampler is attached), and ``trace`` (chrome-trace events from
     ``harness/traceviz``, when tracing was enabled).
@@ -95,6 +95,7 @@ def build_run_report(runtime: "ClusterRuntime") -> dict[str, Any]:
             "events_fired": runtime.sim.events_fired,
             "chain_boundaries": runtime.sim.chain_boundaries,
             "chain_batches": runtime.sim.chain_batches,
+            "run_aheads": runtime.sim.run_aheads,
             "nodes": len(runtime.nodes),
         },
         "metrics": runtime.metrics(),

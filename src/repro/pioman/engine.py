@@ -179,7 +179,7 @@ class PiomanEngine(EngineBase):
         ctx = self._core_ctx(core.index)
         #: marks work executed here as stolen by an idle core (nbc metrics)
         ctx.idle_steal = True
-        ctx.charge(self.timing.host.spinlock_us)
+        ctx.cpu_us += self.timing.host.spinlock_us
         # one op per activation (§2.1: "each event is run under mutual
         # exclusion … the messages are submitted once at a time") — other
         # cores and threads reaching their wait can interleave between
@@ -210,14 +210,14 @@ class PiomanEngine(EngineBase):
         if low_prio and (self.session.ops or self.session.windowed_gates):
             ctx = self._core_ctx(core.index)
             ctx.idle_steal = True
-            ctx.charge(self.timing.host.spinlock_us + self.timing.host.tasklet_local_us)
+            ctx.cpu_us += self.timing.host.spinlock_us + self.timing.host.tasklet_local_us
             if not self._run_progress_hooks(ctx):
                 self.session.progress(ctx, max_ops=1, poll=False)
             cost += ctx.cpu_us
         if any(self.session.hw_cqs):
             self.tick_activations += 1
             ctx = self._core_ctx(core.index)
-            ctx.charge(self.timing.host.spinlock_us)
+            ctx.cpu_us += self.timing.host.spinlock_us
             self.session.poll_completions(ctx)
             cost += ctx.cpu_us
         return cost
@@ -237,7 +237,7 @@ class PiomanEngine(EngineBase):
             return 0.0
         self.switch_activations += 1
         ctx = self._core_ctx(core.index)
-        ctx.charge(self.timing.host.spinlock_us)
+        ctx.cpu_us += self.timing.host.spinlock_us
         self.session.poll_completions(ctx)
         return ctx.cpu_us
 
@@ -288,15 +288,15 @@ class PiomanEngine(EngineBase):
             self.scheduler.resume_ticks()
             self.scheduler.kick_idle()
 
-    def run_detection(self, core: CoreRuntime) -> float:
+    def run_detection(self, core: CoreRuntime, after: float) -> float:
         """Run the due detection on ``core`` at a safe point: consume
         completions on behalf of blocked waiters. Returns the CPU it took,
-        the local dispatch included. Its context starts at ``now`` plus
-        that dispatch, also when a tick's poll on this core charged time
-        first."""
+        the local dispatch included. ``after`` is the CPU the safe point
+        already charged on this core (a tick's poll): the context starts
+        at ``now`` plus that charge plus the dispatch."""
         self.detect_pending = False
         dispatch = self.timing.host.tasklet_local_us
-        ctx = ExecContext(self.sim, core.index, self.sim.now + dispatch)
+        ctx = ExecContext(self.sim, core.index, self.sim.now + after + dispatch)
         ctx.charge(self.timing.host.syscall_us)
         self.session.progress(ctx, max_ops=self.cfg.max_events_per_activation)
         return dispatch + ctx.cpu_us
@@ -347,7 +347,7 @@ class PiomanEngine(EngineBase):
         # session.has_pending_ops(), inlined
         while session.ops or session.windowed_gates:
             ctx = self._exec_ctx(tctx)
-            ctx.charge(self.timing.host.spinlock_us)
+            ctx.cpu_us += self.timing.host.spinlock_us
             session.progress(ctx, poll=False)
             if ctx.cpu_us > 0:
                 yield self._service(ctx, "piom.inline_submit")
@@ -375,7 +375,7 @@ class PiomanEngine(EngineBase):
                 # the communication progress inside the wait (§2.2 end) —
                 # one event per pass, so concurrent waiters share the burst
                 ctx = self._exec_ctx(tctx)
-                ctx.charge(self.timing.host.spinlock_us)
+                ctx.cpu_us += self.timing.host.spinlock_us
                 self.session.progress(ctx, max_ops=1)
                 if ctx.cpu_us > 0:
                     yield self._service(ctx, "piom.wait")

@@ -7,9 +7,12 @@ Marcel threads (:mod:`repro.marcel`) built on top of it.
 Public surface:
 
 * :class:`~repro.sim.kernel.Simulator` — the event loop (`now`, `schedule`,
-  `run`, tick chains).
+  `timer`, `run`, `run_ahead`, tick chains).
 * :class:`~repro.sim.queues.HeapQueue` — the event queue, a binary heap of
-  ``(time, priority, seq, handle)`` tuples.
+  ``(time, priority, seq, fn, args)`` event and
+  ``(time, priority, seq, handle, None)`` timer tuples.
+* :class:`~repro.sim.events.EventHandle` — a cancellable timer, built only
+  by ``Simulator.timer``.
 * :mod:`repro.sim.rng` — seeded, named random substreams (determinism).
 * :mod:`repro.sim.tracing` — structured trace records and per-core
   timelines.

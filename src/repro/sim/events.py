@@ -1,6 +1,6 @@
 """Event-queue entries for the discrete-event kernel.
 
-Events are ordered by ``(time, priority, sequence)``. The sequence number
+Events and timers are ordered by ``(time, priority, sequence)``. The sequence number
 makes ordering total and therefore the whole simulation deterministic:
 two events scheduled for the same instant at the same priority fire in
 scheduling order (FIFO).
@@ -29,12 +29,14 @@ class Priority:
 
 
 class EventHandle:
-    """A scheduled callback; supports cancellation.
+    """A timer: a scheduled callback that can be cancelled.
 
-    Cancellation is lazy: the entry stays in the heap but is skipped when it
-    surfaces. ``fired`` is True once the callback ran. Handles are never
-    compared: the heap orders ``(time, priority, seq, handle)`` tuples and
-    ``seq`` is unique.
+    Only :meth:`~repro.sim.kernel.Simulator.timer` builds one; an
+    ordinary event is a bare heap entry with no handle. Cancellation is lazy: the
+    entry stays in the heap but is skipped when it surfaces. ``fired`` is
+    True once the callback ran. Handles are never compared: the heap
+    orders ``(time, priority, seq, handle, None)`` tuples and ``seq`` is
+    unique.
     """
 
     __slots__ = (

@@ -17,7 +17,7 @@ def stub_engine(scheduler, *, idle=None, tick=None, switch=None, wants=None, det
     ``_fire_detection`` does: it sets ``detect_pending`` and, on False →
     True, re-arms every core's ticks and kicks a core that is not active.
     While it is due, every tick is wanted; the scheduler's
-    ``run_detection(core)`` clears it and calls ``detect``."""
+    ``run_detection(core, after)`` clears it and calls ``detect``."""
     if wants is None:
         wanted = tick is not None
         wants = lambda core: wanted  # noqa: E731
@@ -29,7 +29,7 @@ def stub_engine(scheduler, *, idle=None, tick=None, switch=None, wants=None, det
             scheduler.resume_ticks()
             scheduler.kick_idle()
 
-    def run_detection(core):
+    def run_detection(core, after):
         engine.detect_pending = False
         return detect(core)
 

@@ -36,7 +36,7 @@ def _run(scenario, ticking: bool, until: float | None = None):
         "trace": tracer.signature(),
         "stats": sched.stats(),
         "log": log,
-        "work": sim.events_fired + sim.chain_boundaries,
+        "work": sim.events_fired + sim.chain_boundaries + sim.run_aheads,
         "boundaries": sim.chain_boundaries,
     }
 

@@ -163,6 +163,46 @@ BUSY_RECEIVE_PINS = {
 }
 
 
+def test_detection_at_a_tick_starts_after_the_tick_poll(monkeypatch):
+    """The busy-receiver run's one detection falls due at a tick on n1
+    core 1 whose poll charged CPU first: the detection's context starts
+    after that poll and the local dispatch, not inside the poll."""
+    from repro.pioman import engine as engine_mod
+
+    starts: list[float] = []
+    polls: list[tuple[float, float]] = []
+    detections: list[tuple] = []
+
+    class Recording(engine_mod.ExecContext):
+        def __init__(self, sim, core_index, start):
+            super().__init__(sim, core_index, start)
+            starts.append(start)
+
+    on_tick = engine_mod.PiomanEngine.on_tick
+    run_detection = engine_mod.PiomanEngine.run_detection
+
+    def tick(self, core):
+        cost = on_tick(self, core)
+        polls.append((self.sim.now, cost))
+        return cost
+
+    def detect(self, core, after):
+        detections.append((self.sim.now, after, polls[-1]))
+        del starts[:]
+        cost = run_detection(self, core, after)
+        detections.append(tuple(starts))
+        return cost
+
+    monkeypatch.setattr(engine_mod, "ExecContext", Recording)
+    monkeypatch.setattr(engine_mod.PiomanEngine, "on_tick", tick)
+    monkeypatch.setattr(engine_mod.PiomanEngine, "run_detection", detect)
+    rt = _build(allow_blocking=True)
+    _sendrecv_with_busy_receiver(rt)
+    (now, after, last_poll), (start,) = detections
+    assert last_poll == (now, after) and after > 0
+    assert start == now + after + rt.timing.host.tasklet_local_us
+
+
 @pytest.mark.parametrize("allow_blocking", [True, False], ids=["block", "poll"])
 def test_busy_receiver_detection_is_pinned(allow_blocking):
     tracer = Tracer()

@@ -35,7 +35,7 @@ def test_cancellation_removes_exactly_the_cancelled(all_delays, cancel_idx):
     sim = Simulator()
     fired: list[int] = []
     handles = [
-        sim.schedule(d, lambda i=i: fired.append(i)) for i, d in enumerate(all_delays)
+        sim.timer(d, lambda i=i: fired.append(i)) for i, d in enumerate(all_delays)
     ]
     for i in cancel_idx:
         if i < len(handles):

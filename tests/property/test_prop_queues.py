@@ -1,8 +1,9 @@
 """Property tests: the kernel's one run loop against its reference path.
 
 Hypothesis generates random scheduling programs — colliding delays, all
-five priorities, cancellations, events that schedule and cancel more
-events from inside their own callbacks, segmented bounded runs — and
+five priorities, bare events mixed with cancellable timers, cancellations,
+callbacks that schedule events and arm and cancel timers, segmented
+bounded runs — and
 checks them against the guarantees of the single heap:
 
 * ``run()`` equals ``step()``-driven execution: the full fire log, the
@@ -13,7 +14,7 @@ checks them against the guarantees of the single heap:
   pending together: an event scheduled by a callback at the current
   instant with a smaller priority number legitimately fires after the
   event that scheduled it;
-* no cancelled handle fires;
+* no cancelled timer fires;
 * the heap's two storage disciplines — lazy deletion below the
   compaction floor and eager compaction (a floor of 1, so cancellations
   rewrite the heap in place under the running loop) — are
@@ -84,29 +85,44 @@ def _execute(program, by_step: bool = False, until=()) -> dict:
     final ``run()``."""
     sim = Simulator()
     log: list[tuple[float, str]] = []
+    #: tag -> the (time, priority, seq) key it was scheduled with
+    keys: dict[str, tuple[float, int, int]] = {}
+    #: tag -> the handle of a timer (events have none)
     handles: dict[str, EventHandle] = {}
     #: tag -> number of events scheduled (the highest seq) when it fired
     scheduled_before: dict[str, int] = {}
 
-    def sched(delay: float, tag: str, *args, priority: int = Priority.NORMAL) -> EventHandle:
-        h = handles[tag] = sim.schedule(delay, fire, tag, *args, priority=priority)
-        return h
+    def sched(
+        delay: float, tag: str, *args, priority: int = Priority.NORMAL, timer: bool = False
+    ) -> EventHandle | None:
+        """An event, or with ``timer`` a cancellable timer, ``delay`` from now."""
+        time = sim.now + delay
+        if timer:
+            handles[tag] = sim.timer(time, fire, tag, *args, priority=priority)
+        else:
+            sim.schedule(delay, fire, tag, *args, priority=priority)
+        keys[tag] = (time, priority, len(keys) + 1)
+        return handles.get(tag)
 
     def fire(tag: str, children, child_delay, cancel_child, rearm) -> None:
         log.append((sim.now, tag))
-        scheduled_before[tag] = len(handles)
-        kids = [sched(child_delay, f"{tag}.{i}", 0, 0.0, False, False) for i in range(children)]
+        scheduled_before[tag] = len(keys)
+        kids = [
+            sched(child_delay, f"{tag}.{i}", 0, 0.0, False, False, timer=cancel_child)
+            for i in range(children)
+        ]
         if cancel_child and kids:
             kids[0].cancel()
             log.append((sim.now, f"{tag}:cancelled-child"))
         if rearm:
             # schedule-then-cancel from inside a callback: the classic
             # retransmit-timer shape
-            sched(child_delay + 1.0, f"{tag}:ghost", 0, 0.0, False, False).cancel()
+            sched(child_delay + 1.0, f"{tag}:ghost", 0, 0.0, False, False, timer=True).cancel()
 
     pre_cancel = []
     for i, (delay, prio, children, child_delay, cancel_child, rearm) in enumerate(program):
-        h = sched(delay, f"op{i}", children, child_delay, cancel_child, rearm, priority=prio)
+        h = sched(delay, f"op{i}", children, child_delay, cancel_child, rearm, priority=prio,
+                  timer=i % 7 in (3, 5))
         if i % 7 == 3:
             pre_cancel.append(h)
     for h in pre_cancel:
@@ -124,12 +140,13 @@ def _execute(program, by_step: bool = False, until=()) -> dict:
 
     fired = [tag for _t, tag in log if ":cancelled-child" not in tag]
     for k, tag in enumerate(fired):
-        key = handles[tag].sort_key()
+        key = keys[tag]
         for later in fired[k + 1:]:
-            if handles[later].seq <= scheduled_before[tag]:
-                assert handles[later].sort_key() > key, (
+            if keys[later][2] <= scheduled_before[tag]:
+                assert keys[later] > key, (
                     f"{later} was pending when {tag} fired but has a smaller key")
-    assert all(handles[tag].fired for tag in fired)
+    assert all(handles[tag].fired for tag in fired if tag in handles)
+    assert all(h.sort_key() == keys[tag] for tag, h in handles.items())
     assert not any(h.fired for h in handles.values() if h.cancelled)
     assert len(set(fired)) == len(fired)
     return {
@@ -219,7 +236,7 @@ def test_cancelled_handles_never_fire(entries, cancel_idx):
     sim = Simulator()
     fired: list[int] = []
     handles = [
-        sim.schedule(d, lambda i=i: fired.append(i), priority=p)
+        sim.timer(d, lambda i=i: fired.append(i), priority=p)
         for i, (d, p) in enumerate(entries)
     ]
     for i in cancel_idx:
@@ -247,7 +264,7 @@ def test_cancellation_sets_agree_across_queues(entries, cancel_idx):
             sim = Simulator()
             fired: list[int] = []
             handles = [
-                sim.schedule(d, lambda i=i: fired.append(i), priority=p)
+                sim.timer(d, lambda i=i: fired.append(i), priority=p)
                 for i, (d, p) in enumerate(entries)
             ]
             for i in cancel_idx:

@@ -16,7 +16,9 @@ The sampler is a kernel observer, which keeps tick chains at one boundary
 per batch. A third run, tickless with no observer, reaches the batched
 path: it must equal the ticking run on the end time, the trace, the
 statistics, every core's timeline and every thread's CPU time, and pass
-as many chain boundaries as the sampled tickless run.
+as many chain boundaries as the sampled tickless run. Without an observer
+the kernel also runs sub-tick computes ahead (``Simulator.run_ahead``):
+its events, boundaries and run-aheads add up to the ticking run's events.
 """
 
 from __future__ import annotations
@@ -39,7 +41,9 @@ from repro.units import KiB
 pytestmark = pytest.mark.tickless
 
 #: sampler lanes that count kernel work, which tickless runs do differently
-_KERNEL_WORK = ("sim.events_fired", "sim.chain_boundaries", "sim.chain_batches")
+_KERNEL_WORK = (
+    "sim.events_fired", "sim.chain_boundaries", "sim.chain_batches", "sim.run_aheads",
+)
 
 grids = st.sampled_from((10.0, 5.0, 2.5))
 steps = st.one_of(
@@ -125,6 +129,7 @@ def _run(cfg, sampled: bool = True):
         "events": rt.sim.events_fired,
         "boundaries": rt.sim.chain_boundaries,
         "batches": rt.sim.chain_batches,
+        "run_aheads": rt.sim.run_aheads,
     }
     if not sampled:
         assert rt.sampler is None
@@ -134,7 +139,7 @@ def _run(cfg, sampled: bool = True):
         (t, {k: v for k, v in snap.items() if k not in _KERNEL_WORK}) for t, snap in rt.sampler.samples
     ]
     out["work"] = [
-        (t, snap["sim.events_fired"], snap["sim.chain_boundaries"])
+        (t, snap["sim.events_fired"], snap["sim.chain_boundaries"] + snap["sim.run_aheads"])
         for t, snap in rt.sampler.samples
     ]
     return out
@@ -147,6 +152,8 @@ def test_tick_chains_equal_ticking(cfg):
     with mock.patch.object(MarcelScheduler, "_quiet", lambda self, core, thread: False):
         ticking = _run(cfg)
     assert ticking["boundaries"] == 0
+    # the sampler is an observer: no run-aheads in either sampled run
+    assert ticking["run_aheads"] == tickless["run_aheads"] == 0
     assert tickless["end"] == ticking["end"]
     assert tickless["trace"] == ticking["trace"]
     assert tickless["stats"] == ticking["stats"]
@@ -161,5 +168,8 @@ def test_tick_chains_equal_ticking(cfg):
     for key in ("end", "trace", "stats", "timelines", "cpu_us"):
         assert batched[key] == ticking[key], key
     assert batched["boundaries"] == tickless["boundaries"]
-    assert batched["events"] == tickless["events"]
+    assert batched["events"] + batched["run_aheads"] == tickless["events"]
+    assert (
+        batched["events"] + batched["boundaries"] + batched["run_aheads"] == ticking["events"]
+    )
     assert batched["batches"] <= batched["boundaries"]

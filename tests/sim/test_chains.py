@@ -197,7 +197,7 @@ def test_batch_stops_at_a_cancelled_top(sim):
     next batch carries on past it, as if it were never scheduled."""
     ticker = Ticker(sim, 1.0, 100.0)
     ticker.start(as_events=False)
-    sim.schedule_at(50.0, lambda: None).cancel()
+    sim.timer(50.0, lambda: None).cancel()
     sim.run()
     assert [n for _now, _stop, n in ticker.batches] == [49, 50, 1]
     assert ticker.batches[0][1] == 50.0
@@ -299,8 +299,9 @@ def test_materialize_keeps_the_key(sim):
 
     def rearm() -> None:
         key = tuple(entry[:3])
-        handle = sim.materialize(entry, ticker._event)
-        assert handle.sort_key() == key
+        assert sim.materialize(entry, ticker._event) is None
+        # the boundary became a bare event entry with the boundary's key
+        assert [e[:3] for e in sim._heap if e[3] == ticker._event] == [key]
         seen._fire("rearm")
 
     sim.schedule_at(25.0, rearm)

@@ -54,7 +54,7 @@ def test_schedule_at_past_rejected(sim):
 
 def test_cancel_prevents_firing(sim):
     fired = []
-    handle = sim.schedule(1.0, fired.append, 1)
+    handle = sim.timer(1.0, fired.append, 1)
     handle.cancel()
     sim.run()
     assert fired == []
@@ -63,7 +63,7 @@ def test_cancel_prevents_firing(sim):
 
 def test_cancel_after_fire_is_noop(sim):
     fired = []
-    handle = sim.schedule(1.0, fired.append, 1)
+    handle = sim.timer(1.0, fired.append, 1)
     sim.run()
     handle.cancel()
     assert fired == [1]
@@ -154,7 +154,7 @@ def test_events_fired_counter(sim):
 
 def test_peek_time(sim):
     assert sim.peek_time() is None
-    h = sim.schedule(4.0, lambda: None)
+    h = sim.timer(4.0, lambda: None)
     assert sim.peek_time() == 4.0
     h.cancel()
     assert sim.peek_time() is None

@@ -37,12 +37,12 @@ def _storm(sim: Simulator, log: list, n_events: int = 400, timers: bool = False)
         if counter[0] < n_events:
             sim.schedule(1.0, tick, chain, priority=chain % 3)
             if counter[0] % 5 == 0:
-                sim.schedule(2.0, tick, chain).cancel()
+                sim.timer(sim.now + 2.0, tick, chain).cancel()
             if timers:
                 old = armed.get(chain)
                 if old is not None:
                     old.cancel()
-                armed[chain] = sim.schedule(50_000.0, log.append, ("rto", chain))
+                armed[chain] = sim.timer(sim.now + 50_000.0, log.append, ("rto", chain))
 
     for c in range(4):
         sim.schedule(float(c) * 0.25, tick, c)
@@ -154,10 +154,10 @@ def test_max_events_guard_still_raises():
 def test_cancelled_events_never_fire_in_fast_loop():
     sim = Simulator()
     fired: list[str] = []
-    keep = sim.schedule(1.0, fired.append, "keep")
-    dead = sim.schedule(1.0, fired.append, "dead", priority=Priority.TASKLET)
+    keep = sim.timer(1.0, fired.append, "keep")
+    dead = sim.timer(1.0, fired.append, "dead", priority=Priority.TASKLET)
     dead.cancel()
-    sim.schedule(2.0, fired.append, "late").cancel()
+    sim.timer(2.0, fired.append, "late").cancel()
     sim.run()
     assert fired == ["keep"]
     assert keep.fired and not dead.fired

@@ -23,7 +23,7 @@ def _entries(sim: Simulator) -> int:
 def test_queue_stats_shape():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)
-    sim.schedule(2.0, lambda: None).cancel()
+    sim.timer(2.0, lambda: None).cancel()
     assert sim.queue_stats() == {"entries": 2, "cancelled": 1, "compactions": 0}
     sim.run()
     assert sim.queue_stats() == {"entries": 0, "cancelled": 0, "compactions": 0}
@@ -68,7 +68,7 @@ def test_cancelled_far_future_timers_are_compacted():
 
     def churn(i: int) -> None:
         nonlocal peak
-        h = sim.schedule(1e9, lambda: None)  # retransmit timer, RTO ~forever
+        h = sim.timer(sim.now + 1e9, lambda: None)  # retransmit timer, RTO ~forever
         h.cancel()  # ack arrives immediately
         peak = max(peak, _entries(sim))
         if i + 1 < n:
@@ -83,9 +83,9 @@ def test_cancelled_far_future_timers_are_compacted():
 def test_compaction_preserves_live_entries():
     sim = Simulator()
     fired = []
-    keep = [sim.schedule(float(i) + 2.0, fired.append, i) for i in range(10)]
+    keep = [sim.timer(float(i) + 2.0, fired.append, i) for i in range(10)]
     for _ in range(2 * _COMPACT_MIN):
-        sim.schedule(1e9, lambda: None).cancel()
+        sim.timer(1e9, lambda: None).cancel()
     assert sim.queue_stats()["compactions"] >= 1
     sim.run()
     assert fired == list(range(10))
@@ -101,7 +101,7 @@ def test_compaction_inside_the_run_loop_keeps_order():
     n = 3 * _COMPACT_MIN
     fired: list[int] = []
     handles = [
-        sim.schedule(20.0 + (i * 37) % 101, fired.append, i, priority=i % 5)
+        sim.timer(20.0 + (i * 37) % 101, fired.append, i, priority=i % 5)
         for i in range(n)
     ]
     doomed = [i for i in range(n) if i % 3]
@@ -145,7 +145,7 @@ def test_retained_handles_keep_their_fields_after_firing():
     retained timer does not pin its closure."""
     sim = Simulator()
     log: list[int] = []
-    kept = [sim.schedule(float(i) + 1.0, log.append, i) for i in range(50)]
+    kept = [sim.timer(float(i) + 1.0, log.append, i) for i in range(50)]
     assert [(h._fn, h._args) for h in kept] == [(log.append, (i,)) for i in range(50)]
     seqs = [h.seq for h in kept]
     for i in range(50):
@@ -173,7 +173,7 @@ def test_reliability_ack_storm_queue_stays_bounded():
     sim.add_observer(lambda _now: peak.__setitem__(0, max(peak[0], _entries(sim))))
 
     def send(i: int) -> None:
-        timer = sim.schedule(1e8, lambda: None)  # RTO far beyond the run
+        timer = sim.timer(sim.now + 1e8, lambda: None)  # RTO far beyond the run
         sim.schedule(0.5, timer.cancel)  # the ack
         if i + 1 < n:
             sim.schedule(1.0, send, i + 1)
