@@ -3,8 +3,9 @@
 §3.1: "NEWMADELEINE+PIOMAN already supports a large spectrum of network
 technologies: Myrinet, Infiniband, QsNet, and TCP." The engine-level gain
 (sum → max) must hold regardless of the driver underneath; only the
-constants move. This bench runs the Fig. 4 loop over the MX-like, Verbs/
-IB-like, and TCP-like drivers.
+constants move. This bench runs the Fig. 4 loop over the one NIC driver
+priced by the MX and the IB model (``repro.config.ib_nic_model``), and
+over the TCP driver, which overrides only its socket costs.
 
 Run with pytest (``-s`` prints the report table)::
 

@@ -23,6 +23,8 @@ from .units import GiB_per_s, KiB
 __all__ = [
     "HostModel",
     "NicModel",
+    "ib_nic_model",
+    "tcp_nic_model",
     "ShmModel",
     "PiomanConfig",
     "MarcelConfig",
@@ -142,7 +144,9 @@ class HostModel:
 
 @dataclass(frozen=True)
 class NicModel:
-    """MX/Myri-10G-like NIC and wire cost model.
+    """MX/Myri-10G-like NIC and wire cost model (the defaults;
+    :func:`ib_nic_model` and :func:`tcp_nic_model` price the other
+    interconnects).
 
     The MX driver behaviour described in §2.2/§2.3 of the paper:
 
@@ -213,6 +217,54 @@ class NicModel:
         if nbytes < 0:
             raise ConfigError(f"negative registration size: {nbytes}")
         return self.reg_setup_us + nbytes * self.reg_byte_us
+
+
+def ib_nic_model() -> NicModel:
+    """A DDR InfiniBand/Verbs-flavoured :class:`NicModel` (§3.1 lists
+    "Verbs/InfiniBand" among NewMadeleine's networks).
+
+    Payloads up to 64 B travel inline in the work-queue entry (the PIO
+    path); eager traffic goes through pre-registered bounce buffers; the
+    rendezvous is an RDMA write. Verbs stacks switch to it earlier than MX
+    (16 KiB) because registration-cache hits make the zero-copy path
+    cheap. ≈1.3 µs one-way, ≈1.4 GiB/s.
+    """
+    return NicModel(
+        name="ib",
+        pio_threshold=64,  # max inline data
+        rdv_threshold=KiB(16),
+        wire_latency_us=1.3,
+        wire_bw=GiB_per_s(1.4),
+        pio_byte_us=0.004,  # inline WQE writes
+        tx_setup_us=0.3,  # post_send() is cheap
+        dma_setup_us=0.3,
+        rx_consume_us=0.4,
+        poll_us=0.2,  # CQ polling is a cheap memory read
+        interrupt_us=8.0,  # event-channel wakeups are pricier than MX
+        reg_setup_us=1.5,  # ibv_reg_mr is heavier than MX registration
+        reg_byte_us=0.0003,
+    )
+
+
+def tcp_nic_model() -> NicModel:
+    """A gigabit-Ethernet-flavoured :class:`NicModel`: no PIO path, no
+    registration, 25 µs one-way, ≈1 Gb/s. The socket-call costs live in
+    :class:`repro.nmad.drivers.TcpDriver`."""
+    return NicModel(
+        name="tcp",
+        pio_threshold=0,
+        rdv_threshold=KiB(64),
+        wire_latency_us=25.0,
+        wire_bw=117.0,  # ≈ 1 Gb/s
+        pio_byte_us=0.0,
+        tx_setup_us=1.0,
+        dma_setup_us=0.5,
+        rx_consume_us=1.2,
+        poll_us=0.4,
+        interrupt_us=12.0,
+        reg_setup_us=0.0,
+        reg_byte_us=0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -345,9 +397,9 @@ class RdvConfig:
     #: fixed pipeline chunk size in bytes; 0 = no chunking (single DATA
     #: packet on one rail, the paper's behaviour).
     chunk_bytes: int = 0
-    #: size chunks from each rail's ``wire_bandwidth()`` instead of
+    #: size chunks from each rail's ``wire_bw`` instead of
     #: ``chunk_bytes``: a chunk is whatever the rail drains in
-    #: ``adaptive_chunk_us`` (or the driver's own hint when it gives one).
+    #: ``adaptive_chunk_us``.
     adaptive: bool = False
     #: target per-chunk DMA drain time for the adaptive mode.
     adaptive_chunk_us: float = 60.0

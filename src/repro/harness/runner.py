@@ -19,7 +19,15 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Optional
 
-from ..config import EngineKind, RdvConfig, TimingModel
+from ..config import (
+    DEFAULT_TIMING,
+    EngineKind,
+    NicModel,
+    RdvConfig,
+    TimingModel,
+    ib_nic_model,
+    tcp_nic_model,
+)
 from ..errors import HarnessError
 from ..faults import FaultInjector, FaultPlan
 from ..marcel.scheduler import MarcelScheduler
@@ -28,10 +36,7 @@ from ..network.fabric import Fabric
 from ..network.nic import Nic
 from ..network.shm import ShmChannel
 from ..nmad.core import NmSession
-from ..nmad.drivers.ib import IbDriver, ib_nic_model
-from ..nmad.drivers.mx import MxDriver
-from ..nmad.drivers.shm import ShmDriver
-from ..nmad.drivers.tcp import TcpDriver, tcp_nic_model
+from ..nmad.drivers import Driver, NicDriver, ShmDriver, TcpDriver
 from ..nmad.interface import NmInterface
 from ..nmad.progress import SequentialEngine
 from ..nmad.rdv import RDV_STAT_KEYS
@@ -47,6 +52,14 @@ from ..topology.machine import Cluster
 from ..topology.numa import NumaModel
 
 __all__ = ["NodeRuntime", "ClusterRuntime"]
+
+#: interconnect name -> (driver class, preset NIC model). MX (no preset)
+#: runs on the caller's ``timing.nic``, whose defaults are MX's.
+_INTERCONNECTS: dict[str, tuple[type[NicDriver], Optional[Callable[[], NicModel]]]] = {
+    "mx": (NicDriver, None),
+    "ib": (NicDriver, ib_nic_model),
+    "tcp": (TcpDriver, tcp_nic_model),
+}
 
 
 @dataclass
@@ -127,7 +140,10 @@ class ClusterRuntime:
         selects the progression engine; ``rails > 1`` attaches several
         NICs per node (multirail); ``interconnect`` is ``"mx"``, ``"ib"``
         or ``"tcp"``, and its NIC model prices the wire, buffer
-        registration and PIOMan's blocking-detection interrupt.
+        registration and PIOMan's blocking-detection interrupt. MX runs
+        on ``timing.nic``; IB and TCP run on their presets
+        (:func:`repro.config.ib_nic_model`, :func:`repro.config.tcp_nic_model`)
+        and refuse any other ``timing.nic`` than the default.
 
         ``faults`` installs a :class:`repro.faults.FaultPlan` on every
         fabric (one shared injector, so ``every_nth`` counts cluster-wide
@@ -154,7 +170,7 @@ class ClusterRuntime:
         EngineKind.validate(engine)
         if rails < 1:
             raise HarnessError(f"rails must be >= 1, got {rails}")
-        if interconnect not in ("mx", "ib", "tcp"):
+        if interconnect not in _INTERCONNECTS:
             raise HarnessError(f"interconnect must be mx, ib or tcp, got {interconnect!r}")
         if offload_policy is not None:
             if engine != EngineKind.PIOMAN:
@@ -171,6 +187,15 @@ class ClusterRuntime:
             timing = dataclasses.replace(
                 timing, faults=dataclasses.replace(timing.faults, enabled=True)
             )
+        driver_cls, preset = _INTERCONNECTS[interconnect]
+        if preset is not None:
+            nic_model = preset()
+            if timing.nic not in (DEFAULT_TIMING.nic, nic_model):
+                raise HarnessError(
+                    f"interconnect {interconnect!r} runs on {preset.__name__}(); "
+                    f"timing.nic must be that preset or the default MX model, got {timing.nic!r}"
+                )
+            timing = timing.replace(nic=nic_model)
         sim = Simulator(trace=tracer)
         rng = RngStreams(seed)
         cluster = build_cluster(
@@ -180,13 +205,6 @@ class ClusterRuntime:
             interconnect=interconnect,
         )
         # fabrics: one per rail
-        if interconnect == "mx":
-            nic_model = timing.nic
-        elif interconnect == "ib":
-            nic_model = ib_nic_model()
-        else:
-            nic_model = tcp_nic_model()
-        timing = timing.replace(nic=nic_model)
         fabrics = [
             Fabric(
                 sim,
@@ -203,7 +221,7 @@ class ClusterRuntime:
         node_rts: list[NodeRuntime] = []
         per_node_nics: list[list[Nic]] = []
         for node in cluster.nodes:
-            nics = [Nic(sim, node.index, nic_model, fabrics[r]) for r in range(rails)]
+            nics = [Nic(sim, node.index, timing.nic, fabrics[r]) for r in range(rails)]
             for r, nic in enumerate(nics):
                 fabrics[r].attach(nic)
             per_node_nics.append(nics)
@@ -211,12 +229,7 @@ class ClusterRuntime:
             scheduler = MarcelScheduler(sim, node, timing, tracer)
             session = NmSession(sim, scheduler, node, timing, numa, tracer)
             nics = per_node_nics[node.index]
-            if interconnect == "mx":
-                drivers: list[Any] = [MxDriver(nic, timing.host) for nic in nics]
-            elif interconnect == "ib":
-                drivers = [IbDriver(nic, timing.host) for nic in nics]
-            else:
-                drivers = [TcpDriver(nic, timing.host) for nic in nics]
+            drivers: list[Driver] = [driver_cls(nic, timing.host) for nic in nics]
             shm = ShmChannel(sim, node.index, timing.shm)
             shm_driver = ShmDriver(shm, timing.host)
             if engine == EngineKind.PIOMAN:

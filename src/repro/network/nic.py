@@ -135,11 +135,5 @@ class Nic:
         self._activity_listeners.clear()
         self.fabric = None
 
-    # -- introspection -------------------------------------------------------------
-
-    def tx_busy(self) -> bool:
-        """True while the DMA/TX engine is draining earlier packets."""
-        return self._tx_free_at > self.sim.now
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Nic {self.name} cq={len(self.cq)} tx_free_at={self._tx_free_at:.2f}>"

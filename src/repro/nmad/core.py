@@ -165,7 +165,7 @@ class NmSession:
             if rail not in self.drivers:
                 self.drivers.append(rail)
                 self.hw_cqs.append(rail.hw_cq)
-                rail.add_activity_listener(self._hw_activity)
+                rail.device.add_activity_listener(self._hw_activity)
         return gate
 
     def gate_to(self, peer: int) -> Gate:

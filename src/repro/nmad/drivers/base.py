@@ -15,8 +15,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable
 
-from ...errors import NetworkError, SchedulerError
+from ...errors import SchedulerError
 from ...network.message import CompletionRecord, Packet
+from ...network.nic import Nic
+from ...network.shm import ShmChannel
 from ...sim.events import Priority
 from ...sim.kernel import Simulator
 
@@ -62,19 +64,35 @@ class ExecContext:
 
 
 class Driver:
-    """Abstract transfer driver."""
+    """Abstract transfer driver.
 
-    #: driver short name ("mx", "shm", "tcp")
-    name: str = "base"
+    Every driver sets the attributes below once in ``__init__``, from its
+    frozen model: the protocol layers read them on every message.
+    """
+
+    #: driver short name ("mx", "ib", "tcp", "shm"); metric keys use it
+    name: str
     #: whether the hardware can DMA from/to registered app buffers
     supports_zero_copy: bool = False
-    #: the hardware completion queue. Every driver sets it: the session's
-    #: poll loop (:meth:`repro.nmad.core.NmSession.poll_completions`) takes
-    #: records straight off it and tests it for emptiness.
+    #: the hardware the driver submits to (a NIC or a shared-memory
+    #: channel); the session registers its activity listener on it
+    device: Nic | ShmChannel
+    #: the hardware completion queue. The session's poll loop
+    #: (:meth:`repro.nmad.core.NmSession.poll_completions`) takes records
+    #: straight off it and tests it for emptiness.
     hw_cq: "deque[CompletionRecord]"
-    #: CPU cost (µs) of one poll of :attr:`hw_cq`, read once from the
-    #: driver's frozen model; charged by every poll, empty or not
+    #: CPU cost (µs) of one poll of :attr:`hw_cq`, charged by every poll,
+    #: empty or not
     poll_us: float
+    #: max payload for the PIO path (0 = never PIO)
+    pio_threshold: int
+    #: payloads strictly above this use the rendezvous protocol
+    rdv_threshold: int
+    #: nominal bandwidth (bytes/µs): the multirail splitter, the adaptive
+    #: rendezvous chunker and the retransmit timeout read it
+    wire_bw: float
+    #: CPU cost (µs) to consume one arrived message descriptor
+    rx_consume_us: float
 
     #: canonical statistic attributes reported by :meth:`stats`. Subclasses
     #: shadow (as instance attributes) only the ones their paths increment;
@@ -83,8 +101,6 @@ class Driver:
         "pio_sends",
         "eager_sends",
         "zero_copy_sends",
-        "inline_sends",
-        "rdma_writes",
         "control_sends",
         "polls",
         "rx_completions",
@@ -92,8 +108,6 @@ class Driver:
     pio_sends = 0
     eager_sends = 0
     zero_copy_sends = 0
-    inline_sends = 0
-    rdma_writes = 0
     control_sends = 0
     polls = 0
     rx_completions = 0
@@ -102,16 +116,6 @@ class Driver:
         """Flat submit/poll/rx counters (consumed by ``repro.obs``); the
         session's poll loop counts ``polls`` and ``rx_completions``."""
         return {key: getattr(self, key) for key in self._STAT_ATTRS}
-
-    # -- thresholds --------------------------------------------------------------
-
-    def pio_threshold(self) -> int:
-        """Max payload for the PIO path (0 = never PIO)."""
-        raise NotImplementedError
-
-    def rdv_threshold(self) -> int:
-        """Payloads strictly above this use the rendezvous protocol."""
-        raise NotImplementedError
 
     # -- TX ----------------------------------------------------------------------
 
@@ -150,38 +154,6 @@ class Driver:
         raise NotImplementedError
 
     def submit_zero_copy(self, ctx: ExecContext, packet: Packet) -> None:
-        """DMA directly from a (pre-registered) application buffer."""
+        """DMA directly from a (pre-registered) application buffer; called
+        only when :attr:`supports_zero_copy` is true."""
         raise NotImplementedError(f"driver {self.name} does not support zero-copy")
-
-    # -- completion discovery -------------------------------------------------------
-
-    def add_activity_listener(self, cb: Callable[[], None]) -> None:
-        raise NotImplementedError
-
-    # -- receive-side costs -----------------------------------------------------------
-
-    def rx_consume_us(self) -> float:
-        """CPU cost to consume one arrived message descriptor."""
-        raise NotImplementedError
-
-    def wire_bandwidth(self) -> float:
-        """Nominal bandwidth (bytes/µs) — used by the multirail splitter."""
-        raise NotImplementedError
-
-    def rdv_chunk_bytes(self) -> int:
-        """Driver-preferred pipeline chunk size for the RDV data phase.
-
-        0 (the default) means no preference: the planner sizes chunks from
-        :class:`repro.config.RdvConfig` and this driver's bandwidth instead.
-        Drivers whose hardware has a natural MTU/pipeline depth override.
-        """
-        return 0
-
-    # -- common validation ----------------------------------------------------------
-
-    @staticmethod
-    def _check_ctx(ctx: object) -> None:
-        if not hasattr(ctx, "charge") or not hasattr(ctx, "schedule_after"):
-            raise NetworkError(
-                f"driver operation needs an execution context, got {type(ctx).__name__}"
-            )

@@ -1,16 +1,22 @@
-"""MX/Myrinet-like driver over the NIC model.
+"""The driver for every NIC-backed interconnect (MX, InfiniBand, TCP).
 
-Cost structure per §2.2:
+§3.1: NewMadeleine runs over "a large spectrum of network technologies"
+behind one driver layer; only the cost constants differ. One class serves
+them all, priced by its :class:`~repro.config.NicModel` (MX by default,
+:func:`~repro.config.ib_nic_model` for Verbs/InfiniBand). Cost structure
+per §2.2:
 
-* **PIO** (≤ ``pio_threshold``, MX: 128 B): the CPU writes the frame to the
-  NIC — `tx_setup + wire_size × pio_byte_us` of CPU, packet on the wire
-  immediately after.
-* **Eager** (≤ ``rdv_threshold``, MX: 32 KiB): the CPU copies the payload
-  into a registered region (host memcpy, scaled by the NUMA factor when
-  the submitting core is not the producing core), builds a DMA descriptor,
-  and the NIC streams it out.
-* **Zero-copy** (rendezvous DATA): descriptor build only; the buffer was
-  registered by the protocol layer.
+* **PIO** (≤ ``pio_threshold``; MX 128 B, IB 64 B inline): the CPU writes
+  the frame to the NIC — `tx_setup + wire_size × pio_byte_us` of CPU,
+  packet on the wire immediately after.
+* **Eager** (≤ ``rdv_threshold``; MX 32 KiB, IB 16 KiB): the CPU copies the
+  payload into a registered region (host memcpy, scaled by the NUMA factor
+  when the submitting core is not the producing core), builds a DMA
+  descriptor, and the NIC streams it out.
+* **Zero-copy** (rendezvous DATA; an RDMA write on IB): descriptor build
+  only; the buffer was registered by the protocol layer.
+
+TCP overrides only its socket costs (:class:`repro.nmad.drivers.TcpDriver`).
 """
 
 from __future__ import annotations
@@ -22,39 +28,34 @@ from ...network.message import Packet, PacketKind
 from ...network.nic import Nic
 from .base import Driver, ExecContext
 
-__all__ = ["MxDriver"]
+__all__ = ["NicDriver"]
 
 
-class MxDriver(Driver):
-    name = "mx"
+class NicDriver(Driver):
     supports_zero_copy = True
 
     def __init__(self, nic: Nic, host: HostModel) -> None:
-        self.nic = nic
+        self.nic = self.device = nic
         self.hw_cq = nic.cq
         self.host = host
         self.model: NicModel = nic.model
+        self.name = self.model.name
         self.poll_us = self.model.poll_us
+        self.pio_threshold = self.model.pio_threshold
+        self.rdv_threshold = self.model.rdv_threshold
+        self.wire_bw = self.model.wire_bw
+        self.rx_consume_us = self.model.rx_consume_us
         # statistics
         self.pio_sends = 0
         self.eager_sends = 0
         self.zero_copy_sends = 0
         self.control_sends = 0
 
-    # -- thresholds --------------------------------------------------------------
-
-    def pio_threshold(self) -> int:
-        return self.model.pio_threshold
-
-    def rdv_threshold(self) -> int:
-        return self.model.rdv_threshold
-
     # -- TX ----------------------------------------------------------------------
 
     def plan_submit(
         self, ctx: ExecContext, packet: Packet, mode: str, copy_bytes: int, numa_factor: float = 1.0
     ) -> Callable[[], None]:
-        self._check_ctx(ctx)
         if mode == "pio":
             ctx.charge(self.nic.pio_cpu_us(packet))
             self.pio_sends += 1
@@ -69,7 +70,6 @@ class MxDriver(Driver):
         return lambda: self.nic.submit_dma(packet)
 
     def submit_control(self, ctx: ExecContext, packet: Packet) -> None:
-        self._check_ctx(ctx)
         if packet.kind not in (PacketKind.RTS, PacketKind.CTS, PacketKind.ACK):
             # control path is for control frames only
             raise ValueError(f"not a control packet: {packet!r}")
@@ -78,19 +78,9 @@ class MxDriver(Driver):
         ctx.schedule_after(0.0, self.nic.submit_pio, packet)
 
     def submit_zero_copy(self, ctx: ExecContext, packet: Packet) -> None:
-        self._check_ctx(ctx)
         ctx.charge(self.model.tx_setup_us + self.model.dma_setup_us)
         self.zero_copy_sends += 1
         ctx.schedule_after(0.0, self.nic.submit_dma, packet)
 
-    def add_activity_listener(self, cb: Callable[[], None]) -> None:
-        self.nic.add_activity_listener(cb)
-
-    def rx_consume_us(self) -> float:
-        return self.model.rx_consume_us
-
-    def wire_bandwidth(self) -> float:
-        return self.model.wire_bw
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<MxDriver {self.nic.name}>"
+        return f"<{type(self).__name__} {self.nic.name}>"

@@ -24,26 +24,22 @@ class ShmDriver(Driver):
     supports_zero_copy = False
 
     def __init__(self, channel: ShmChannel, host: HostModel) -> None:
-        self.channel = channel
+        self.channel = self.device = channel
         self.hw_cq = channel.cq
         self.host = host
         self.model: ShmModel = channel.model
         self.poll_us = self.model.ring_op_us
-        self.eager_sends = 0
-        self.pio_sends = 0
-        self.control_sends = 0
-
-    def pio_threshold(self) -> int:
-        return 0  # no PIO notion on shared memory
-
-    def rdv_threshold(self) -> int:
+        self.pio_threshold = 0  # no PIO notion on shared memory
         # everything is "eager" through the shared segment
-        return 1 << 62
+        self.rdv_threshold = 1 << 62
+        self.wire_bw = self.model.bw
+        self.rx_consume_us = self.model.ring_op_us
+        self.eager_sends = 0
+        self.control_sends = 0
 
     def plan_submit(
         self, ctx: ExecContext, packet: Packet, mode: str, copy_bytes: int, numa_factor: float = 1.0
     ) -> Callable[[], None]:
-        self._check_ctx(ctx)
         if mode == "pio":
             # no PIO notion on shared memory: same copy as the eager path
             copy_bytes, numa_factor = packet.payload_size, 1.0
@@ -52,19 +48,9 @@ class ShmDriver(Driver):
         return lambda: self.channel.submit(packet, 0.0)
 
     def submit_control(self, ctx: ExecContext, packet: Packet) -> None:
-        self._check_ctx(ctx)
         ctx.charge(self.model.ring_op_us)
         self.control_sends += 1
         ctx.schedule_after(0.0, self.channel.submit, packet, 0.0)
-
-    def add_activity_listener(self, cb: Callable[[], None]) -> None:
-        self.channel.add_activity_listener(cb)
-
-    def rx_consume_us(self) -> float:
-        return self.model.ring_op_us
-
-    def wire_bandwidth(self) -> float:
-        return self.model.bw
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<ShmDriver {self.channel.name}>"

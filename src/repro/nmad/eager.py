@@ -224,7 +224,7 @@ class EagerEngine:
         """Sequence-ordered delivery of one whole eager message."""
         session = self.session
         req = session.match_table.match(frame.src, frame.tag)
-        ctx.charge(driver.rx_consume_us())
+        ctx.charge(driver.rx_consume_us)
         if req is not None:
             # expected: the NIC placed the data straight into the app buffer
             session.stats["expected_eager"] += 1

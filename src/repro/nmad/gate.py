@@ -41,10 +41,9 @@ class Gate:
         self.rail_infos: list[RailInfo] = [
             RailInfo(
                 index=i,
-                pio_threshold=r.pio_threshold(),
-                rdv_threshold=r.rdv_threshold(),
-                bandwidth=r.wire_bandwidth(),
-                chunk_hint=r.rdv_chunk_bytes(),
+                pio_threshold=r.pio_threshold,
+                rdv_threshold=r.rdv_threshold,
+                bandwidth=r.wire_bw,
             )
             for i, r in enumerate(rails)
         ]

@@ -118,9 +118,9 @@ class RdvPlanner:
     def _chunk_size(self, rail: RailInfo, share: int) -> int:
         cfg = self.config
         if cfg.adaptive:
-            # the driver's own pipeline hint wins; otherwise size the chunk
-            # so one DMA drain takes ~adaptive_chunk_us on this rail
-            csize = rail.chunk_hint or int(rail.bandwidth * cfg.adaptive_chunk_us)
+            # size the chunk so one DMA drain takes ~adaptive_chunk_us on
+            # this rail
+            csize = int(rail.bandwidth * cfg.adaptive_chunk_us)
         else:
             csize = cfg.chunk_bytes
         csize = max(csize, cfg.min_chunk_bytes)
@@ -257,10 +257,6 @@ class RdvEngine:
         if session.reliability is not None:
             rail_index = session.reliability.select_rail(gate, 0)
         driver = gate.rails[rail_index]
-        if not driver.supports_zero_copy:
-            # rendezvous without zero-copy support still bounds unexpected
-            # buffering; the DATA leg will be a copy send (TCP driver).
-            pass
         packet = RtsFrame(
             send_req_id=req.req_id,
             src=session.node_index,
@@ -411,7 +407,7 @@ class RdvEngine:
         """Sequence-ordered delivery of one RTS descriptor."""
         session = self.session
         req = session.match_table.match(frame.src, frame.tag)
-        ctx.charge(driver.rx_consume_us())
+        ctx.charge(driver.rx_consume_us)
         if req is not None:
             self.op_answer_rts(ctx, req, frame.src, frame.send_req_id, frame.size)
         else:
@@ -466,7 +462,7 @@ class RdvEngine:
                 if session.reliability is not None:
                     return  # duplicate DATA already satisfied this recv
                 raise ProtocolError(f"DATA for unknown rendezvous recv #{recv_id}")
-            ctx.charge(driver.rx_consume_us())
+            ctx.charge(driver.rx_consume_us)
             req.data = frame.payload
             ctx.schedule_after(0.0, session._complete_req, req)
             if session.tracer is not None:
@@ -478,7 +474,7 @@ class RdvEngine:
             if session.reliability is not None:
                 return  # duplicate chunk of an already-completed recv
             raise ProtocolError(f"DATA chunk for unknown rendezvous recv #{recv_id}")
-        ctx.charge(driver.rx_consume_us())
+        ctx.charge(driver.rx_consume_us)
         assembler = self._assembly.get(recv_id)
         if assembler is None:
             assembler = self._assembly[recv_id] = PayloadAssembler(frame.size, frame.nchunks)

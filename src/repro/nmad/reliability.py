@@ -153,7 +153,7 @@ class ReliabilityLayer:
         # large frames serialize for longer than the ack round-trip floor:
         # budget two drain times (data out, margin for the ack) on top
         rail = entry.gate.rails[entry.rail_index]
-        base += 2.0 * packet.wire_size / rail.wire_bandwidth()
+        base += 2.0 * packet.wire_size / rail.wire_bw
         timeout = base * (self.cfg.backoff_factor ** entry.attempts)
         entry.timer = self.sim.timer(ctx.end + timeout, self._on_timeout, entry.key)
 
@@ -318,11 +318,11 @@ class ReliabilityLayer:
             # be — a corrupted ACK must not cancel retransmission. No ACK
             # means the sender's timeout turns corruption into loss and
             # retransmits.
-            ctx.charge(driver.rx_consume_us())
+            ctx.charge(driver.rx_consume_us)
             session.stats["corrupt_drops"] += 1
             return False
         if packet.kind == PacketKind.ACK:
-            ctx.charge(driver.rx_consume_us())
+            ctx.charge(driver.rx_consume_us)
             self._on_ack(ctx, packet)
             return False
         wire_seq = wire_seq_of(packet)

@@ -20,9 +20,6 @@ class RailInfo:
     pio_threshold: int
     rdv_threshold: int
     bandwidth: float  # bytes/µs
-    #: driver-suggested pipeline chunk size for the RDV data phase
-    #: (0 = no preference); consumed by :mod:`repro.nmad.rdv`.
-    chunk_hint: int = 0
 
 
 def stripe_by_bandwidth(total: int, rails: Sequence[RailInfo]) -> list[int]:

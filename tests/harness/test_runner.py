@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import EngineKind, TimingModel
+from repro.config import EngineKind, NicModel, TimingModel, ib_nic_model, tcp_nic_model
 from repro.errors import HarnessError
 from repro.harness.runner import ClusterRuntime
-from repro.nmad.drivers.ib import ib_nic_model
-from repro.nmad.drivers.tcp import tcp_nic_model
 from repro.nmad.progress import SequentialEngine
 from repro.pioman.engine import PiomanEngine
 
@@ -57,6 +55,31 @@ class TestBuild:
         engine._interrupt()
         rt.run(until=100.0)
         assert fired == [pytest.approx(nic_model.interrupt_us)]
+
+    @pytest.mark.parametrize("interconnect", ["mx", "ib", "tcp"])
+    def test_custom_nic_model_is_used_or_refused(self, interconnect):
+        """MX runs on the caller's NIC model; IB and TCP run on their
+        presets and refuse a custom one rather than discard it silently."""
+        custom = TimingModel(nic=NicModel(wire_latency_us=9.0, rdv_threshold=4096))
+        if interconnect == "mx":
+            rt = ClusterRuntime.build(interconnect=interconnect, timing=custom)
+            assert rt.timing.nic == custom.nic
+            assert rt.node(0).drivers[0].model == custom.nic
+            assert rt.node(0).drivers[0].rdv_threshold == 4096
+        else:
+            with pytest.raises(HarnessError, match="timing.nic"):
+                ClusterRuntime.build(interconnect=interconnect, timing=custom)
+
+    @pytest.mark.parametrize(
+        "interconnect, preset", [("mx", NicModel), ("ib", ib_nic_model), ("tcp", tcp_nic_model)]
+    )
+    def test_default_or_preset_nic_model_accepted(self, interconnect, preset):
+        for nic in (NicModel(), preset()):
+            rt = ClusterRuntime.build(interconnect=interconnect, timing=TimingModel(nic=nic))
+            driver = rt.node(0).drivers[0]
+            assert rt.timing.nic == driver.model == preset()
+            assert driver.name == interconnect
+            rt.close()
 
     def test_gates_fully_wired(self):
         rt = ClusterRuntime.build(nodes=3)

@@ -65,14 +65,6 @@ class TestTx:
         with pytest.raises(NetworkError, match="not this node"):
             n0.submit_dma(_pkt(src=1, dst=0))
 
-    def test_tx_busy_flag(self, sim, net):
-        _f, n0, _n1 = net
-        assert not n0.tx_busy()
-        n0.submit_dma(_pkt(size=65536))
-        assert n0.tx_busy()
-        sim.run()
-        assert not n0.tx_busy()
-
 
 class TestRx:
     def test_delivery_time_includes_latency_and_bandwidth(self, sim, net):

@@ -1,20 +1,18 @@
-"""Unit tests for the transfer-layer drivers (MX, SHM, TCP) and the
-execution context they charge."""
+"""Unit tests for the transfer-layer drivers (one NIC driver over the MX
+and IB models, TCP, SHM) and the execution context they charge."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import HostModel, NicModel, ShmModel
+from repro.config import HostModel, NicModel, ShmModel, ib_nic_model, tcp_nic_model
 from repro.errors import SchedulerError
 from repro.network.fabric import Fabric
 from repro.network.message import Packet, PacketKind
 from repro.network.nic import Nic
 from repro.network.shm import ShmChannel
 from repro.nmad.drivers.base import ExecContext
-from repro.nmad.drivers.mx import MxDriver
-from repro.nmad.drivers.shm import ShmDriver
-from repro.nmad.drivers.tcp import TcpDriver, tcp_nic_model
+from repro.nmad.drivers import NicDriver, ShmDriver, TcpDriver
 from repro.units import KiB
 
 
@@ -30,7 +28,7 @@ def mx(sim, host):
     n1 = Nic(sim, 1, NicModel(), fabric)
     fabric.attach(n0)
     fabric.attach(n1)
-    return MxDriver(n0, host), MxDriver(n1, host)
+    return NicDriver(n0, host), NicDriver(n1, host)
 
 
 def _ctx(sim, core=0):
@@ -66,8 +64,11 @@ class TestExecContext:
 class TestMxDriver:
     def test_thresholds_from_model(self, mx):
         drv, _ = mx
-        assert drv.pio_threshold() == 128
-        assert drv.rdv_threshold() == KiB(32)
+        assert drv.name == "mx"
+        assert drv.pio_threshold == 128
+        assert drv.rdv_threshold == KiB(32)
+        assert drv.wire_bw == NicModel().wire_bw
+        assert drv.rx_consume_us == NicModel().rx_consume_us
         assert drv.supports_zero_copy
 
     def test_eager_charges_copy_plus_setup(self, sim, mx, host):
@@ -115,11 +116,6 @@ class TestMxDriver:
         recs = [r for r in peer.hw_cq if r.event == "rx"]
         assert len(recs) == 3
 
-    def test_context_validated(self, mx):
-        drv, _ = mx
-        with pytest.raises(Exception, match="execution context"):
-            drv.submit_eager(object(), _pkt(), 10)
-
     def test_statistics(self, sim, mx):
         drv, _ = mx
         drv.submit_eager(_ctx(sim), _pkt(size=KiB(1)), KiB(1))
@@ -134,8 +130,8 @@ class TestShmDriver:
         return ShmDriver(ShmChannel(sim, 0, ShmModel()), host)
 
     def test_no_rendezvous_on_shared_memory(self, shm_driver):
-        assert shm_driver.rdv_threshold() > 1 << 40
-        assert shm_driver.pio_threshold() == 0
+        assert shm_driver.rdv_threshold > 1 << 40
+        assert shm_driver.pio_threshold == 0
         assert not shm_driver.supports_zero_copy
 
     def test_eager_charges_copy(self, sim, shm_driver, host):
@@ -164,7 +160,8 @@ class TestTcpDriver:
 
     def test_no_pio_no_zero_copy(self, tcp):
         drv, _ = tcp
-        assert drv.pio_threshold() == 0
+        assert drv.name == "tcp"
+        assert drv.pio_threshold == 0
         assert not drv.supports_zero_copy
 
     def test_every_send_pays_syscall(self, sim, tcp, host):
@@ -173,11 +170,36 @@ class TestTcpDriver:
         drv.submit_eager(ctx, _pkt(size=64), 64)
         assert ctx.cpu_us >= host.syscall_us
 
-    def test_zero_copy_degenerates_to_copy(self, sim, tcp, host):
-        drv, _ = tcp
+    def test_zero_copy_degenerates_to_copy(self):
+        """With no zero-copy, the rendezvous DATA leg is an eager socket
+        send that copies the whole payload."""
+        from repro.harness.runner import ClusterRuntime
+
+        rt = ClusterRuntime.build(engine="pioman", interconnect="tcp")
+
+        def sender(ctx):
+            req = yield from ctx.env["nm"].isend(ctx, 1, 0, KiB(128), payload="x")
+            yield from ctx.env["nm"].swait(ctx, req)
+
+        def receiver(ctx):
+            yield from ctx.env["nm"].recv(ctx, 0, 0, KiB(128))
+
+        rt.spawn(0, sender)
+        rt.spawn(1, receiver)
+        rt.run()
+        drv = rt.nodes[0].drivers[0]
+        assert rt.nodes[0].session.stats["rdv_sends"] == 1
+        assert rt.nodes[0].session.stats["copies_bytes"] == KiB(128)
+        assert (drv.eager_sends, drv.zero_copy_sends) == (1, 0)
+
+    def test_control_frames_are_socket_writes(self, sim, tcp, host):
+        drv, peer = tcp
         ctx = _ctx(sim)
-        drv.submit_zero_copy(ctx, _pkt(PacketKind.DATA, size=KiB(64)))
-        assert ctx.cpu_us >= host.memcpy_us(KiB(64))
+        drv.submit_control(ctx, _pkt(PacketKind.RTS, size=0))
+        assert ctx.cpu_us == pytest.approx(host.syscall_us + drv.model.tx_setup_us)
+        sim.run()
+        assert [r.event for r in peer.hw_cq] == ["rx"]
+        assert (drv.control_sends, drv.eager_sends) == (1, 0)
 
     def test_latency_much_higher_than_mx(self, tcp):
         drv, _ = tcp
@@ -185,26 +207,25 @@ class TestTcpDriver:
 
     def test_rx_consume_includes_syscall(self, tcp, host):
         drv, _ = tcp
-        assert drv.rx_consume_us() >= host.syscall_us
+        assert drv.rx_consume_us == drv.model.rx_consume_us + host.syscall_us
 
 
 class TestIbDriver:
     @pytest.fixture
     def ib(self, sim, host):
-        from repro.nmad.drivers.ib import IbDriver, ib_nic_model
-
         fabric = Fabric(sim)
         model = ib_nic_model()
         n0 = Nic(sim, 0, model, fabric)
         n1 = Nic(sim, 1, model, fabric)
         fabric.attach(n0)
         fabric.attach(n1)
-        return IbDriver(n0, host), IbDriver(n1, host)
+        return NicDriver(n0, host), NicDriver(n1, host)
 
     def test_verbs_thresholds(self, ib):
         drv, _ = ib
-        assert drv.pio_threshold() == 64  # max inline data
-        assert drv.rdv_threshold() == KiB(16)  # earlier RDMA switch than MX
+        assert drv.name == "ib"
+        assert drv.pio_threshold == 64  # max inline data
+        assert drv.rdv_threshold == KiB(16)  # earlier RDMA switch than MX
         assert drv.supports_zero_copy
 
     def test_latency_lower_than_mx(self, ib):
@@ -218,14 +239,14 @@ class TestIbDriver:
         assert ctx.cpu_us < 2.0
         sim.run()
         assert any(r.event == "rx" for r in peer.hw_cq)
-        assert drv.inline_sends == 1
+        assert drv.pio_sends == 1
 
     def test_rdma_write_is_descriptor_only(self, sim, ib, host):
         drv, _ = ib
         ctx = _ctx(sim)
         drv.submit_zero_copy(ctx, _pkt(PacketKind.DATA, size=KiB(256)))
         assert ctx.cpu_us < 1.0
-        assert drv.rdma_writes == 1
+        assert drv.zero_copy_sends == 1
 
     def test_registration_pricier_than_mx(self, ib):
         drv, _ = ib

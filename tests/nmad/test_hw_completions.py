@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import HostModel, NicModel, ShmModel
+from repro.config import HostModel, NicModel, ShmModel, ib_nic_model, tcp_nic_model
 from repro.marcel.scheduler import MarcelScheduler
 from repro.network.fabric import Fabric
 from repro.network.message import Packet, PacketKind
@@ -24,16 +24,13 @@ from repro.network.nic import Nic
 from repro.network.shm import ShmChannel
 from repro.nmad.core import NmSession
 from repro.nmad.drivers.base import ExecContext
-from repro.nmad.drivers.ib import IbDriver, ib_nic_model
-from repro.nmad.drivers.mx import MxDriver
-from repro.nmad.drivers.shm import ShmDriver
-from repro.nmad.drivers.tcp import TcpDriver, tcp_nic_model
+from repro.nmad.drivers import NicDriver, ShmDriver, TcpDriver
 from repro.units import KiB
 
 HOST = HostModel()
 NIC_DRIVERS = {
-    "mx": (MxDriver, NicModel),
-    "ib": (IbDriver, ib_nic_model),
+    "mx": (NicDriver, NicModel),
+    "ib": (NicDriver, ib_nic_model),
     "tcp": (TcpDriver, tcp_nic_model),
 }
 
@@ -147,7 +144,7 @@ def test_second_add_gate(rig, sim):
         n0, n1 = Nic(sim, 0, NicModel(), fabric), Nic(sim, 1, NicModel(), fabric)
         fabric.attach(n0)
         fabric.attach(n1)
-        peer, new, other_end = 1, MxDriver(n0, HOST), MxDriver(n1, HOST)
+        peer, new, other_end = 1, NicDriver(n0, HOST), NicDriver(n1, HOST)
     else:
         peer, new, other_end = 0, rig.shm, rig.shm
     rig.session.add_gate(peer, [new])
@@ -190,7 +187,7 @@ def _gate_an_empty_rail(rig, sim):
         n0, n1 = Nic(sim, 0, NicModel(), fabric), Nic(sim, 1, NicModel(), fabric)
         fabric.attach(n0)
         fabric.attach(n1)
-        rig.session.add_gate(1, [MxDriver(n0, HOST)])
+        rig.session.add_gate(1, [NicDriver(n0, HOST)])
     else:
         rig.session.add_gate(0, [rig.shm])
 

@@ -87,12 +87,6 @@ class TestPlanner:
         assert len(chunks) == 4
         assert all(c.length == 50_000 for c in chunks)
 
-    def test_adaptive_honours_driver_chunk_hint(self):
-        cfg = RdvConfig(adaptive=True, adaptive_chunk_us=50.0)
-        rails = [RailInfo(0, 128, KiB(32), bandwidth=1000.0, chunk_hint=100_000)]
-        chunks = RdvPlanner(cfg).plan(200_000, rails)
-        assert [c.length for c in chunks] == [100_000, 100_000]
-
     def test_max_chunks_per_rail_bounds_plan(self):
         cfg = RdvConfig(chunk_bytes=1024, max_chunks_per_rail=4)
         chunks = RdvPlanner(cfg).plan(KiB(256), _rails(1000.0))
@@ -351,7 +345,7 @@ def _heterogeneous_session():
     from repro.network.fabric import Fabric
     from repro.network.nic import Nic
     from repro.nmad.core import NmSession
-    from repro.nmad.drivers.mx import MxDriver
+    from repro.nmad.drivers import NicDriver
     from repro.sim.kernel import Simulator
     from repro.topology.builder import build_node
 
@@ -364,7 +358,7 @@ def _heterogeneous_session():
     fast = Nic(sim, 0, timing.nic, fabric)  # rdv cutoff 32 KiB
     slow_model = dataclasses.replace(timing.nic, rdv_threshold=KiB(8))
     slow = Nic(sim, 0, slow_model, fabric)
-    session.add_gate(1, [MxDriver(fast, timing.host), MxDriver(slow, timing.host)])
+    session.add_gate(1, [NicDriver(fast, timing.host), NicDriver(slow, timing.host)])
     return session
 
 
@@ -393,7 +387,7 @@ def test_effective_thresholds_match_single_rail():
     rt = ClusterRuntime.build(engine=EngineKind.SEQUENTIAL)
     gate = rt.nodes[0].session.gate_to(1)
     assert gate.effective_thresholds() == (
-        gate.rails[0].pio_threshold(),
-        gate.rails[0].rdv_threshold(),
+        gate.rails[0].pio_threshold,
+        gate.rails[0].rdv_threshold,
     )
     rt.close()
