@@ -23,11 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..config import EngineKind, TimingModel
 from ..errors import HarnessError
 from ..harness.runner import ClusterRuntime
+from ..harness.stats import mean
 from ..topology.numa import NumaModel
 
 __all__ = ["OverlapConfig", "OverlapResult", "run_overlap"]
@@ -74,11 +73,11 @@ class OverlapResult:
 
     @property
     def sender_mean_us(self) -> float:
-        return float(np.mean(self.sender_times)) if self.sender_times else 0.0
+        return mean(self.sender_times) if self.sender_times else 0.0
 
     @property
     def receiver_mean_us(self) -> float:
-        return float(np.mean(self.receiver_times)) if self.receiver_times else 0.0
+        return mean(self.receiver_times) if self.receiver_times else 0.0
 
 
 def _sender_body(ctx, cfg: OverlapConfig, record: list[float]):

@@ -51,14 +51,22 @@ def irregular_phases(
     seed: int = 0,
     rng: Optional[RngStreams] = None,
 ) -> list[Phase]:
-    """Log-normal compute bursts + uniform message sizes (deterministic)."""
+    """Log-normal compute bursts + uniform message sizes (deterministic).
+
+    Draws from a numpy Generator seeded with the ``"workload.irregular"``
+    substream seed of ``rng`` (or of ``RngStreams(seed)``); each call starts
+    that stream afresh. numpy is imported here only.
+    """
     if n <= 0:
         raise HarnessError(f"need n > 0 phases, got {n}")
     if min_msg > max_msg:
         raise HarnessError("min_msg must be <= max_msg")
-    streams = rng or RngStreams(seed)
-    g = streams.stream("workload.irregular")
     import numpy as np
+
+    streams = rng or RngStreams(seed)
+    # numpy's own Generator on the substream's seed: the normal and integer
+    # draws need more than the pure-Python stream's random()
+    g = np.random.default_rng(streams.derive_seed("workload.irregular"))
 
     mu = np.log(mean_compute_us) - sigma**2 / 2
     computes = np.exp(g.normal(mu, sigma, size=n))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sim.rng import RngStreams
+from ..sim.rng import substream_draws
 from .plan import FaultAction, FaultPlan
 
 __all__ = ["FaultDecision", "FaultInjector"]
@@ -34,7 +34,9 @@ class FaultInjector:
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
-        self._rng = RngStreams(plan.seed)
+        # one substream per rule, bound once: adding a rule never perturbs
+        # the draws of the others (same contract as RngStreams itself)
+        self._draw = substream_draws(plan.seed, [f"rule{i}" for i in range(len(plan.rules))])
         #: per-rule counters of packets that matched the static filters
         self._matched: list[int] = [0] * len(plan.rules)
         #: per-rule counters of firings (for max_count caps)
@@ -98,9 +100,7 @@ class FaultInjector:
         if rule.every_nth and self._matched[index] % rule.every_nth == 0:
             return True
         if rule.rate > 0.0:
-            # one substream per rule: adding a rule never perturbs the draws
-            # of the others (same contract as RngStreams itself)
-            return bool(self._rng.stream(f"rule{index}").random() < rule.rate)
+            return self._draw[index]() < rule.rate
         return False
 
     # -- reporting -----------------------------------------------------------------

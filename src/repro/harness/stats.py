@@ -4,20 +4,66 @@ A :class:`LatencyCollector` listens on a session's ``on_request_complete``
 channel and records post-to-completion latencies; :meth:`summary` reports
 count/mean/percentiles, the numbers a communication-engine evaluation
 quotes beyond simple means.
+
+:func:`mean` and :func:`percentile` are pure Python but follow numpy's
+operation order (``np.mean``'s pairwise sum, ``np.percentile``'s linear
+interpolation), so they return exactly numpy's floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ..errors import HarnessError
 from ..nmad.core import NmSession
 from ..nmad.request import NmRequest
 
-__all__ = ["LatencySummary", "LatencyCollector"]
+__all__ = ["LatencySummary", "LatencyCollector", "mean", "percentile"]
+
+
+def _pairwise_sum(xs: Sequence[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` of ``xs[lo:lo + n]``: a plain loop under 8
+    items, eight accumulators up to 128, else halves split on a multiple
+    of 8."""
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += xs[i]
+        return res
+    if n <= 128:
+        r = list(xs[lo : lo + 8])
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            for j in range(8):
+                r[j] += xs[i + j]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(end, lo + n):
+            res += xs[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_sum(xs, lo, n2) + _pairwise_sum(xs, lo + n2, n - n2)
+
+
+def mean(xs: Sequence[float]) -> float:
+    """``float(np.mean(xs))`` for a non-empty sequence of floats."""
+    return (0.0 + _pairwise_sum(xs, 0, len(xs))) / len(xs)
+
+
+def percentile(xs: Sequence[float], p: float) -> float:
+    """``float(np.percentile(xs, p))`` (method ``"linear"``) for a non-empty
+    sequence of floats and ``0 <= p <= 100``."""
+    ordered = sorted(xs)
+    n = len(ordered)
+    index = (n - 1) * (p / 100)
+    if index >= n - 1:
+        return ordered[-1]
+    below = int(index)
+    t = index - below
+    a, b = ordered[below], ordered[below + 1]
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 @dataclass(frozen=True)
@@ -87,12 +133,12 @@ class LatencyCollector:
     def summary(self) -> LatencySummary:
         if not self.latencies_us:
             raise HarnessError("no completed requests recorded")
-        arr = np.asarray(self.latencies_us)
+        xs = self.latencies_us
         return LatencySummary(
-            count=int(arr.size),
-            mean_us=float(arr.mean()),
-            p50_us=float(np.percentile(arr, 50)),
-            p95_us=float(np.percentile(arr, 95)),
-            p99_us=float(np.percentile(arr, 99)),
-            max_us=float(arr.max()),
+            count=len(xs),
+            mean_us=mean(xs),
+            p50_us=percentile(xs, 50),
+            p95_us=percentile(xs, 95),
+            p99_us=percentile(xs, 99),
+            max_us=max(xs),
         )

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import EngineKind
 from repro.errors import HarnessError
 from repro.harness.runner import ClusterRuntime
-from repro.harness.stats import LatencyCollector
+from repro.harness.stats import LatencyCollector, mean, percentile
 from repro.units import KiB
 
 
@@ -143,3 +145,43 @@ def test_per_run_collectors_do_not_double_count():
             counts.append(len(c))
     assert counts == [1, 1]
     assert session.on_request_complete == hooks_before  # no collector left behind
+
+
+# -- pure-Python mean/percentile against numpy --------------------------------------
+
+_values = st.lists(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    min_size=1,
+    max_size=600,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values)
+def test_mean_equals_numpy(xs):
+    np = pytest.importorskip("numpy")
+    assert mean(xs) == float(np.mean(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values, st.sampled_from([0, 1, 25, 50, 95, 99, 100]) | st.floats(0, 100))
+def test_percentile_equals_numpy(xs, p):
+    np = pytest.importorskip("numpy")
+    assert percentile(xs, p) == float(np.percentile(xs, p))
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 255, 256, 1000, 1023, 5000])
+def test_mean_equals_numpy_across_block_sizes(n):
+    np = pytest.importorskip("numpy")
+    xs = np.random.default_rng(n).lognormal(3.0, 1.0, size=n).tolist()
+    assert mean(xs) == float(np.mean(xs))
+
+
+def test_summary_uses_numpy_order():
+    np = pytest.importorskip("numpy")
+    c = _run_with_collector(n=12)
+    s = c.summary()
+    xs = c.latencies_us
+    assert s.mean_us == float(np.mean(xs))
+    assert (s.p50_us, s.p95_us, s.p99_us) == tuple(float(np.percentile(xs, q)) for q in (50, 95, 99))
+    assert s.max_us == max(xs)

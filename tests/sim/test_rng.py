@@ -2,29 +2,32 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.sim.rng import RngStreams
+from repro.sim.rng import Pcg64Stream, RngStreams, substream_draws
+
+
+def _draws(stream, n: int) -> list[float]:
+    return [stream.random() for _ in range(n)]
 
 
 def test_same_seed_same_stream():
-    a = RngStreams(7).stream("x").random(5)
-    b = RngStreams(7).stream("x").random(5)
-    assert np.array_equal(a, b)
+    a = _draws(RngStreams(7).stream("x"), 5)
+    b = _draws(RngStreams(7).stream("x"), 5)
+    assert a == b
 
 
 def test_different_names_independent():
     streams = RngStreams(7)
-    a = streams.stream("a").random(5)
-    b = streams.stream("b").random(5)
-    assert not np.array_equal(a, b)
+    a = _draws(streams.stream("a"), 5)
+    b = _draws(streams.stream("b"), 5)
+    assert a != b
 
 
 def test_different_seeds_differ():
-    a = RngStreams(1).stream("x").random(5)
-    b = RngStreams(2).stream("x").random(5)
-    assert not np.array_equal(a, b)
+    a = _draws(RngStreams(1).stream("x"), 5)
+    b = _draws(RngStreams(2).stream("x"), 5)
+    assert a != b
 
 
 def test_stream_is_cached():
@@ -34,11 +37,11 @@ def test_stream_is_cached():
 
 def test_adding_consumer_does_not_perturb_existing():
     s1 = RngStreams(3)
-    first = s1.stream("main").random(4)
+    first = _draws(s1.stream("main"), 4)
     s2 = RngStreams(3)
     s2.stream("newcomer")  # extra stream created first
-    second = s2.stream("main").random(4)
-    assert np.array_equal(first, second)
+    second = _draws(s2.stream("main"), 4)
+    assert first == second
 
 
 def test_fork_deterministic_and_distinct():
@@ -58,3 +61,36 @@ def test_derive_seed_stable():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError):
         RngStreams(-1)
+    with pytest.raises(ValueError):
+        Pcg64Stream(-1)
+
+
+def test_draws_are_unit_interval_floats():
+    draws = _draws(RngStreams(11).stream("u"), 2000)
+    assert all(type(x) is float and 0.0 <= x < 1.0 for x in draws)
+    assert 0.4 < sum(draws) / len(draws) < 0.6
+
+
+#: numpy's edge and typical seeds, plus a BLAKE2-derived substream seed
+EQUIVALENCE_SEEDS = [0, 1, 12345, 2**63 - 25, 2**64 - 1, RngStreams(0).derive_seed("rule0")]
+
+
+@pytest.mark.parametrize("seed", EQUIVALENCE_SEEDS)
+def test_stream_equals_numpy_default_rng(seed):
+    np = pytest.importorskip("numpy")
+    expected = np.random.default_rng(seed).random(10_000).tolist()
+    assert _draws(Pcg64Stream(seed), 10_000) == expected
+
+
+def test_substream_equals_numpy_on_derived_seed():
+    np = pytest.importorskip("numpy")
+    streams = RngStreams(42)
+    expected = np.random.default_rng(streams.derive_seed("rule3")).random(1000).tolist()
+    assert _draws(streams.stream("rule3"), 1000) == expected
+
+
+def test_substream_draws_bind_each_named_stream():
+    draws = substream_draws(9, ["rule0", "rule1"])
+    streams = RngStreams(9)
+    assert [draws[1]() for _ in range(3)] == _draws(streams.stream("rule1"), 3)
+    assert [draws[0]() for _ in range(3)] == _draws(streams.stream("rule0"), 3)
