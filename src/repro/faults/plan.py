@@ -34,7 +34,9 @@ class FaultRule:
     """One packet-level fault source.
 
     A rule matches a packet when every filter (source node, destination
-    node, packet kinds, active time window) accepts it; it then *fires*
+    node, packet kinds, the active window ``[after_us, until_us)``)
+    accepts it — :meth:`repro.faults.FaultInjector.decide` applies the
+    filters; the rule itself is pure data. A matching rule then *fires*
     either periodically (``every_nth`` matching packet) or probabilistically
     (``rate``, drawn from the rule's own RNG substream). ``max_count`` caps
     total firings.
@@ -70,10 +72,6 @@ class FaultRule:
             raise ConfigError(f"rate must be in [0, 1], got {self.rate}")
         if self.every_nth < 0:
             raise ConfigError(f"every_nth must be >= 0, got {self.every_nth}")
-        if self.rate == 0.0 and self.every_nth == 0:
-            # a rule that can never fire is almost certainly a typo —
-            # except rate=0 plans, which the determinism tests rely on
-            pass
         if self.delay_us < 0:
             raise ConfigError(f"delay_us must be >= 0, got {self.delay_us}")
         if self.after_us < 0:
@@ -84,18 +82,6 @@ class FaultRule:
             )
         if self.max_count is not None and self.max_count < 1:
             raise ConfigError(f"max_count must be >= 1, got {self.max_count}")
-
-    def matches(self, packet, now: float) -> bool:
-        """Do the static filters accept this packet at this instant?"""
-        if now < self.after_us or now >= self.until_us:
-            return False
-        if self.src_node is not None and packet.src_node != self.src_node:
-            return False
-        if self.dst_node is not None and packet.dst_node != self.dst_node:
-            return False
-        if self.kinds is not None and packet.kind not in self.kinds:
-            return False
-        return True
 
 
 @dataclass(frozen=True)

@@ -94,9 +94,10 @@ class ThreadFlag:
     def set(self) -> None:
         self.set_count += 1
         self.is_set = True
-        waiters, self._waiters = self._waiters, []
-        for thread in waiters:
-            self.scheduler.wake(thread, None)
+        if self._waiters:
+            waiters, self._waiters = self._waiters, []
+            for thread in waiters:
+                self.scheduler.wake(thread, None)
 
     def clear(self) -> None:
         self.is_set = False

@@ -408,7 +408,7 @@ class NbcProgressor:
         self._actions.append(fn)
         # mirror on the session op queue: wakes idle cores under PIOMan,
         # drains inside the next library call under the sequential engine
-        self.session.defer("nbc.action", self._drain_one)
+        self.session.defer(self._drain_one)
 
     def _drain_one(self, ctx: ExecContext) -> None:
         # the mirrored op may find its action already stolen by an idle

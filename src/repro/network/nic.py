@@ -69,7 +69,7 @@ class Nic:
         self.tx_packets += 1
         self.tx_bytes += packet.wire_size
         self.fabric.transmit(self, packet, tx_time=0.0)
-        self._complete_tx(packet, delay=0.0)
+        self._tx_done(packet)
 
     def submit_dma(self, packet: Packet) -> float:
         """Queue a DMA transmission.
@@ -90,19 +90,19 @@ class Nic:
         self.tx_bytes += packet.wire_size
         self.fabric.transmit(self, packet, tx_time=start - self.sim.now)
         done_at = start + drain
-        self._complete_tx(packet, delay=done_at - self.sim.now)
+        delay = done_at - self.sim.now
+        if delay <= 0:
+            self._tx_done(packet)
+        else:
+            self.sim.schedule(delay, self._tx_done, packet, priority=EventPriority.INTERRUPT)
         return done_at
 
-    def _complete_tx(self, packet: Packet, delay: float) -> None:
-        def _produce() -> None:
-            self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
-            for cb in self._activity_listeners:
-                cb()
-
-        if delay <= 0:
-            _produce()
-        else:
-            self.sim.schedule(delay, _produce, priority=EventPriority.INTERRUPT)
+    def _tx_done(self, packet: Packet) -> None:
+        """The last byte of ``packet`` left the NIC (now): produce the
+        ``tx_done`` completion."""
+        self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
+        for cb in self._activity_listeners:
+            cb()
 
     # -- RX --------------------------------------------------------------------
 

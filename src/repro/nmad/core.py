@@ -47,12 +47,13 @@ from .request import NmRequest, Protocol, ReqState
 from .strategies import Strategy
 from .tags import ANY, MatchTable, SequenceTracker
 from .unexpected import ProbeInfo, UnexpectedEager, UnexpectedStore
-from .wire import EagerFrame, tx_req_ids, wire_seq_of
+from .wire import EagerFrame, tx_req_ids
 
 __all__ = ["Gate", "NmSession"]
 
-#: a deferred operation body: runs under an execution context, returns nothing
-OpFn = Callable[[ExecContext], None]
+#: a deferred operation body: runs under an execution context (its first
+#: argument, then the arguments it was queued with), returns nothing
+OpFn = Callable[..., None]
 
 
 class NmSession:
@@ -93,12 +94,14 @@ class NmSession:
         self.match_table = MatchTable()
         self.seq_tracker = SequenceTracker()
         self.unexpected = UnexpectedStore()
-        self.ops: deque[tuple[str, OpFn]] = deque()
+        #: deferred ops, each ``(fn, args)``: run as ``fn(ctx, *args)``
+        self.ops: deque[tuple[OpFn, tuple[Any, ...]]] = deque()
         #: gates with an open aggregation window: insertion-ordered so the
         #: draining order is deterministic (never a hash-ordered set). The
-        #: value closes the window — it flushes the gate under the given
-        #: execution context. Counted by :meth:`has_pending_ops` so idle
-        #: cores, waiters, and inline drains all see the deferred work.
+        #: value closes the window — called as ``value(ctx, gate)``, it
+        #: flushes the gate under the given execution context. Counted by
+        #: :meth:`has_pending_ops` so idle cores, waiters, and inline drains
+        #: all see the deferred work.
         self.windowed_gates: dict[Gate, OpFn] = {}
         #: in-flight sends by req_id (tx completion / CTS lookup)
         self._sends: dict[int, NmRequest] = {}
@@ -230,7 +233,7 @@ class NmSession:
         pio_threshold, rdv_threshold = gate.thresholds
         if self.reliability is not None:
             infos = self.reliability.filter_rails(gate, gate.rail_infos)
-            if len(infos) < len(gate.rail_infos):
+            if infos is not gate.rail_infos:
                 # a degraded rail is out: the protocol must suit the rest
                 pio_threshold, rdv_threshold = gate.effective_thresholds(infos)
         req.seq = gate.next_seq(req.tag)
@@ -276,13 +279,14 @@ class NmSession:
 
     # ------------------------------------------------------------------- ops
 
-    def _enqueue_op(self, name: str, fn: OpFn) -> None:
-        self.ops.append((name, fn))
+    def _enqueue_op(self, fn: OpFn, *args: Any) -> None:
+        self.ops.append((fn, args))
         if self.engine is not None:
             self.engine.notify_ops()
 
-    def defer(self, name: str, fn: OpFn) -> None:
-        """Queue ``fn`` as a deferred op for the progression engines.
+    def defer(self, fn: OpFn, *args: Any) -> None:
+        """Queue ``fn(ctx, *args)`` as a deferred op for the progression
+        engines.
 
         Public entry point for layers above nmad (the MPI nbc schedule
         progressor): the op runs under whichever
@@ -290,16 +294,18 @@ class NmSession:
         PIOMan, the calling thread's next library call under the
         sequential engine — and charges its CPU there.
         """
-        self._enqueue_op(name, fn)
+        self._enqueue_op(fn, *args)
 
     def _hw_activity(self) -> None:
         """Hardware context: a driver produced a completion, or a
         retransmit timer queued recovery work. Wake baseline waiters
         blocked on the activity flag, then let the engine re-arm its
-        detection paths."""
+        detection paths (an engine without any leaves its
+        ``notify_activity`` None)."""
         self.activity_flag.set()
-        if self.engine is not None:
-            self.engine.notify_activity()
+        engine = self.engine
+        if engine is not None and engine.notify_activity is not None:
+            engine.notify_activity()
 
     # the engines' hot paths inline has_pending_ops, has_completions and
     # has_work
@@ -321,14 +327,14 @@ class NmSession:
         count = 0
         while max_ops is None or count < max_ops:
             if self.ops:
-                name, fn = self.ops.popleft()
-                fn(ctx)
+                fn, args = self.ops.popleft()
+                fn(ctx, *args)
             elif self.windowed_gates:
                 # no queued op left: close the oldest open aggregation
                 # window (insertion order keeps this deterministic)
                 gate = next(iter(self.windowed_gates))
                 flush = self.windowed_gates.pop(gate)
-                flush(ctx)
+                flush(ctx, gate)
             else:
                 break
             self.stats["ops_executed"] += 1
@@ -375,7 +381,10 @@ class NmSession:
         go to their protocol engine by packet kind."""
         packet = rec.packet
         if rec.event == "tx_done":
-            self._on_tx_done(ctx, packet)
+            # only the rendezvous DATA leg completes on DMA drain: PIO/eager
+            # completed at submission; control frames complete nothing
+            if packet.kind == PacketKind.DATA:
+                self._on_tx_done(ctx, packet)
             return
         if self.reliability is not None and not self.reliability.on_rx(ctx, driver, packet):
             return  # consumed at the wire level: ACK, corrupted, or duplicate
@@ -392,12 +401,9 @@ class NmSession:
             raise ProtocolError(f"unhandled packet kind {kind}")
 
     def _on_tx_done(self, ctx: ExecContext, packet: Packet) -> None:
-        # Only the rendezvous DATA leg completes on DMA drain: the
-        # application buffer is involved until the NIC has read it all.
-        # PIO/eager completed at submission; control frames complete nothing.
-        if packet.kind != PacketKind.DATA:
-            return
-        if self.reliability is not None and wire_seq_of(packet) is not None:
+        """A rendezvous DATA packet drained: the application buffer was
+        involved until the NIC had read it all."""
+        if self.reliability is not None and "wire_seq" in packet.headers:
             # recovery pins the application buffer until the peer
             # acknowledges (it is the retransmission source): the send
             # completes on ACK — or on give-up — not at DMA drain

@@ -60,7 +60,8 @@ class ExecContext:
         self, extra: float, fn: Callable[..., Any], *args: Any, priority: int = Priority.NORMAL
     ) -> None:
         """Schedule ``fn(*args)`` ``extra`` µs after the charged work ends."""
-        self.sim.schedule_at(self.end + extra, fn, *args, priority=priority)
+        # self.end, inlined
+        self.sim.schedule_at(self.start + self.cpu_us + extra, fn, *args, priority=priority)
 
 
 class Driver:

@@ -56,8 +56,10 @@ class NicDriver(Driver):
     def plan_submit(
         self, ctx: ExecContext, packet: Packet, mode: str, copy_bytes: int, numa_factor: float = 1.0
     ) -> Callable[[], None]:
+        # every cost below is a sum of the model's non-negative constants:
+        # it goes to ctx.cpu_us directly
         if mode == "pio":
-            ctx.charge(self.nic.pio_cpu_us(packet))
+            ctx.cpu_us += self.nic.pio_cpu_us(packet)
             self.pio_sends += 1
             return lambda: self.nic.submit_pio(packet)
         cost = (
@@ -65,7 +67,7 @@ class NicDriver(Driver):
             + self.host.memcpy_us(copy_bytes) * numa_factor
             + self.model.dma_setup_us
         )
-        ctx.charge(cost)
+        ctx.cpu_us += cost
         self.eager_sends += 1
         return lambda: self.nic.submit_dma(packet)
 
@@ -73,7 +75,7 @@ class NicDriver(Driver):
         if packet.kind not in (PacketKind.RTS, PacketKind.CTS, PacketKind.ACK):
             # control path is for control frames only
             raise ValueError(f"not a control packet: {packet!r}")
-        ctx.charge(self.nic.pio_cpu_us(packet))
+        ctx.cpu_us += self.nic.pio_cpu_us(packet)
         self.control_sends += 1
         ctx.schedule_after(0.0, self.nic.submit_pio, packet)
 

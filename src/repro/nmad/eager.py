@@ -70,7 +70,7 @@ class EagerEngine:
             # progress() (it sees the gate via has_pending_ops and pays the
             # normal dispatch cost first — the accumulation gap); the timer
             # is the backstop when every core stays busy.
-            session.windowed_gates[gate] = lambda ctx, g=gate: self.op_flush_gate(ctx, g)
+            session.windowed_gates[gate] = self.op_flush_gate
             gate.strategy.windows_opened += 1
             session.sim.schedule_at(
                 session.sim.now + window,
@@ -81,9 +81,7 @@ class EagerEngine:
                 session.engine.notify_ops()
             return
         gate.flush_pending = True
-        self.session._enqueue_op(
-            f"flush->n{gate.peer}", lambda ctx, g=gate: self.op_flush_gate(ctx, g)
-        )
+        self.session._enqueue_op(self.op_flush_gate, gate)
 
     def _window_timer(self, gate: "Gate") -> None:
         """Backstop for an aggregation window nobody closed early: promote
@@ -95,9 +93,7 @@ class EagerEngine:
         gate.strategy.window_timer_flushes += 1
         if not gate.flush_pending:
             gate.flush_pending = True
-            session._enqueue_op(
-                f"flush->n{gate.peer}", lambda ctx, g=gate: self.op_flush_gate(ctx, g)
-            )
+            session._enqueue_op(self.op_flush_gate, gate)
         # parked waiters poll the activity flag, not the op queue
         session.activity_flag.set()
 
@@ -126,9 +122,7 @@ class EagerEngine:
         # strategy — the requeue must cover them too, or they are lost
         if (gate.pending_plans or gate.strategy.pending_count() > 0) and not gate.flush_pending:
             gate.flush_pending = True
-            session._enqueue_op(
-                f"flush->n{gate.peer}", lambda c, g=gate: self.op_flush_gate(c, g)
-            )
+            session._enqueue_op(self.op_flush_gate, gate)
         for plan in plans:
             driver = gate.rails[plan.rail_index]
             frames = []
@@ -250,10 +244,7 @@ class EagerEngine:
     def match_unexpected(self, req: NmRequest, item: UnexpectedEager) -> None:
         """A posted recv matched a buffered unexpected eager payload: queue
         the copy-out op (the second copy of the unexpected path)."""
-        self.session._enqueue_op(
-            f"copy_out#{req.req_id}",
-            lambda ctx, r=req, it=item: self.op_copy_out(ctx, r, it),
-        )
+        self.session._enqueue_op(self.op_copy_out, req, item)
 
     def op_copy_out(self, ctx: ExecContext, req: NmRequest, item: UnexpectedEager) -> None:
         """Second copy of the unexpected path: unexpected buffer → app."""

@@ -23,14 +23,14 @@ queued anywhere: the session announces each one to its
 ``on_request_complete`` listeners.
 
 Engines hear about session events through :class:`EngineBase`'s
-notification methods (:meth:`EngineBase.notify_ops`,
-:meth:`EngineBase.notify_activity`), which the session calls on its one
-``engine`` reference.
+notification methods (:meth:`EngineBase.notify_ops`, and
+``notify_activity`` where an engine defines it), which the session calls
+on its one ``engine`` reference.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 from ..errors import RequestError
 from ..marcel.effects import Compute, WaitFlag
@@ -77,9 +77,11 @@ class EngineBase:
     def notify_ops(self) -> None:
         """Deferred work was queued (an op, or an aggregation window)."""
 
-    def notify_activity(self) -> None:
-        """A driver produced a completion, or a retransmit timer queued
-        recovery work; the session has already set its activity flag."""
+    #: called when a driver produced a completion, or a retransmit timer
+    #: queued recovery work, after the session set its activity flag. An
+    #: engine with detection paths to re-arm defines it as a method; None
+    #: (here) lets the session skip the call on every completion.
+    notify_activity: Optional[Callable[[], None]] = None
 
     def close(self) -> None:
         """Stop taking session notifications; idempotent.

@@ -245,9 +245,7 @@ class RdvEngine:
 
     def start_send(self, req: NmRequest) -> None:
         """A send chose the rendezvous protocol: queue the RTS op."""
-        self.session._enqueue_op(
-            f"send_rts#{req.req_id}", lambda ctx, r=req: self.op_send_rts(ctx, r)
-        )
+        self.session._enqueue_op(self.op_send_rts, req)
 
     def op_send_rts(self, ctx: ExecContext, req: NmRequest) -> None:
         """Emit the request-to-send handshake frame (§2.3 operation (a))."""
@@ -317,10 +315,7 @@ class RdvEngine:
         self.op_send_chunk(ctx, req, recv_req_id, chunks[0], nchunks, mode, raw, meta)
         for chunk in chunks[1:]:
             session._enqueue_op(
-                f"rdv_chunk#{req.req_id}.{chunk.index}",
-                lambda c, r=req, rid=recv_req_id, ch=chunk, n=nchunks, m=mode, rw=raw, mt=meta: (
-                    self.op_send_chunk(c, r, rid, ch, n, m, rw, mt)
-                ),
+                self.op_send_chunk, req, recv_req_id, chunk, nchunks, mode, raw, meta
             )
         if session.tracer is not None:
             session._trace("nmad.data_send", req)
@@ -417,10 +412,7 @@ class RdvEngine:
     def match_unexpected(self, req: NmRequest, item: UnexpectedRts) -> None:
         """A posted recv matched a buffered RTS: queue the CTS answer op."""
         self.session._enqueue_op(
-            f"answer_rts#{req.req_id}",
-            lambda ctx, r=req, it=item: self.op_answer_rts(
-                ctx, r, it.source, it.send_req_id, it.size
-            ),
+            self.op_answer_rts, req, item.source, item.send_req_id, item.size
         )
 
     def op_answer_rts(

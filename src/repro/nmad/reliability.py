@@ -33,24 +33,25 @@ Retransmit timers fire in hardware (sim-callback) context: they only
 enqueue a session op and notify the session's engine, which re-arms its
 detection paths; the actual resubmission is charged to whichever execution context
 runs the op, identically to any other deferred operation.
+
+Every reliable frame passes :meth:`ReliabilityLayer.on_rx` once and
+:meth:`ReliabilityLayer.arm` once per submission, so both stay lean. They
+read the two wire-level adornments, ``corrupted`` and ``wire_seq``,
+straight off ``packet.headers``. The receive-side dedup raises its floor
+in place for an in-order frame. An ACK is built as one packet around an
+:class:`~repro.nmad.wire.AckFrame`. The rail choices skip the
+degraded-link purge until the earliest degradation is due to lift.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..network.message import Packet, PacketKind
 from .strategies.base import RailInfo
-from .wire import (
-    AckFrame,
-    data_frame,
-    from_packet,
-    is_corrupted,
-    mark_wire_seq,
-    tx_req_ids,
-    wire_seq_of,
-)
+from .wire import AckFrame, data_frame, mark_wire_seq, tx_req_ids
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.events import EventHandle
@@ -114,13 +115,22 @@ class ReliabilityLayer:
         self._next_seq: dict[int, int] = {}
         #: unacked packets by (peer, wire_seq)
         self._pending: dict[tuple[int, int], _Pending] = {}
-        #: receive-side dedup per source: (floor, sparse seqs >= floor);
+        #: receive-side dedup per source: [floor, sparse seqs > floor];
         #: every wire_seq < floor has been seen
-        self._rx_seen: dict[int, tuple[int, set[int]]] = {}
+        self._rx_seen: dict[int, list] = {}
         #: consecutive timeouts per (peer, rail_index): (count, last seen at)
         self._rail_timeouts: dict[tuple[int, int], tuple[int, float]] = {}
         #: degraded rails by (peer, rail_index)
         self._degraded: dict[tuple[int, int], DegradedLink] = {}
+        #: no degradation expires before this instant (inf when none is
+        #: left): the rail choices skip the purge until then
+        self._next_restore_us = math.inf
+        #: quiet time after which accumulated rail timeouts go stale. A
+        #: multiple of the ack timeout so the window comfortably spans the
+        #: exponential-backoff gaps of a genuinely dead link (which must
+        #: still trip ``degraded_threshold``) while sporadic timeouts hours
+        #: apart in virtual time no longer count as *consecutive*.
+        self.decay_window_us = self.cfg.ack_timeout_us * self.cfg.degraded_decay_factor
 
     # ------------------------------------------------------------- send side
 
@@ -139,11 +149,12 @@ class ReliabilityLayer:
     def arm(self, ctx: "ExecContext", packet: Packet) -> None:
         """Start (or restart) the ack timeout for a tracked packet, anchored
         at the instant the charged submission work completes."""
-        seq = wire_seq_of(packet)
-        if seq is None:
+        headers = packet.headers
+        if "wire_seq" not in headers:
             return  # untracked traffic (shm loopback)
-        entry = self._pending.get((packet.dst_node, seq))
-        if entry is None:
+        try:
+            entry = self._pending[(packet.dst_node, headers["wire_seq"])]
+        except KeyError:
             return
         base = (
             self.cfg.rts_timeout_us
@@ -155,24 +166,37 @@ class ReliabilityLayer:
         rail = entry.gate.rails[entry.rail_index]
         base += 2.0 * packet.wire_size / rail.wire_bw
         timeout = base * (self.cfg.backoff_factor ** entry.attempts)
-        entry.timer = self.sim.timer(ctx.end + timeout, self._on_timeout, entry.key)
+        entry.timer = self.sim.timer(
+            ctx.start + ctx.cpu_us + timeout, self._on_timeout, entry.key
+        )
 
     def select_rail(self, gate: "Gate", preferred: int) -> int:
         """Rail to use for a submission, honouring degraded-link state."""
-        self._purge_degraded()
-        if (gate.peer, preferred) not in self._degraded:
+        if self.sim.now >= self._next_restore_us:
+            self._purge_degraded()
+        degraded = self._degraded
+        if not degraded or (gate.peer, preferred) not in degraded:
             return preferred
         for i in range(len(gate.rails)):
-            if (gate.peer, i) not in self._degraded:
+            if (gate.peer, i) not in degraded:
                 return i
         return preferred  # everything degraded: keep trying the original
 
     def filter_rails(self, gate: "Gate", infos: list[RailInfo]) -> list[RailInfo]:
         """Rail set offered to the strategy with degraded rails removed
-        (rerouting reuses the multirail split/selection machinery)."""
-        self._purge_degraded()
-        healthy = [info for info in infos if (gate.peer, info.index) not in self._degraded]
-        return healthy or infos
+        (rerouting reuses the multirail split/selection machinery). Returns
+        ``infos`` itself when no rail is removed, and when every rail is
+        degraded (keep trying them all)."""
+        if self.sim.now >= self._next_restore_us:
+            self._purge_degraded()
+        degraded = self._degraded
+        if not degraded:
+            return infos
+        peer = gate.peer
+        healthy = [info for info in infos if (peer, info.index) not in degraded]
+        if not healthy or len(healthy) == len(infos):
+            return infos
+        return healthy
 
     def pending_count(self) -> int:
         return len(self._pending)
@@ -206,10 +230,7 @@ class ReliabilityLayer:
                 )
             return
         entry.attempts += 1
-        session._enqueue_op(
-            f"retransmit#{key[1]}->n{key[0]}",
-            lambda ctx, k=key: self._op_retransmit(ctx, k),
-        )
+        session._enqueue_op(self._op_retransmit, key)
         # the engine re-arms its detection paths (idle kick / blocking server)
         session._hw_activity()
 
@@ -252,22 +273,12 @@ class ReliabilityLayer:
 
     # -------------------------------------------------------- degraded links
 
-    def _decay_window_us(self) -> float:
-        """Quiet time after which accumulated rail timeouts go stale.
-
-        A multiple of the ack timeout so the window comfortably spans the
-        exponential-backoff gaps of a genuinely dead link (which must still
-        trip ``degraded_threshold``) while sporadic timeouts hours apart in
-        virtual time no longer count as *consecutive*.
-        """
-        return self.cfg.ack_timeout_us * self.cfg.degraded_decay_factor
-
     def _note_rail_timeout(self, entry: _Pending) -> None:
         gate = entry.gate
         rail_key = (gate.peer, entry.rail_index)
         now = self.sim.now
         count, last_at = self._rail_timeouts.get(rail_key, (0, now))
-        if count and now - last_at > self._decay_window_us():
+        if count and now - last_at > self.decay_window_us:
             count = 0  # the rail sat quiet past the window: start over
         count += 1
         self._rail_timeouts[rail_key] = (count, now)
@@ -276,12 +287,12 @@ class ReliabilityLayer:
             and len(gate.rails) > 1
             and rail_key not in self._degraded
         ):
+            until_us = now + self.cfg.degraded_restore_us
             self._degraded[rail_key] = DegradedLink(
-                peer=gate.peer,
-                rail_index=entry.rail_index,
-                since_us=self.sim.now,
-                until_us=self.sim.now + self.cfg.degraded_restore_us,
+                peer=gate.peer, rail_index=entry.rail_index, since_us=now, until_us=until_us
             )
+            if until_us < self._next_restore_us:
+                self._next_restore_us = until_us
             self.session.stats["degraded_events"] += 1
             if self.session.tracer is not None:
                 self.session._trace_raw(
@@ -291,10 +302,15 @@ class ReliabilityLayer:
                 )
 
     def _purge_degraded(self) -> None:
+        """Lift every degradation whose restore time has come."""
         now = self.sim.now
         for key in [k for k, d in self._degraded.items() if d.until_us <= now]:
             del self._degraded[key]
             self._rail_timeouts.pop(key, None)
+        # an ACK may have lifted the earliest one already: recompute
+        self._next_restore_us = min(
+            [d.until_us for d in self._degraded.values()], default=math.inf
+        )
 
     def _acked(self, entry: _Pending) -> None:
         if entry.timer is not None:
@@ -311,40 +327,47 @@ class ReliabilityLayer:
     def on_rx(self, ctx: "ExecContext", driver: "Driver", packet: Packet) -> bool:
         """Filter one arrived packet. Returns False when the packet was
         consumed here (ACK, corrupted, or duplicate) and must not reach the
-        protocol handlers."""
-        session = self.session
-        if is_corrupted(packet):
+        protocol handlers.
+
+        The wire-level adornments are read straight off ``packet.headers``
+        (the fabric sets ``corrupted`` only to True, :meth:`track` sets
+        ``wire_seq`` only to an int), and ``rx_consume_us``, a checked
+        non-negative model constant, is added to ``ctx`` directly.
+        """
+        headers = packet.headers
+        if "corrupted" in headers:
             # bad checksum: discard silently, whatever the frame claims to
             # be — a corrupted ACK must not cancel retransmission. No ACK
             # means the sender's timeout turns corruption into loss and
             # retransmits.
-            ctx.charge(driver.rx_consume_us)
-            session.stats["corrupt_drops"] += 1
+            ctx.cpu_us += driver.rx_consume_us
+            self.session.stats["corrupt_drops"] += 1
             return False
         if packet.kind == PacketKind.ACK:
-            ctx.charge(driver.rx_consume_us)
+            ctx.cpu_us += driver.rx_consume_us
             self._on_ack(ctx, packet)
             return False
-        wire_seq = wire_seq_of(packet)
-        if wire_seq is None:
+        if "wire_seq" not in headers:
             return True  # unreliable traffic (shm loopback, legacy frames)
-        if self._rx_mark_seen(packet.src_node, wire_seq):
-            self._send_ack(ctx, driver, packet.src_node, wire_seq)
-            return True
-        # duplicate: our ACK may have been the lost frame — acknowledge again
-        session.stats["dup_drops"] += 1
-        self._send_ack(ctx, driver, packet.src_node, wire_seq)
-        return False
+        wire_seq = headers["wire_seq"]
+        src = packet.src_node
+        fresh = self._rx_mark_seen(src, wire_seq)
+        if not fresh:
+            # duplicate: our ACK may have been the lost frame — acknowledge
+            # again
+            self.session.stats["dup_drops"] += 1
+        self._send_ack(ctx, driver, src, wire_seq)
+        return fresh
 
     def _send_ack(self, ctx: "ExecContext", driver: "Driver", src: int, wire_seq: int) -> None:
-        ack = AckFrame(ack_seq=wire_seq).to_packet(self.session.node_index, src)
-        driver.submit_control(ctx, ack)
-        self.session.stats["acks_sent"] += 1
+        session = self.session
+        driver.submit_control(
+            ctx, Packet(PacketKind.ACK, session.node_index, src, 0, {"frame": AckFrame(wire_seq)})
+        )
+        session.stats["acks_sent"] += 1
 
     def _on_ack(self, ctx: "ExecContext", packet: Packet) -> None:
-        frame = from_packet(packet)
-        assert isinstance(frame, AckFrame)  # from_packet checked the kind
-        key = (packet.src_node, frame.ack_seq)
+        key = (packet.src_node, packet.headers["frame"].ack_seq)
         entry = self._pending.pop(key, None)
         if entry is None:
             return  # duplicate ACK for an already-settled packet
@@ -370,14 +393,22 @@ class ReliabilityLayer:
 
     def _rx_mark_seen(self, src: int, wire_seq: int) -> bool:
         """Record ``wire_seq`` from ``src``; False if it was already seen."""
-        floor, sparse = self._rx_seen.get(src, (0, set()))
+        try:
+            seen = self._rx_seen[src]
+        except KeyError:
+            seen = self._rx_seen[src] = [0, set()]
+        floor, sparse = seen
         if wire_seq < floor or wire_seq in sparse:
             return False
-        sparse.add(wire_seq)
+        if wire_seq != floor:
+            sparse.add(wire_seq)  # ahead of a gap
+            return True
+        # the next in order: raise the floor past every seq seen beyond it
+        floor += 1
         while floor in sparse:
             sparse.discard(floor)
             floor += 1
-        self._rx_seen[src] = (floor, sparse)
+        seen[0] = floor
         return True
 
     def __repr__(self) -> str:  # pragma: no cover

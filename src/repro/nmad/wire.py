@@ -13,11 +13,11 @@ traffic instead of the ``KeyError`` a raw header dict would give.
 
 Two wire-level adornments intentionally stay *outside* the schema, as raw
 header keys, because they are stamped below the protocol layer:
-``wire_seq`` (reliability sequence numbers, see
-:mod:`repro.nmad.reliability`) and ``corrupted`` (set by the fault
-injector in :mod:`repro.network.fabric`). The accessors
-:func:`wire_seq_of` / :func:`mark_wire_seq` / :func:`is_corrupted` are the
-only sanctioned way to touch them.
+``wire_seq`` (reliability sequence numbers, stamped by
+:func:`mark_wire_seq`) and ``corrupted`` (set to True by the fault
+injector in :mod:`repro.network.fabric`). Only
+:mod:`repro.nmad.reliability` and the session's TX completion read them,
+straight off ``packet.headers``: once per frame, by key presence.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ __all__ = [
     "eager_frames",
     "data_frame",
     "tx_req_ids",
-    "wire_seq_of",
     "mark_wire_seq",
-    "is_corrupted",
 ]
 
 
@@ -230,17 +228,6 @@ def tx_req_ids(packet: Packet) -> tuple[int, ...]:
 # ------------------------------------------------- wire-level adornments
 
 
-def wire_seq_of(packet: Packet) -> Optional[int]:
-    """Reliability wire sequence number, or None for unreliable traffic."""
-    seq = packet.headers.get("wire_seq")
-    return seq if isinstance(seq, int) else None
-
-
 def mark_wire_seq(packet: Packet, seq: int) -> None:
     """Stamp a reliability wire sequence number onto an outgoing packet."""
     packet.headers["wire_seq"] = seq
-
-
-def is_corrupted(packet: Packet) -> bool:
-    """True when the fault injector flagged this packet's checksum bad."""
-    return bool(packet.headers.get("corrupted"))

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.faults import FaultAction, FaultInjector, FaultPlan, FaultRule, LinkFlap, NicStall
+from repro.faults import inject
+from repro.faults.inject import PASS
 from repro.network.message import Packet, PacketKind
 
 pytestmark = pytest.mark.faults
@@ -108,3 +112,58 @@ def test_stats_counts_every_packet():
     s = inj.stats()
     assert s["packets_seen"] == 50
     assert 0 < s["drops"] < 50  # probabilistic, but certainly not degenerate
+
+
+def test_untouched_packet_gets_the_shared_pass_decision():
+    inj = FaultInjector(FaultPlan.uniform_drop(0.0))
+    first, second = inj.decide(_pkt(), 0.0), inj.decide(_pkt(), 1.0)
+    assert first is second is PASS
+    assert first.deliver and not first.corrupt and first.duplicates == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.deliver = False  # shared: nobody may change it
+
+
+def _count_draws(monkeypatch) -> list[int]:
+    """Wrap every rule's draw of the next injector built in a counter;
+    returns the per-rule draw counts, filled in as it runs."""
+    counts: list[int] = []
+    real = inject.substream_draws
+
+    def counting(seed, names):
+        draws = real(seed, names)
+        counts[:] = [0] * len(draws)
+
+        def wrap(i, draw):
+            def counted():
+                counts[i] += 1
+                return draw()
+
+            return counted
+
+        return [wrap(i, draw) for i, draw in enumerate(draws)]
+
+    monkeypatch.setattr(inject, "substream_draws", counting)
+    return counts
+
+
+def test_draws_only_for_matching_uncapped_unperiodic_packets(monkeypatch):
+    counts = _count_draws(monkeypatch)
+    plan = FaultPlan(
+        rules=[
+            # never matches an eager packet: never draws
+            FaultRule(FaultAction.DROP, rate=0.5, kinds=(PacketKind.RTS,)),
+            # fires on its first two draws, then is capped: draws no more
+            FaultRule(FaultAction.CORRUPT, rate=1.0, max_count=2),
+            # fires on every 2nd match without a draw; draws on the others
+            FaultRule(FaultAction.DUPLICATE, rate=0.5, every_nth=2),
+            # drops everything inside [10, 20)
+            FaultRule(FaultAction.DROP, rate=1.0, after_us=10.0, until_us=20.0),
+            # after the drop above: draws only for packets it let through
+            FaultRule(FaultAction.DELAY, rate=0.5, delay_us=1.0),
+        ]
+    )
+    inj = FaultInjector(plan)
+    delivered = [inj.decide(_pkt(), float(t)).deliver for t in range(15)]
+    assert delivered == [True] * 10 + [False] * 5
+    assert counts == [0, 2, 8, 5, 10]
+

@@ -1,4 +1,4 @@
-"""Validation and matching semantics of fault plans."""
+"""Validation of fault plans, and their filters applied by the injector."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import pytest
 
 from repro.errors import ConfigError
-from repro.faults import FaultAction, FaultPlan, FaultRule, LinkFlap, NicStall
+from repro.faults import FaultAction, FaultInjector, FaultPlan, FaultRule, LinkFlap, NicStall
 from repro.network.message import Packet, PacketKind
 
 pytestmark = pytest.mark.faults
@@ -15,6 +15,12 @@ pytestmark = pytest.mark.faults
 
 def _pkt(src=0, dst=1, kind=PacketKind.EAGER):
     return Packet(kind=kind, src_node=src, dst_node=dst, payload_size=1024)
+
+
+def _drops(rule, packet, now):
+    """Does a fresh injector of the one-rule plan drop ``packet`` at ``now``?
+    With ``rate=1.0`` a DROP rule fires on every packet its filters accept."""
+    return not FaultInjector(FaultPlan(rules=[rule])).decide(packet, now).deliver
 
 
 # ------------------------------------------------------------------ FaultRule
@@ -61,11 +67,12 @@ def test_matches_filters_endpoints_kinds_and_window():
         after_us=100.0,
         until_us=200.0,
     )
-    assert rule.matches(_pkt(), 150.0)
-    assert not rule.matches(_pkt(), 99.0)  # before the window
-    assert not rule.matches(_pkt(), 200.0)  # window end is exclusive
-    assert not rule.matches(_pkt(src=1, dst=0), 150.0)  # wrong direction
-    assert not rule.matches(_pkt(kind=PacketKind.RTS), 150.0)  # wrong kind
+    assert _drops(rule, _pkt(), 150.0)
+    assert _drops(rule, _pkt(), 100.0)  # window start is inclusive
+    assert not _drops(rule, _pkt(), 99.0)  # before the window
+    assert not _drops(rule, _pkt(), 200.0)  # window end is exclusive
+    assert not _drops(rule, _pkt(src=1, dst=0), 150.0)  # wrong direction
+    assert not _drops(rule, _pkt(kind=PacketKind.RTS), 150.0)  # wrong kind
 
 
 # ------------------------------------------------------------------- LinkFlap
@@ -140,6 +147,6 @@ def test_quiet_plan_detection():
 
 
 def test_rule_defaults_cover_open_window():
-    rule = FaultRule(FaultAction.DROP, rate=0.5)
+    rule = FaultRule(FaultAction.DROP, rate=1.0)
     assert rule.until_us == math.inf
-    assert rule.matches(_pkt(), 1e9)
+    assert _drops(rule, _pkt(), 1e9)

@@ -215,7 +215,7 @@ def test_rail_timeout_count_decays_after_quiet_window():
         engine=EngineKind.SEQUENTIAL, faults=FaultPlan.uniform_drop(0.0), recover=True
     )
     rel = rt.node(0).session.reliability
-    window = rel._decay_window_us()
+    window = rel.decay_window_us
     entry = SimpleNamespace(
         gate=SimpleNamespace(peer=1, rails=(None, None)), rail_index=0, timer=None
     )

@@ -99,7 +99,7 @@ class TestProgressBudget:
         session, _ = wired_session
         ran = []
         for i in range(5):
-            session._enqueue_op(f"op{i}", lambda ctx, i=i: ran.append(i))
+            session._enqueue_op(lambda ctx, i: ran.append(i), i)
         ctx = _ctx(sim)
         session.progress(ctx, max_ops=2, poll=False)
         assert ran == [0, 1]
@@ -109,13 +109,13 @@ class TestProgressBudget:
         session, _ = wired_session
         ctx = _ctx(sim)
         assert not session.progress(ctx, poll=False)
-        session._enqueue_op("op", lambda c: None)
+        session._enqueue_op(lambda c: None)
         assert session.progress(_ctx(sim), poll=False)
 
     def test_ops_listener_fires(self, sim, wired_session):
         """An enqueued op notifies the session's engine, once."""
         session, _ = wired_session
-        session._enqueue_op("op", lambda c: None)  # no engine yet: no-op
+        session._enqueue_op(lambda c: None)  # no engine yet: no-op
         fired = []
 
         class Recorder(EngineBase):
@@ -123,7 +123,7 @@ class TestProgressBudget:
                 fired.append(True)
 
         Recorder(session)
-        session._enqueue_op("op", lambda c: None)
+        session._enqueue_op(lambda c: None)
         assert fired == [True]
 
 
@@ -165,8 +165,8 @@ class TestFlushRequeue:
         session.post_send(r1)
         session.post_send(r2)
         # execute the single queued flush op: submits ONE packet, requeues
-        name, fn = session.ops.popleft()
-        fn(ctx)
+        fn, args = session.ops.popleft()
+        fn(ctx, *args)
         assert session.has_pending_ops(), "second packet needs a requeued op"
         # a third send arrives while a plan is still queued
         r3 = session.make_send(0, 0, 64, payload=3)
@@ -174,8 +174,8 @@ class TestFlushRequeue:
         # drain everything
         guard = 0
         while session.ops:
-            _n, fn = session.ops.popleft()
-            fn(ExecContext(sim, 0, sim.now))
+            fn, args = session.ops.popleft()
+            fn(ExecContext(sim, 0, sim.now), *args)
             guard += 1
             assert guard < 20, "flush requeue loop diverged"
         sim.run()
@@ -192,7 +192,7 @@ class TestFlushRequeue:
             session.post_send(session.make_send(0, i, 64, payload=i))
         executions = 0
         while session.ops:
-            _n, fn = session.ops.popleft()
-            fn(ExecContext(sim, 0, sim.now))
+            fn, args = session.ops.popleft()
+            fn(ExecContext(sim, 0, sim.now), *args)
             executions += 1
         assert executions == 4  # one submission event per packet

@@ -223,7 +223,6 @@ def test_frames_reach_reliability_with_their_rail(monkeypatch):
     from repro.faults import FaultAction, FaultPlan, FaultRule
     from repro.harness.runner import ClusterRuntime
     from repro.nmad.reliability import ReliabilityLayer
-    from repro.nmad.wire import is_corrupted
 
     arrived_on: dict[int, tuple[Packet, Nic]] = {}
     deliver = Nic.deliver
@@ -275,7 +274,7 @@ def test_frames_reach_reliability_with_their_rail(monkeypatch):
         assert arrived_on[id(packet)][1] is driver.nic
     kinds = {p.kind for _d, p in seen}
     assert PacketKind.ACK in kinds
-    assert any(is_corrupted(p) for _d, p in seen)
+    assert any("corrupted" in p.headers for _d, p in seen)
     times_seen: dict[int, int] = {}
     for _d, p in seen:
         times_seen[id(p)] = times_seen.get(id(p), 0) + 1

@@ -96,7 +96,7 @@ def test_replacement_engine_alone_receives_session_events():
     old_activity, new_activity = _record_activity(old), _record_activity(new)
 
     # an enqueued op
-    session.defer("probe", lambda ctx: None)
+    session.defer(lambda ctx: None)
     assert (old.kicks, new.kicks) == (0, 1)
 
     # hardware activity on a rail (a frame lands in the NIC's completion
