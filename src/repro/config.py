@@ -85,8 +85,6 @@ class HostModel:
         region on the eager send path are charged at this rate).
     context_switch_us:
         Cost of a Marcel context switch between user threads.
-    thread_spawn_us:
-        Cost of creating a Marcel thread.
     spinlock_us:
         Cost of one uncontended spinlock acquire+release pair; contended
         acquisitions additionally spin in virtual time.
@@ -99,8 +97,6 @@ class HostModel:
     syscall_us:
         Cost of entering/leaving the kernel (used by the blocking detection
         method).
-    wakeup_us:
-        Cost of waking a blocked thread (scheduler requeue + migration).
     """
 
     memcpy_setup_us: float = 0.35
@@ -109,12 +105,10 @@ class HostModel:
     #: costs ≈ 40 µs ("up to several dozens of microseconds")
     memcpy_bw: float = GiB_per_s(0.75)
     context_switch_us: float = 0.6
-    thread_spawn_us: float = 1.5
     spinlock_us: float = 0.04
     tasklet_local_us: float = 0.35
     tasklet_remote_us: float = 2.0
     syscall_us: float = 1.2
-    wakeup_us: float = 0.8
     #: cost of registering a communication request (bookkeeping in isend/irecv)
     request_post_us: float = 0.2
 
@@ -123,12 +117,10 @@ class HostModel:
         for name in (
             "memcpy_setup_us",
             "context_switch_us",
-            "thread_spawn_us",
             "spinlock_us",
             "tasklet_local_us",
             "tasklet_remote_us",
             "syscall_us",
-            "wakeup_us",
             "request_post_us",
         ):
             _non_negative(name, getattr(self, name))
@@ -298,13 +290,10 @@ class MarcelConfig:
     timer_tick_us: float = 10.0
     #: Scheduling quantum for round-robin within a priority level.
     quantum_us: float = 20.0
-    #: Idle loop: virtual time consumed per idle iteration when polling work.
-    idle_poll_us: float = 0.25
 
     def __post_init__(self) -> None:
         _positive("timer_tick_us", self.timer_tick_us)
         _positive("quantum_us", self.quantum_us)
-        _positive("idle_poll_us", self.idle_poll_us)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,11 @@ per-communicator :class:`NbcProgressor`, which advances it incrementally:
 * each round's sends/recvs are posted through the session; an
   ``on_request_complete`` listener observes every step completion and
   queues an *advance* action when the round drains;
-* advance actions ride the session's deferred-op queue **and** a
-  progression hook registered with PIOMan, so idle cores run folds and
-  post the next round while the application thread computes — the paper's
-  "communication progress for free" story lifted to collectives. Under the
+* advance actions ride the session's deferred-op queue, the one queue
+  both engines drain: under PIOMan idle cores run folds and post the next
+  round while the application thread computes — the paper's
+  "communication progress for free" story lifted to collectives — one
+  action per idle activation, like any other event. Under the
   sequential baseline the same actions drain inside whichever library call
   the thread makes next, reproducing its no-overlap behaviour.
 
@@ -31,7 +32,6 @@ Progress guarantees and the tag layout are documented in ``docs/nbc.md``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Generator, Optional
 
@@ -344,6 +344,10 @@ class _Active:
         self.posting = False
 
 
+#: an action on one in-flight schedule, run under an execution context
+_ActionFn = Callable[[ExecContext, _Active], None]
+
+
 class NbcProgressor:
     """Per-communicator engine that advances outstanding schedules.
 
@@ -351,20 +355,16 @@ class NbcProgressor:
 
     * an ``on_request_complete`` listener sees every request completion
       on the node's session and routes those belonging to a schedule step;
-    * *actions* (post next round, run folds, finalize) queue on an internal
-      deque; each is mirrored by a deferred op on the session queue, so
-      both engines drain them through their normal progression paths;
-    * under PIOMan the progressor additionally registers itself as a
-      progression hook: idle cores offer their cycles here *first*, and
-      work they execute is counted as stolen (``steps_stolen``).
+    * *actions* (post next round, run folds, finalize) are deferred ops on
+      the session queue, so both engines drain them through their normal
+      progression paths; an action run by an idle core (PIOMan) counts as
+      stolen (``steps_stolen``).
     """
 
     def __init__(self, comm: Communicator) -> None:
         self.comm = comm
         self.session = comm._nm.session
-        self.engine = comm._nm.engine
         self._host = self.session.timing.host
-        self._actions: deque[Callable[[ExecContext], None]] = deque()
         self._by_req: dict[int, _Active] = {}
         self.session.on_request_complete.append(self._on_completion)
         self.stats: dict[str, int] = {
@@ -377,9 +377,6 @@ class NbcProgressor:
             "actions_run": 0,
             "steps_stolen": 0,
         }
-        register = getattr(self.engine, "register_progress_hook", None)
-        if register is not None:
-            register(self.pump)
         reg = comm.world.runtime.metrics_registry
         reg.register_collector(f"n{comm.rank}.nbc", lambda: dict(self.stats))
 
@@ -399,35 +396,17 @@ class NbcProgressor:
             # single-rank collective: no wire steps, complete in place
             self._finish(active)
             return req
-        self._defer(lambda ctx: self._post_round(ctx, active))
+        self.session.defer(self._act, self._post_round, active)
         return req
 
-    # -- action plumbing ------------------------------------------------------
-
-    def _defer(self, fn: Callable[[ExecContext], None]) -> None:
-        self._actions.append(fn)
-        # mirror on the session op queue: wakes idle cores under PIOMan,
-        # drains inside the next library call under the sequential engine
-        self.session.defer(self._drain_one)
-
-    def _drain_one(self, ctx: ExecContext) -> None:
-        # the mirrored op may find its action already stolen by an idle
-        # core's progression hook — then it is a cheap no-op
-        self.pump(ctx)
-
-    def pump(self, ctx: ExecContext) -> bool:
-        """Run one queued action under ``ctx``; True if one ran.
-
-        This is also the progression hook PIOMan's idle trigger calls.
-        """
-        if not self._actions:
-            return False
-        fn = self._actions.popleft()
+    def _act(self, ctx: ExecContext, fn: _ActionFn, active: _Active) -> None:
+        """A deferred action, run by whichever context drains the session
+        queue: an idle core under PIOMan, the thread's next library call
+        under the sequential engine."""
         self.stats["actions_run"] += 1
-        if getattr(ctx, "idle_steal", False):
+        if ctx.idle_steal:
             self.stats["steps_stolen"] += 1
-        fn(ctx)
-        return True
+        fn(ctx, active)
 
     # -- schedule advancement -------------------------------------------------
 
@@ -442,7 +421,7 @@ class NbcProgressor:
             active.schedule.state[slot] = req.data
         active.pending.discard(req.req_id)
         if not active.pending and not active.posting:
-            self._defer(lambda ctx: self._advance(ctx, active))
+            self.session.defer(self._act, self._advance, active)
 
     def _post_round(self, ctx: ExecContext, active: _Active) -> None:
         """Post every step of the current round; skip through fold-only
@@ -487,7 +466,7 @@ class NbcProgressor:
             self.stats["steps_posted"] += 1
         active.posting = False
         if not active.pending:  # everything completed during posting
-            self._defer(lambda c: self._advance(c, active))
+            self.session.defer(self._act, self._advance, active)
 
     def _advance(self, ctx: ExecContext, active: _Active) -> None:
         """The just-drained round's folds, then the next round."""

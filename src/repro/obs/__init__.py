@@ -6,9 +6,9 @@ event, so a run with metrics enabled produces a trace byte-identical to
 the same run with metrics disabled (asserted by
 ``benchmarks/bench_metrics_overhead.py``).
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
-  (p50/p95/p99), plus pull-style *collectors* that route the pre-existing
-  ad-hoc instrumentation (``NmSession.stats``, PIOMan activation counters,
+* :class:`MetricsRegistry` — fixed-bucket histograms (p50/p95/p99, the
+  per-node request latencies), plus pull-style *collectors* that route the
+  pre-existing ad-hoc instrumentation (``NmSession.stats``, PIOMan activation counters,
   scheduler timelines, driver submit/rx counts, fault-injector counters)
   through one namespace;
 * :class:`TimeSeriesSampler` — samples the registry on the simulated
@@ -30,16 +30,12 @@ from .export import (
 )
 from .registry import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
 from .sampler import TimeSeriesSampler
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",

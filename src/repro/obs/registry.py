@@ -1,18 +1,18 @@
-"""The metrics registry: counters, gauges, histograms, collectors.
+"""The metrics registry: histograms and collectors.
 
 Design constraints, in order of importance:
 
 1. **Zero simulated time.** Instruments only mutate plain Python state;
    they never charge an execution context and never touch the event
    queue. Metrics on/off cannot change a run's trace signature.
-2. **Zero cost when disabled.** A disabled registry hands out shared
-   no-op instruments and registers nothing, so call sites can keep their
-   ``counter.inc()`` lines unconditionally.
+2. **Zero cost when disabled.** A disabled registry registers nothing
+   and snapshots to ``{}``; the runtime asks it for no instrument.
 3. **Pull beats push for pre-existing stats.** Subsystems that already
    keep ad-hoc counters (``NmSession.stats``, driver counters, scheduler
    timelines) are routed through the registry by *collectors* — callables
    consulted at snapshot/sample time — instead of rewriting every
-   increment site.
+   increment site. The one push-style instrument is the
+   :class:`Histogram` (per-node request latencies).
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ from typing import Any, Callable, Mapping
 from ..errors import ObsError
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "DEFAULT_LATENCY_BUCKETS",
@@ -36,46 +34,6 @@ DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0,
     1_000.0, 2_000.0, 5_000.0, 10_000.0, 50_000.0,
 )
-
-
-class Counter:
-    """Monotonically increasing value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0
-
-    def inc(self, amount: float = 1) -> None:
-        if amount < 0:
-            raise ObsError(f"counter {self.name} cannot decrease (inc {amount})")
-        self.value += amount
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """Last-written value (queue depths, degraded-link counts...)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: float = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Gauge {self.name}={self.value}>"
 
 
 class Histogram:
@@ -157,108 +115,24 @@ class Histogram:
         return f"<Histogram {self.name} n={self.count} mean={self.mean:.2f}>"
 
 
-class _NullCounter:
-    """Shared no-op stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "<null>"
-    value = 0
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-
-class _NullGauge:
-    __slots__ = ()
-    name = "<null>"
-    value = 0.0
-
-    def set(self, value: float) -> None:
-        pass
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
-        pass
-
-
-class _NullHistogram:
-    __slots__ = ()
-    name = "<null>"
-    count = 0
-    mean = 0.0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> float:
-        return 0.0
-
-    def snapshot(self) -> dict[str, float]:
-        return {"count": 0}
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_GAUGE = _NullGauge()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
-    """Namespace of instruments plus pull-style collectors.
+    """Namespace of histograms plus pull-style collectors.
 
-    Instrument names are dotted paths (``n0.pioman.kicks``); asking twice
-    for the same name returns the same instrument, and asking for a name
-    already held by a different instrument type raises :class:`ObsError`.
+    Names are dotted paths (``n0.latency.recv_us``); asking twice for the
+    same histogram name returns the same instrument.
     """
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         #: (prefix, fn) pairs; fn() returns a flat name→value mapping
         self._collectors: list[tuple[str, Callable[[], Mapping[str, Any]]]] = []
 
-    # -- instruments ---------------------------------------------------------
-
-    def _claim(self, name: str, kind: str) -> None:
-        for other_kind, table in (
-            ("counter", self._counters),
-            ("gauge", self._gauges),
-            ("histogram", self._histograms),
-        ):
-            if other_kind != kind and name in table:
-                raise ObsError(f"metric {name!r} already registered as a {other_kind}")
-
-    def counter(self, name: str) -> Counter:
-        if not self.enabled:
-            return _NULL_COUNTER  # type: ignore[return-value]
-        c = self._counters.get(name)
-        if c is None:
-            self._claim(name, "counter")
-            c = self._counters[name] = Counter(name)
-        return c
-
-    def gauge(self, name: str) -> Gauge:
-        if not self.enabled:
-            return _NULL_GAUGE  # type: ignore[return-value]
-        g = self._gauges.get(name)
-        if g is None:
-            self._claim(name, "gauge")
-            g = self._gauges[name] = Gauge(name)
-        return g
-
     def histogram(self, name: str, bounds: tuple[float, ...] | None = None) -> Histogram:
-        if not self.enabled:
-            return _NULL_HISTOGRAM  # type: ignore[return-value]
         h = self._histograms.get(name)
         if h is None:
-            self._claim(name, "histogram")
             h = self._histograms[name] = Histogram(name, bounds or DEFAULT_LATENCY_BUCKETS)
         return h
-
-    # -- collectors ----------------------------------------------------------
 
     def register_collector(self, prefix: str, fn: Callable[[], Mapping[str, Any]]) -> None:
         """Pull ``fn()`` at snapshot time, prefixing its keys with
@@ -266,14 +140,8 @@ class MetricsRegistry:
         if self.enabled:
             self._collectors.append((prefix, fn))
 
-    def unregister_collector(self, fn: Callable[[], Mapping[str, Any]]) -> None:
-        """Remove every collector entry using ``fn`` (idempotent)."""
-        self._collectors = [(p, f) for p, f in self._collectors if f is not fn]
-
-    # -- snapshot ------------------------------------------------------------
-
     def snapshot(self) -> dict[str, float]:
-        """Flat, key-sorted view of every instrument and collector.
+        """Flat, key-sorted view of every histogram and collector.
 
         Histograms expand to ``name.count`` / ``.mean`` / ``.p50`` /
         ``.p95`` / ``.p99`` / ``.min`` / ``.max``.
@@ -281,10 +149,6 @@ class MetricsRegistry:
         if not self.enabled:
             return {}
         out: dict[str, float] = {}
-        for name, c in self._counters.items():
-            out[name] = c.value
-        for name, g in self._gauges.items():
-            out[name] = g.value
         for name, h in self._histograms.items():
             for stat, value in h.snapshot().items():
                 out[f"{name}.{stat}"] = value
@@ -294,8 +158,7 @@ class MetricsRegistry:
         return dict(sorted(out.items()))
 
     def __repr__(self) -> str:  # pragma: no cover
-        n = len(self._counters) + len(self._gauges) + len(self._histograms)
         return (
             f"<MetricsRegistry {'on' if self.enabled else 'off'} "
-            f"instruments={n} collectors={len(self._collectors)}>"
+            f"histograms={len(self._histograms)} collectors={len(self._collectors)}>"
         )

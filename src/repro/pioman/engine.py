@@ -7,8 +7,10 @@ This class is the paper's contribution wired together:
 * Marcel **triggers** drive progression: the scheduler holds one
   ``pioman`` reference and calls the engine directly (§3.1: "CPU
   idleness, context switches, timer interrupts"). The *idle* trigger
-  (:meth:`PiomanEngine.on_idle`) runs full progression (submissions +
-  handshakes + completion polling) on cores with nothing better to do;
+  (:meth:`PiomanEngine.on_idle`) runs full progression on cores with
+  nothing better to do: one op off the session queue per activation (a
+  submission, a handshake step, a nonblocking-collective action — every
+  kind of deferred work takes that one route), then completion polling;
   the *timer-tick* (:meth:`PiomanEngine.on_tick`) and *context-switch*
   (:meth:`PiomanEngine.on_switch`) triggers run cheap completion
   detection so busy nodes stay reactive;
@@ -72,12 +74,6 @@ class PiomanEngine(EngineBase):
         self._dispatch_due: dict[int, float | None] = {
             c.index: None for c in self.scheduler.cores
         }
-        #: registered progression hooks (e.g. one per communicator's nbc
-        #: progressor): consulted by the idle trigger *before* the generic
-        #: session queue, so idle cores prefer advancing structured work
-        #: (outstanding collective schedules) over FIFO op draining. A hook
-        #: takes the execution context and returns True when it ran work.
-        self._progress_hooks: list = []
         # statistics
         self.idle_activations = 0
         self.tick_activations = 0
@@ -112,33 +108,10 @@ class PiomanEngine(EngineBase):
             # otherwise the timer-tick trigger will detect the completion.
             self._interrupt()
 
-    def register_progress_hook(self, hook) -> None:
-        """Register a progression hook: ``hook(ctx) -> bool``.
-
-        Called from the idle trigger (and the low-priority tick path)
-        before generic op draining; must run at most one bounded unit of
-        work per call and return whether it did anything.
-        """
-        if hook not in self._progress_hooks:
-            self._progress_hooks.append(hook)
-
-    def unregister_progress_hook(self, hook) -> None:
-        """Remove a registered progression hook; idempotent."""
-        if hook in self._progress_hooks:
-            self._progress_hooks.remove(hook)
-
-    def _run_progress_hooks(self, ctx) -> bool:
-        """Offer the context to each registered hook; True if one ran work."""
-        for hook in self._progress_hooks:
-            if hook(ctx):
-                return True
-        return False
-
     def close(self) -> None:
         """Detach from the scheduler (if it still points here) and drop the
         completion listener; armed watches are abandoned (idempotent)."""
         super().close()
-        self._progress_hooks.clear()
         if self.scheduler.pioman is self:
             self.scheduler.pioman = None
         try:
@@ -183,11 +156,8 @@ class PiomanEngine(EngineBase):
         # one op per activation (§2.1: "each event is run under mutual
         # exclusion … the messages are submitted once at a time") — other
         # cores and threads reaching their wait can interleave between
-        # events instead of one core hogging a whole burst; registered
-        # progression hooks (outstanding collective schedules) get first
-        # claim on the idle cycles
-        if not self._run_progress_hooks(ctx):
-            session.progress(ctx, max_ops=1)
+        # events instead of one core hogging a whole burst
+        session.progress(ctx, max_ops=1)
         if session.ops or session.windowed_gates:
             # more deferred events: invite another idle core to share them
             self.sim.call_soon(self.scheduler.kick_idle)
@@ -211,8 +181,7 @@ class PiomanEngine(EngineBase):
             ctx = self._core_ctx(core.index)
             ctx.idle_steal = True
             ctx.cpu_us += self.timing.host.spinlock_us + self.timing.host.tasklet_local_us
-            if not self._run_progress_hooks(ctx):
-                self.session.progress(ctx, max_ops=1, poll=False)
+            self.session.progress(ctx, max_ops=1, poll=False)
             cost += ctx.cpu_us
         if any(self.session.hw_cqs):
             self.tick_activations += 1

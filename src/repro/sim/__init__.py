@@ -7,9 +7,8 @@ Marcel threads (:mod:`repro.marcel`) built on top of it.
 Public surface:
 
 * :class:`~repro.sim.kernel.Simulator` — the event loop (`now`, `schedule`,
-  `timer`, `run`, `run_ahead`, tick chains).
-* :class:`~repro.sim.queues.HeapQueue` — the event queue, a binary heap of
-  ``(time, priority, seq, fn, args)`` event and
+  `timer`, `run`, `run_ahead`, tick chains) and its event queue, a binary
+  heap of ``(time, priority, seq, fn, args)`` event and
   ``(time, priority, seq, handle, None)`` timer tuples.
 * :class:`~repro.sim.events.EventHandle` — a cancellable timer, built only
   by ``Simulator.timer``.
@@ -20,7 +19,6 @@ Public surface:
 
 from .events import EventHandle, Priority
 from .kernel import Simulator
-from .queues import HeapQueue
 from .rng import RngStreams
 from .tracing import CoreTimeline, TraceRecord, Tracer
 
@@ -28,7 +26,6 @@ __all__ = [
     "Simulator",
     "EventHandle",
     "Priority",
-    "HeapQueue",
     "CoreTimeline",
     "RngStreams",
     "Tracer",

@@ -47,7 +47,7 @@ class EventHandle:
         "_args",
         "cancelled",
         "fired",
-        "_queue",
+        "_sim",
     )
 
     def __init__(
@@ -57,7 +57,7 @@ class EventHandle:
         seq: int,
         fn: Callable[..., Any],
         args: tuple[Any, ...],
-        queue: Any = None,
+        sim: Any = None,
     ) -> None:
         self.time = time
         self.priority = priority
@@ -66,19 +66,19 @@ class EventHandle:
         self._args = args
         self.cancelled = False
         self.fired = False
-        #: the :class:`~repro.sim.queues.HeapQueue` storing this handle;
-        #: lets cancel() report lazily-cancelled entries so the queue can
-        #: compact when they pile up.
-        self._queue = queue
+        #: the :class:`~repro.sim.kernel.Simulator` whose heap stores this
+        #: handle; cancel() reports to it so the heap can compact when
+        #: lazily-cancelled timers pile up.
+        self._sim = sim
 
     def cancel(self) -> None:
         """Prevent the callback from running; no-op if already fired."""
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        queue = self._queue
-        if queue is not None:
-            queue._note_cancel()
+        sim = self._sim
+        if sim is not None:
+            sim._note_cancel()
 
     @property
     def pending(self) -> bool:

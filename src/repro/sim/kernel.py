@@ -1,9 +1,9 @@
 """The discrete-event simulation loop.
 
-:class:`Simulator` owns the virtual clock and one event queue
-(:class:`repro.sim.queues.HeapQueue`), run by one loop. Everything else
-in the library — Marcel cores, NIC DMA engines, wire deliveries, PIOMan
-timers — is expressed as callbacks scheduled here.
+:class:`Simulator` owns the virtual clock and one event queue, a binary
+heap, run by one loop. Everything else in the library — Marcel cores, NIC
+DMA engines, wire deliveries, PIOMan timers — is expressed as callbacks
+scheduled here.
 
 Events and timers
 -----------------
@@ -14,6 +14,16 @@ object is built for it. :meth:`Simulator.timer` is the one way to get a
 cancellable callback: it returns an :class:`EventHandle` and stores
 ``(time, priority, seq, handle, None)``. Both kinds take their seq from
 one counter and fire in one order; only timers are ever skipped.
+
+The heap holds both kinds as tuples, so every comparison :mod:`heapq`
+makes runs in C; ``seq`` is unique, so two entries never tie on the first
+three fields and the last two are never compared. ``None`` in the last
+field marks a timer. Cancellation is lazy: a cancelled timer stays in the
+heap until it surfaces, and the heap is compacted once cancelled timers
+outnumber live entries (above a floor, ``_COMPACT_MIN``). Without that,
+every ACK-cancelled retransmit timer would ride the heap until its
+timestamp came up. The heap list is never replaced (compaction rewrites
+it in place), so the run loop may alias it.
 
 Determinism contract
 --------------------
@@ -121,9 +131,17 @@ from typing import Any, Callable, Iterable
 
 from ..errors import DeadlockError, SimulationError
 from .events import EventHandle, Priority
-from .queues import HeapQueue
 
 __all__ = ["Simulator"]
+
+#: compaction is considered only once this many cancelled timers linger.
+#: Below the floor, lazy deletion is the right tool — near-term cancelled
+#: timers (retransmits killed by their ACK a few µs later) surface and
+#: drop on their own, and rebuilding for them is pure thrash. Above it,
+#: a rebuild removes at least half the stored entries (the trigger needs
+#: cancelled > live), so the cost is O(1) amortized per cancellation and
+#: the heap can never bloat past ``2 × max(live, _COMPACT_MIN)``.
+_COMPACT_MIN = 1024
 
 
 class Simulator:
@@ -143,10 +161,13 @@ class Simulator:
         #: current virtual time in microseconds; only :meth:`run` and
         #: :meth:`step` advance it
         self.now: float = 0.0
-        self._queue = HeapQueue()
-        #: alias of the queue's heap list, which is only ever mutated in
-        #: place (compaction included)
-        self._heap = self._queue._heap
+        #: the event heap (see "Events and timers" above); only ever
+        #: mutated in place, compaction included
+        self._heap: list[tuple[float, int, int, Any, Any]] = []
+        #: cancelled timers still stored in the heap
+        self._cancelled = 0
+        #: heap rebuilds that dropped cancelled timers
+        self.compactions = 0
         self._seq: int = 0
         self._running = False
         self._stopped = False
@@ -189,7 +210,31 @@ class Simulator:
     def queue_stats(self) -> dict[str, object]:
         """Event-queue counters: stored ``entries`` (lazily-cancelled ones
         included), ``cancelled`` and ``compactions``."""
-        return self._queue.stats()
+        return {
+            "entries": len(self._heap),
+            "cancelled": self._cancelled,
+            "compactions": self.compactions,
+        }
+
+    def _note_cancel(self) -> None:
+        """Called by :meth:`EventHandle.cancel` on a stored timer: compact
+        the heap once cancelled timers outnumber live entries."""
+        self._cancelled += 1
+        if self._cancelled >= _COMPACT_MIN and (self._cancelled << 1) > len(self._heap):
+            heap = self._heap
+            heap[:] = [entry for entry in heap if entry[4] is not None or not entry[3].cancelled]
+            heapify(heap)
+            self._cancelled = 0
+            self.compactions += 1
+
+    def _peek(self) -> tuple[float, int, int, Any, Any] | None:
+        """The next live heap entry, dropping cancelled timers on top, or
+        None when the heap is drained."""
+        heap = self._heap
+        while heap and heap[0][4] is None and heap[0][3].cancelled:
+            heappop(heap)
+            self._cancelled -= 1
+        return heap[0] if heap else None
 
     # -- scheduling ----------------------------------------------------------
 
@@ -254,7 +299,7 @@ class Simulator:
             )
         seq = self._seq + 1
         self._seq = seq
-        handle = EventHandle(time, priority, seq, fn, args, self._queue)
+        handle = EventHandle(time, priority, seq, fn, args, self)
         heappush(self._heap, (time, priority, seq, handle, None))
         return handle
 
@@ -265,16 +310,11 @@ class Simulator:
         inline."""
         if not self._ahead or self._stopped or self._observers or time > self._horizon:
             return False
-        heap = self._heap
-        while heap:
-            top = heap[0]
-            if top[4] is None and top[3].cancelled:
-                heappop(heap)
-                self._queue._cancelled -= 1
-                continue
-            if top[0] < time or (top[0] == time and top[1] <= Priority.NORMAL):
-                return False
-            break
+        top = self._peek()
+        if top is not None and (
+            top[0] < time or (top[0] == time and top[1] <= Priority.NORMAL)
+        ):
+            return False
         chains = self._chains
         if chains and chains[0][0] <= time:
             return False
@@ -359,7 +399,7 @@ class Simulator:
         runtime is then freed without the cycle collector. Counters and
         the clock stay readable."""
         self._heap.clear()
-        self._queue._cancelled = 0
+        self._cancelled = 0
         self._chains.clear()
         self._chain_ends.clear()
         self._liveness_probes.clear()
@@ -419,12 +459,12 @@ class Simulator:
     def peek_time(self) -> float | None:
         """Time of the next pending event or chain boundary, or None if
         nothing is pending."""
-        time = self._queue.peek_time()
+        top = self._peek()
         chains = self._chains
-        if chains and (time is None or chains[0][0] < time):
+        if chains and (top is None or chains[0][0] < top[0]):
             boundary: float = chains[0][0]
             return boundary
-        return time
+        return None if top is None else top[0]
 
     def _due_chain(self) -> list[Any] | None:
         """The live chain entry that precedes the queue's next event, or
@@ -432,7 +472,7 @@ class Simulator:
         if not self._chains:
             return None
         entry = self._chains[0]
-        nxt = self._queue.peek()
+        nxt = self._peek()
         if nxt is None or (entry[0], entry[1], entry[2]) < nxt:
             return entry
         return None
@@ -448,9 +488,10 @@ class Simulator:
             self.now = entry[0]
             self._pass_batch(entry, -math.inf)
         else:
-            top = self._queue.pop_next()
+            top = self._peek()
             if top is None:
                 return False
+            heappop(self._heap)
             if top[0] < self.now:  # pragma: no cover - guarded at insert
                 raise SimulationError("time went backwards")
             self.now = top[0]
@@ -497,7 +538,6 @@ class Simulator:
             return self.now
         self._running = True
         self._horizon = math.inf if until is None else until
-        queue = self._queue
         heap = self._heap
         chains = self._chains
         ends = self._chain_ends
@@ -579,7 +619,7 @@ class Simulator:
                 fn = top[3]
                 args = top[4]
                 if args is None and fn.cancelled:
-                    queue._cancelled -= 1
+                    self._cancelled -= 1
                     continue
                 time = top[0]
                 if time > horizon:
@@ -637,7 +677,8 @@ class Simulator:
     def pending_count(self) -> int:
         """Number of pending events and non-cancelled timers plus live
         chains, one pending boundary each (O(n); for tests)."""
-        return self._queue.pending_count() + len(self._chains)
+        live = [entry for entry in self._heap if entry[4] is not None or not entry[3].cancelled]
+        return len(live) + len(self._chains)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator t={self.now:.3f}µs pending={len(self._queue)}>"
+        return f"<Simulator t={self.now:.3f}µs pending={len(self._heap)}>"

@@ -29,22 +29,6 @@ pytestmark = pytest.mark.obs
 
 
 class TestInstruments:
-    def test_counter_monotonic(self):
-        reg = MetricsRegistry()
-        c = reg.counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        with pytest.raises(ObsError):
-            c.inc(-1)
-
-    def test_gauge_set_inc_dec(self):
-        g = MetricsRegistry().gauge("depth")
-        g.set(10)
-        g.inc(2)
-        g.dec(5)
-        assert g.value == 7
-
     def test_histogram_summary(self):
         h = MetricsRegistry().histogram("lat", bounds=(10.0, 100.0, 1000.0))
         for v in (1, 5, 50, 500, 5000):
@@ -70,50 +54,33 @@ class TestInstruments:
 
     def test_same_name_same_instance(self):
         reg = MetricsRegistry()
-        assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("b") is reg.gauge("b")
         assert reg.histogram("c") is reg.histogram("c")
-
-    def test_type_collision_rejected(self):
-        reg = MetricsRegistry()
-        reg.counter("x")
-        with pytest.raises(ObsError):
-            reg.gauge("x")
-        with pytest.raises(ObsError):
-            reg.histogram("x")
 
 
 class TestRegistry:
     def test_snapshot_flat_and_sorted(self):
         reg = MetricsRegistry()
-        reg.counter("b.n").inc(2)
-        reg.gauge("a.g").set(1.5)
+        reg.register_collector("b", lambda: {"n": 2, "a": 1.5})
         h = reg.histogram("c.h")
         h.observe(3.0)
         snap = reg.snapshot()
         assert list(snap) == sorted(snap)
-        assert snap["b.n"] == 2 and snap["a.g"] == 1.5
+        assert snap["b.n"] == 2 and snap["b.a"] == 1.5
         assert snap["c.h.count"] == 1 and snap["c.h.mean"] == 3.0
 
-    def test_collectors_prefixed_and_removable(self):
+    def test_collectors_prefixed(self):
         reg = MetricsRegistry()
         stats = {"hits": 0}
         reg.register_collector("n0.cache", lambda: stats)
         stats["hits"] = 9
-        assert reg.snapshot()["n0.cache.hits"] == 9
-        fn = reg._collectors[0][1]
-        reg.unregister_collector(fn)
-        assert reg.snapshot() == {}
+        assert reg.snapshot() == {"n0.cache.hits": 9}
 
     def test_disabled_registry_is_inert(self):
         reg = MetricsRegistry(enabled=False)
-        c = reg.counter("x")
-        c.inc(5)  # no-op instrument, shared across names
-        assert c is reg.counter("y")
-        reg.gauge("g").set(3)
         reg.histogram("h").observe(1.0)
         reg.register_collector("p", lambda: {"k": 1})
         assert reg.snapshot() == {}
+        assert reg._collectors == []
 
 
 # ------------------------------------------------------------------- wiring
@@ -291,14 +258,19 @@ class TestExporters:
     def test_csv_time_series(self):
         sim = Simulator()
         reg = MetricsRegistry()
-        c = reg.counter("hits")
+        stats = {"hits": 0}
+        reg.register_collector("n0", lambda: stats)
         sampler = TimeSeriesSampler(sim, reg, 10.0)
-        sim.schedule(10.0, lambda: c.inc())
-        sim.schedule(20.0, lambda: c.inc())
+
+        def hit():
+            stats["hits"] += 1
+
+        sim.schedule(10.0, hit)
+        sim.schedule(20.0, hit)
         sim.run()
         csv = timeseries_to_csv(sampler)
         rows = csv.strip().splitlines()
-        assert rows[0] == "time_us,hits"
+        assert rows[0] == "time_us,n0.hits"
         assert rows[1] == "10,1"
         assert rows[2] == "20,2"
 

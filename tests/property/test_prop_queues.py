@@ -28,7 +28,7 @@ from contextlib import contextmanager
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import queues
+from repro.sim import kernel
 from repro.sim.events import EventHandle, Priority
 from repro.sim.kernel import Simulator
 
@@ -70,12 +70,12 @@ ops = st.tuples(
 @contextmanager
 def _compact_min(floor: int):
     """Run the body with the heap's compaction floor set to ``floor``."""
-    saved = queues._COMPACT_MIN
-    queues._COMPACT_MIN = floor
+    saved = kernel._COMPACT_MIN
+    kernel._COMPACT_MIN = floor
     try:
         yield
     finally:
-        queues._COMPACT_MIN = saved
+        kernel._COMPACT_MIN = saved
 
 
 def _execute(program, by_step: bool = False, until=()) -> dict:
@@ -259,7 +259,7 @@ def test_cancellation_sets_agree_across_queues(entries, cancel_idx):
     the same fire order, counters and drained state as the same subsets
     dropped lazily as they surface."""
     results = []
-    for floor in (queues._COMPACT_MIN, 1):
+    for floor in (kernel._COMPACT_MIN, 1):
         with _compact_min(floor):
             sim = Simulator()
             fired: list[int] = []

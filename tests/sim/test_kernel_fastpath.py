@@ -16,7 +16,7 @@ from repro.config import EngineKind
 from repro.errors import SimulationError
 from repro.faults import FaultAction, FaultPlan, FaultRule
 from repro.harness.runner import ClusterRuntime
-from repro.sim import queues
+from repro.sim import kernel
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import Tracer
@@ -82,7 +82,7 @@ def test_all_queues_fire_identically(monkeypatch):
         return (end, sim.events_fired, log, seen), sim.queue_stats()["compactions"]
 
     lazy, lazy_compactions = observed_storm()
-    monkeypatch.setattr(queues, "_COMPACT_MIN", 1)
+    monkeypatch.setattr(kernel, "_COMPACT_MIN", 1)
     eager, eager_compactions = observed_storm()
     assert lazy_compactions == 0 < eager_compactions
     assert eager == lazy
@@ -217,6 +217,6 @@ def test_traced_workload_signature_identical_across_queues(engine, monkeypatch):
     heap on a traced communication workload over a lossy wire (where the
     PIOMan run's ACK-cancelled retransmit timers get compacted mid-run)."""
     lazy = _traced_signature(engine, lossy=True)
-    monkeypatch.setattr(queues, "_COMPACT_MIN", 1)
+    monkeypatch.setattr(kernel, "_COMPACT_MIN", 1)
     assert _traced_signature(engine, lossy=True) == lazy
 

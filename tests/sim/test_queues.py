@@ -1,4 +1,4 @@
-"""Unit tests for the kernel's event queue (:mod:`repro.sim.queues`).
+"""Unit tests for the kernel's event queue, the heap a :class:`Simulator` owns.
 
 Ordering against ``step()``-driven execution is pinned by
 ``test_kernel_fastpath`` and the property suite; this module covers the
@@ -13,7 +13,7 @@ import pytest
 
 from repro.sim.events import Priority
 from repro.sim.kernel import Simulator
-from repro.sim.queues import _COMPACT_MIN
+from repro.sim.kernel import _COMPACT_MIN
 
 
 def _entries(sim: Simulator) -> int:
