@@ -16,7 +16,7 @@ module, the unreached lines out of the function-body lines, and the total.
 
 Usage::
 
-    python benchmarks/reach.py [--json PATH]
+    python benchmarks/reach.py
 
 It only reports: the exit status is 0 whatever the numbers. It takes a
 few seconds on a 2-CPU host.
@@ -24,17 +24,15 @@ few seconds on a 2-CPU host.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import contextlib
 import cProfile
 import io
-import json
 import runpy
 import sys
 import tempfile
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -175,15 +173,9 @@ def print_report(report: dict[str, Any]) -> None:
     )
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--json", type=Path, default=None, help="also write the report here")
-    args = ap.parse_args(argv)
+def main() -> int:
     sys.path.insert(0, str(SRC))
-    report = reach_report(profiled_functions())
-    print_report(report)
-    if args.json is not None:
-        args.json.write_text(json.dumps(report, indent=2) + "\n")
+    print_report(reach_report(profiled_functions()))
     return 0
 
 
