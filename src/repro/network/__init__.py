@@ -10,7 +10,7 @@ belongs to :mod:`repro.nmad`.
 """
 
 from .fabric import Fabric
-from .message import CompletionRecord, Packet, PacketKind
+from .message import RX, TX_DONE, CompletionRecord, Packet, PacketKind
 from .nic import Nic
 from .registration import MemoryRegistry
 from .shm import ShmChannel
@@ -19,6 +19,8 @@ __all__ = [
     "Packet",
     "PacketKind",
     "CompletionRecord",
+    "TX_DONE",
+    "RX",
     "Nic",
     "Fabric",
     "ShmChannel",

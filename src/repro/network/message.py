@@ -6,12 +6,18 @@ from typing import Any
 
 from ..errors import NetworkError
 
-__all__ = ["PacketKind", "Packet", "CompletionRecord", "HEADER_BYTES", "CONTROL_BYTES"]
+__all__ = [
+    "PacketKind", "Packet", "CompletionRecord", "TX_DONE", "RX", "HEADER_BYTES", "CONTROL_BYTES",
+]
 
 #: bytes of protocol header prepended to every packet on the wire
 HEADER_BYTES = 40
 #: wire size of a control-only packet (RTS/CTS/ACK)
 CONTROL_BYTES = 64
+
+#: the two completion-record events: a send drained locally, a packet arrived
+TX_DONE = "tx_done"
+RX = "rx"
 
 
 class PacketKind:
@@ -77,16 +83,15 @@ class Packet:
 class CompletionRecord:
     """One completion-queue entry, consumed by polling.
 
-    ``event`` is ``"tx_done"`` (local send completion) or ``"rx"`` (packet
-    arrived); ``time`` is when the hardware produced the record (detection
-    happens later, when software polls).
+    ``event`` is :data:`TX_DONE` (local send completion) or :data:`RX`
+    (packet arrived); the producers pass one of the two constants and the
+    record does not check it. ``time`` is when the hardware produced the
+    record (detection happens later, when software polls).
     """
 
     __slots__ = ("event", "packet", "time")
 
     def __init__(self, event: str, packet: Packet, time: float) -> None:
-        if event != "tx_done" and event != "rx":
-            raise NetworkError(f"unknown completion event {event!r}")
         self.event = event
         self.packet = packet
         self.time = time

@@ -26,7 +26,7 @@ from ..config import NicModel
 from ..errors import NetworkError
 from ..sim.events import Priority as EventPriority
 from ..sim.kernel import Simulator
-from .message import CompletionRecord, Packet
+from .message import RX, TX_DONE, CompletionRecord, Packet
 
 __all__ = ["Nic"]
 
@@ -100,7 +100,7 @@ class Nic:
     def _tx_done(self, packet: Packet) -> None:
         """The last byte of ``packet`` left the NIC (now): produce the
         ``tx_done`` completion."""
-        self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
+        self.cq.append(CompletionRecord(TX_DONE, packet, self.sim.now))
         for cb in self._activity_listeners:
             cb()
 
@@ -114,7 +114,7 @@ class Nic:
             )
         self.rx_packets += 1
         self.rx_bytes += packet.wire_size
-        self.cq.append(CompletionRecord("rx", packet, self.sim.now))
+        self.cq.append(CompletionRecord(RX, packet, self.sim.now))
         for cb in self._activity_listeners:
             cb()
 

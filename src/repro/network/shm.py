@@ -21,7 +21,7 @@ from ..config import ShmModel
 from ..errors import NetworkError
 from ..sim.events import Priority as EventPriority
 from ..sim.kernel import Simulator
-from .message import CompletionRecord, Packet
+from .message import RX, TX_DONE, CompletionRecord, Packet
 
 __all__ = ["ShmChannel"]
 
@@ -56,12 +56,12 @@ class ShmChannel:
 
         # the sender's copy into the shared segment completes the send
         # locally (the CPU cost was charged by the caller before submit)
-        self.cq.append(CompletionRecord("tx_done", packet, self.sim.now))
+        self.cq.append(CompletionRecord(TX_DONE, packet, self.sim.now))
         for cb in self._activity_listeners:
             cb()
 
         def _arrive() -> None:
-            self.cq.append(CompletionRecord("rx", packet, self.sim.now))
+            self.cq.append(CompletionRecord(RX, packet, self.sim.now))
             for cb in self._activity_listeners:
                 cb()
 

@@ -31,7 +31,7 @@ from ..config import TimingModel
 from ..errors import ProtocolError
 from ..marcel.scheduler import MarcelScheduler
 from ..marcel.sync import ThreadEvent, ThreadFlag
-from ..network.message import CompletionRecord, Packet, PacketKind
+from ..network.message import TX_DONE, CompletionRecord, Packet, PacketKind
 from ..network.registration import MemoryRegistry
 from ..sim.kernel import Simulator
 from ..sim.tracing import Tracer
@@ -380,7 +380,7 @@ class NmSession:
         complete sends; arrived packets pass the reliability filter, then
         go to their protocol engine by packet kind."""
         packet = rec.packet
-        if rec.event == "tx_done":
+        if rec.event == TX_DONE:
             # only the rendezvous DATA leg completes on DMA drain: PIO/eager
             # completed at submission; control frames complete nothing
             if packet.kind == PacketKind.DATA:

@@ -18,6 +18,7 @@ Design constraints, in order of importance:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Any, Callable, Mapping
 
 from ..errors import ObsError
@@ -68,11 +69,13 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
+        bounds = self.bounds
+        # the first bound at or above ``value``; NaN, like a value above
+        # the last bound, lands in the overflow bucket
+        if value <= bounds[-1]:
+            self.bucket_counts[bisect_left(bounds, value)] += 1
+        else:
+            self.bucket_counts[-1] += 1
 
     @property
     def mean(self) -> float:

@@ -566,10 +566,14 @@ class Simulator:
                     # a live chain: pass a batch of its boundaries if it
                     # precedes the next heap entry (a cancelled one
                     # included: the boundary precedes whatever follows it
-                    # too). This is _pass_batch's body, inlined.
+                    # too). This is _pass_batch's body, inlined. The key
+                    # comparison is _due_chain's, field by field: no tuple
+                    # is built unless the times tie
                     entry = chains[0]
-                    if not heap or (entry[0], entry[1], entry[2]) < heap[0]:
-                        time = entry[0]
+                    time = entry[0]
+                    if not heap or time < heap[0][0] or (
+                        time == heap[0][0] and (entry[1], entry[2]) < heap[0][1:3]
+                    ):
                         if time > horizon:
                             if horizon > self.now:
                                 self.now = horizon

@@ -4,6 +4,7 @@ sampler determinism, exporters, and the zero-sim-time guarantee."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -38,6 +39,25 @@ class TestInstruments:
         assert snap["min"] == 1 and snap["max"] == 5000
         assert snap["mean"] == pytest.approx(1111.2)
         assert snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
+
+    def test_histogram_bucket_is_the_first_bound_at_or_above(self):
+        bounds = (-5.0, 0.0, 1.0, 1.0, 10.0, 1e6)
+        values = [-math.inf, math.inf, math.nan, -1e9, 2e6]
+        for bound in bounds:
+            values += [math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf)]
+
+        def linear(value: float) -> int:
+            for i, bound in enumerate(bounds):
+                if value <= bound:
+                    return i
+            return len(bounds)
+
+        for value in values:
+            h = MetricsRegistry().histogram("lat", bounds=bounds)
+            h.observe(value)
+            want = [0] * (len(bounds) + 1)
+            want[linear(value)] = 1
+            assert h.bucket_counts == want, value
 
     def test_histogram_percentiles_clamped_to_observed(self):
         h = MetricsRegistry().histogram("lat", bounds=(1000.0,))

@@ -6,8 +6,10 @@ False, so every slice end is an ordinary kernel event. Hypothesis draws
 oversubscribed symmetric two-node workloads — priorities, pinning, sleeps,
 short and long compute lengths on 10/5/2.5 µs grids (same-phase tick ties
 across cores),
-eager and rendezvous exchanges, the aggregation strategy, a lossy wire —
-and both runs must agree on the end time, the full trace, every
+eager and rendezvous exchanges, the aggregation strategy, a lossy wire,
+and the timer tick: 10 and 5 µs, where long batches jump their steady ticks in
+closed form, and 7.5 and 10.3 µs, where a fractional tick steps them one
+by one — and both runs must agree on the end time, the full trace, every
 scheduler's statistics and the sampled metric series. The kernel work must
 also add up: every real event or chain boundary of the tickless run is one
 event of the ticking run.
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.config import EngineKind, ObsConfig, TimingModel
+from repro.config import EngineKind, MarcelConfig, ObsConfig, TimingModel
 from repro.errors import DeadlockError
 from repro.faults.plan import FaultPlan
 from repro.harness.runner import ClusterRuntime
@@ -65,6 +67,7 @@ configs = st.fixed_dictionaries(
         "aggreg": st.booleans(),
         "lossy": st.booleans(),
         "seed": st.integers(min_value=0, max_value=2**16),
+        "tick": st.sampled_from((10.0, 5.0, 7.5, 10.3)),
     }
 )
 
@@ -89,7 +92,10 @@ def _body(index: int, program):
 
 
 def _run(cfg, sampled: bool = True):
-    timing = TimingModel(obs=ObsConfig(sample_interval_us=25.0) if sampled else ObsConfig())
+    timing = TimingModel(
+        marcel=MarcelConfig(timer_tick_us=cfg["tick"]),
+        obs=ObsConfig(sample_interval_us=25.0) if sampled else ObsConfig(),
+    )
     tracer = Tracer()
     rt = ClusterRuntime.build(
         engine=cfg["engine"],
